@@ -5,7 +5,7 @@ FUZZTIME ?= 30s
 COVER_FLOOR_core  = 70
 COVER_FLOOR_serve = 70
 
-.PHONY: build test check check-race race vet fmt bench bench-shards fuzz cover chaos overload flight shard replica failover
+.PHONY: build test check check-race race vet fmt bench fuzz cover chaos overload flight shard replica failover
 
 build:
 	$(GO) build ./...
@@ -43,13 +43,6 @@ check: fmt vet build race
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# bench-shards sweeps serving throughput at 1/2/4/8 shards over a
-# single-shard-routable stream and rewrites BENCH_shard_scaling.json
-# (median of three trials per width). Fails if 4 shards do not reach
-# 2x single-loop throughput.
-bench-shards:
-	BENCH_SHARDS=1 $(GO) test -run TestShardScaling -count=1 -v .
-
 # chaos runs the self-healing soak under the race detector: hundreds of
 # randomized batches through a durable server while fsync failures, torn
 # writes and scripted poison batches fire underneath, asserting the
@@ -63,12 +56,12 @@ chaos:
 # differential equivalence harness (2- and 4-shard servers over 100+
 # randomized partition-closed batches, PageRank and SSSP, checked
 # against from-scratch runs at every Sync), the sharded durable soak
-# (per-shard fsync failures confined to the faulted shard while the
-# others keep applying, then recovery and restart equivalence), poison
-# confinement, and the per-shard failure/Err precedence contracts.
-# SHARD_FLAGS=-short shrinks the soak for CI.
+# (fsync failures confined to one shard's journal, server-wide degraded
+# mode, replay without double-apply, restart equivalence), the serving
+# contract suite at widths 1 and 2, and the fan-out applier's unit
+# tests. SHARD_FLAGS=-short shrinks the soak for CI.
 shard:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSoak|TestShardServer' -v $(SHARD_FLAGS) .
+	$(GO) test -race -run 'TestShardEquivalence|TestShardSoak|TestServingContract' -v $(SHARD_FLAGS) .
 	$(GO) test -race ./internal/partition/
 
 # overload runs the admission-control soak under the race detector: an

@@ -136,8 +136,8 @@ func main() {
 		trace       = flag.Bool("trace", false, "log a line per engine phase (run, refine, hybrid, checkpoint, ...)")
 		serveMode   = flag.Bool("serve", false, "ingest the stream through the concurrent serving facade while -readers goroutines query snapshots")
 		readers     = flag.Int("readers", 4, "concurrent snapshot readers in -serve mode")
-		shards      = flag.Int("shards", 1, "partition serving into N shards, each with its own engine and apply loop behind a cross-shard barrier (with -serve; incompatible with -wal-dir)")
-		queueDepth  = flag.Int("queue-depth", 0, "ingest queue bound in -serve mode (0 = default, per shard)")
+		shards      = flag.Int("shards", 1, "fan each batch out over N partition shards, each with its own engine, joined before the merged snapshot publishes (with -serve; incompatible with -wal-dir)")
+		queueDepth  = flag.Int("queue-depth", 0, "ingest queue bound in -serve mode (0 = default)")
 		retain      = flag.Int("retain", 1, "published generations kept addressable for point-in-time reads (SnapshotAt)")
 		queryCache  = flag.Int64("query-cache", 0, "per-generation query cache budget in bytes for -serve mode (0 = off)")
 		applyDl     = flag.Duration("apply-deadline", 0, "watchdog deadline per apply call in -serve mode (0 = off); exceeding it logs and raises graphbolt_serve_stuck_applies")
@@ -729,9 +729,8 @@ func serveBatches[V, A any](eng *core.Engine[V, A], d *durable.Engine[V, A], sc 
 		for _, si := range srv.ShardInfos() {
 			logger.Info("shard summary",
 				"shard", si.Shard,
-				"apply_calls", si.Applied,
-				"quarantined", si.Quarantined,
-				"state", si.State.String())
+				"applied", si.Applied,
+				"ailment", si.Ailment)
 		}
 	}
 	if fr := srv.Flight(); fr != nil {

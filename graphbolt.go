@@ -213,9 +213,8 @@ func OpenDurable[V, A any](eng *Engine[V, A], dir string, opts DurableOptions) (
 
 // ShardedDurableEngine is a set of per-shard durable engines sharing
 // one partitioner: shard s journals and checkpoints the sub-stream it
-// owns under its own directory, independently of its siblings, so a
-// storage fault on one shard degrades only that shard and recovery
-// replays per shard. Serve it with NewShardedDurableServer.
+// owns under its own directory, independently of its siblings, and
+// recovery replays per shard. Serve it with NewShardedDurableServer.
 type ShardedDurableEngine[V, A any] struct {
 	pt     *partition.Partitioner
 	shards []*DurableEngine[V, A]
@@ -234,24 +233,17 @@ type ShardedDurableEngine[V, A any] struct {
 // a non-nil func may return different options per shard (fault
 // injection on one shard, sync policy by shard, ...).
 func OpenShardedDurable[V, A any](eng *Engine[V, A], dir string, shards int, assign map[VertexID]int, opts func(shard int) DurableOptions) (*ShardedDurableEngine[V, A], error) {
-	pt, err := partition.New(shards, assign)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := pt.SplitGraph(eng.Graph())
+	pt, engines, err := spawnShards(eng, shards, assign)
 	if err != nil {
 		return nil, err
 	}
 	sd := &ShardedDurableEngine[V, A]{pt: pt, shards: make([]*DurableEngine[V, A], shards)}
-	for s, g := range parts {
-		sub, err := eng.SpawnForGraph(g)
-		if err == nil {
-			var o DurableOptions
-			if opts != nil {
-				o = opts(s)
-			}
-			sd.shards[s], err = durable.Open(sub, filepath.Join(dir, fmt.Sprintf("shard-%04d", s)), o)
+	for s, sub := range engines {
+		var o DurableOptions
+		if opts != nil {
+			o = opts(s)
 		}
+		sd.shards[s], err = durable.Open(sub, filepath.Join(dir, fmt.Sprintf("shard-%04d", s)), o)
 		if err != nil {
 			for _, d := range sd.shards[:s] {
 				d.Close()
@@ -260,6 +252,26 @@ func OpenShardedDurable[V, A any](eng *Engine[V, A], dir string, shards int, ass
 		}
 	}
 	return sd, nil
+}
+
+// spawnShards splits eng's graph by destination-vertex ownership and
+// spawns one fresh engine (same program and options) per shard.
+func spawnShards[V, A any](eng *Engine[V, A], shards int, assign map[VertexID]int) (*partition.Partitioner, []*Engine[V, A], error) {
+	pt, err := partition.New(shards, assign)
+	if err != nil {
+		return nil, nil, err
+	}
+	parts, err := pt.SplitGraph(eng.Graph())
+	if err != nil {
+		return nil, nil, err
+	}
+	engines := make([]*Engine[V, A], shards)
+	for s, g := range parts {
+		if engines[s], err = eng.SpawnForGraph(g); err != nil {
+			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+	}
+	return pt, engines, nil
 }
 
 // Shards returns the shard count.
@@ -290,25 +302,23 @@ func (sd *ShardedDurableEngine[V, A]) Close() error {
 	return first
 }
 
-// NewShardedDurableServer serves a sharded durable engine set: one
-// apply loop per shard journaling into its own WAL, behind the
-// partition router's cross-shard barrier and merged snapshot
-// publication. ServerOptions.Shards and ShardAssign are taken from sd
-// and ignored on opts. Close also closes every shard's journal.
+// NewShardedDurableServer serves a sharded durable engine set: the one
+// ingest loop fans every batch out over the shards, each journaling its
+// sub-batch into its own WAL, and publishes merged snapshots.
+// ServerOptions.Shards and ShardAssign are taken from sd and ignored on
+// opts. Close also closes every shard's journal.
 func NewShardedDurableServer[V, A any](sd *ShardedDurableEngine[V, A], opts ServerOptions) (*Server[V, A], error) {
 	engines := make([]*core.Engine[V, A], len(sd.shards))
-	graphs := make([]*Graph, len(sd.shards))
-	appliers := make([]serve.Applier, len(sd.shards))
+	targets := make([]serve.Applier, len(sd.shards))
 	for s, d := range sd.shards {
 		engines[s] = d.Core()
-		graphs[s] = d.Graph()
-		appliers[s] = d
+		targets[s] = d
 	}
-	union, err := partition.UnionGraph(graphs)
+	srv, err := newShardedServer(sd.pt, engines, targets, sd.Close, opts)
 	if err != nil {
 		return nil, fmt.Errorf("graphbolt: sharded durable: %w", err)
 	}
-	return newShardedServer(engines, appliers, sd.pt, union, sd.Close, opts), nil
+	return srv, nil
 }
 
 // Typed failure sentinels, for errors.Is.

@@ -14,15 +14,14 @@ import (
 // Generation ordering) and DiffSnapshots all behave as if one engine
 // had applied the merged mutation stream.
 //
-// The partition router owns publication: after a barrier-consistent set
-// of per-shard applies (no multi-shard batch partially applied), it
-// calls PublishMerged with the union graph and the per-shard snapshot
-// vector. Each merged snapshot copies every vertex's value from its
+// The partition applier owns publication: after every shard has applied
+// its share of a batch (no batch partially applied), it calls
+// PublishMerged with the union graph and the per-shard snapshot vector. Each merged snapshot copies every vertex's value from its
 // owning shard, so readers see one flat value slice — the same shape a
 // single engine publishes — and may hold it indefinitely.
 //
 // Concurrency mirrors the engine: PublishMerged is single-writer (the
-// router's publisher goroutine); every read accessor is lock-free.
+// serve loop's apply goroutine); every read accessor is lock-free.
 type MultiView[V, A any] struct {
 	engines []*Engine[V, A]
 	owner   func(graph.VertexID) int

@@ -30,124 +30,31 @@ func For(n int, body func(i int)) {
 }
 
 // ForGrain is For with an explicit grain size.
-//
-// A panic in the body is recovered inside the worker (an unrecovered
-// panic in a spawned goroutine would kill the process), the remaining
-// chunks are cancelled, and after all workers drain the first panic is
-// re-raised on the calling goroutine as a *PanicError carrying the
-// offending index range. The same holds for ForRange and ForWorker.
 func ForGrain(n, grain int, body func(i int)) {
-	if n <= 0 {
-		return
-	}
-	p := Procs()
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	m := loopMet.Load()
-	var box panicBox
-	if p == 1 || n <= grain {
-		box.run(0, n, func() {
-			for i := 0; i < n; i++ {
-				body(i)
-			}
-		})
-		m.observeInline()
-		box.rethrow()
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	if needed := (n + grain - 1) / grain; p > needed {
-		p = needed
-	}
-	var ls loopStat
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			var claims int64
-			if m != nil {
-				defer func() { ls.record(claims) }()
-			}
-			for !box.tripped.Load() {
-				start := int(next.Add(int64(grain))) - grain
-				if start >= n {
-					return
-				}
-				claims++
-				end := start + grain
-				if end > n {
-					end = n
-				}
-				box.run(start, end, func() {
-					for i := start; i < end; i++ {
-						body(i)
-					}
-				})
-			}
-		}()
-	}
-	wg.Wait()
-	m.observeLoop(p, &ls)
-	box.rethrow()
+	ForWorker(n, grain, func(_, start, end int) {
+		for i := start; i < end; i++ {
+			body(i)
+		}
+	})
 }
 
 // ForRange runs body(start, end) over disjoint subranges covering [0, n),
 // letting the body iterate a contiguous chunk itself. Useful when the body
 // wants to keep per-chunk locals (e.g. a worker-private counter).
 func ForRange(n, grain int, body func(start, end int)) {
-	if n <= 0 {
-		return
-	}
-	if grain <= 0 {
-		grain = DefaultGrain
-	}
-	p := Procs()
-	m := loopMet.Load()
-	var box panicBox
-	if p == 1 || n <= grain {
-		box.run(0, n, func() { body(0, n) })
-		m.observeInline()
-		box.rethrow()
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	if needed := (n + grain - 1) / grain; p > needed {
-		p = needed
-	}
-	var ls loopStat
-	wg.Add(p)
-	for w := 0; w < p; w++ {
-		go func() {
-			defer wg.Done()
-			var claims int64
-			if m != nil {
-				defer func() { ls.record(claims) }()
-			}
-			for !box.tripped.Load() {
-				start := int(next.Add(int64(grain))) - grain
-				if start >= n {
-					return
-				}
-				claims++
-				end := start + grain
-				if end > n {
-					end = n
-				}
-				box.run(start, end, func() { body(start, end) })
-			}
-		}()
-	}
-	wg.Wait()
-	m.observeLoop(p, &ls)
-	box.rethrow()
+	ForWorker(n, grain, func(_, start, end int) { body(start, end) })
 }
 
 // ForWorker runs body(worker, start, end) like ForRange but also passes a
 // dense worker id in [0, Workers()) so the body can index per-worker state
-// without false sharing on a shared counter.
+// without false sharing on a shared counter. It is the one chunk
+// self-scheduler behind every loop in this package.
+//
+// A panic in the body is recovered inside the worker (an unrecovered
+// panic in a spawned goroutine would kill the process), the remaining
+// chunks are cancelled, and after all workers drain the first panic is
+// re-raised on the calling goroutine as a *PanicError carrying the
+// offending index range.
 func ForWorker(n, grain int, body func(worker, start, end int)) {
 	if n <= 0 {
 		return

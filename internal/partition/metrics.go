@@ -2,48 +2,34 @@ package partition
 
 import "repro/internal/obs"
 
-// routerMetrics holds the router's metric handles; the zero value (nil
+// shardMetrics holds the applier's metric handles; the zero value (nil
 // handles) is the instrumentation-off state, as everywhere else.
-//
-// The registry is name-keyed (no labels), so per-shard series are
-// aggregated by the router rather than emitted per shard: queue depth
-// is the sum of all shard queues (authoritatively maintained from the
-// router's FIFO mirrors — the per-loop graphbolt_serve_queue_depth
-// gauge is shared by all shard loops and reflects whichever shard
-// updated it last).
-type routerMetrics struct {
+type shardMetrics struct {
 	shardCount    *obs.Gauge
-	queueDepth    *obs.Gauge
 	mergedGen     *obs.Gauge
 	crossBatches  *obs.Counter
 	singleBatches *obs.Counter
-	barrierWait   *obs.Histogram
 }
 
-func newRouterMetrics(r *obs.Registry) routerMetrics {
+func newShardMetrics(r *obs.Registry) shardMetrics {
 	if r == nil {
-		return routerMetrics{}
+		return shardMetrics{}
 	}
-	return routerMetrics{
+	return shardMetrics{
 		shardCount: r.Gauge("graphbolt_shard_count",
-			"Partition shards the router is serving."),
-		queueDepth: r.Gauge("graphbolt_shard_queue_depth",
-			"Sub-batches currently queued or in flight across all shard loops."),
+			"Partition shards the server fans each batch out over."),
 		mergedGen: r.Gauge("graphbolt_shard_merged_generation",
 			"Generation of the latest merged multi-shard snapshot."),
 		crossBatches: r.Counter("graphbolt_shard_cross_batches_total",
-			"Submitted batches spanning multiple shards (barrier required)."),
+			"Applied batches whose edges spanned more than one shard."),
 		singleBatches: r.Counter("graphbolt_shard_single_batches_total",
-			"Submitted batches owned entirely by one shard (no barrier)."),
-		barrierWait: r.Histogram("graphbolt_shard_barrier_wait_seconds",
-			"Cross-shard barrier wait: first owning shard's apply to the last's.",
-			obs.DefTimeBuckets),
+			"Applied batches owned entirely by one shard (or empty)."),
 	}
 }
 
 // RegisterMetrics pre-creates the partition metric set in r so the
-// exposition endpoint shows every series before the first router is
-// constructed. Idempotent.
+// exposition endpoint shows every series before the first sharded
+// server is constructed. Idempotent.
 func RegisterMetrics(r *obs.Registry) {
-	newRouterMetrics(r)
+	newShardMetrics(r)
 }

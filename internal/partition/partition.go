@@ -1,7 +1,8 @@
 // Package partition implements sharded serving: a deterministic vertex
 // partitioner, a batch splitter that routes each edge to its owning
-// shard, and a Router running one serve.Loop per shard behind a
-// cross-shard generation barrier with merged snapshot publication.
+// shard, and an Applier that fans every batch of the single serve.Loop
+// out over per-shard engines, joins them (the cross-shard generation
+// barrier) and publishes one merged snapshot.
 //
 // Ownership is by destination vertex: edge u→v belongs to Owner(v), so
 // all of a vertex's in-edges — the inputs to its pull-style aggregation
@@ -160,24 +161,6 @@ func (p *Partitioner) Closed(edges []graph.Edge) (graph.Edge, bool) {
 		}
 	}
 	return graph.Edge{}, true
-}
-
-// PoisonOwner returns the shard a malformed batch is routed to whole:
-// the owner of the first invalid edge's destination. Routing the batch
-// intact to one shard lets that shard's quarantine reject it exactly as
-// a single loop would, confining the poison to one partition.
-func (p *Partitioner) PoisonOwner(b graph.Batch) int {
-	for _, e := range b.Add {
-		if graph.ValidateEdge(e) != nil {
-			return p.Owner(e.To)
-		}
-	}
-	for _, e := range b.Del {
-		if graph.ValidateEdge(e) != nil {
-			return p.Owner(e.To)
-		}
-	}
-	return 0
 }
 
 // OwnedVertices enumerates the vertices in [0, n) owned by each shard,

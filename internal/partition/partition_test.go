@@ -1,7 +1,6 @@
 package partition
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 
@@ -243,24 +242,6 @@ func TestClosed(t *testing.T) {
 		t.Fatal("cross-owner edge reported closed")
 	} else if e.From != 1 || e.To != 2 {
 		t.Fatalf("wrong violating edge %v", e)
-	}
-}
-
-func TestPoisonOwner(t *testing.T) {
-	p := mustNew(t, 4, map[graph.VertexID]int{5: 2})
-	bad := graph.Batch{Add: []graph.Edge{
-		{From: 0, To: 1, Weight: 1},
-		{From: 0, To: 5, Weight: math.NaN()},
-	}}
-	if s := p.PoisonOwner(bad); s != 2 {
-		t.Fatalf("PoisonOwner = %d, want owner of first invalid edge's To (2)", s)
-	}
-	badDel := graph.Batch{Del: []graph.Edge{{From: 0, To: 5, Weight: math.Inf(1)}}}
-	if s := p.PoisonOwner(badDel); s != 2 {
-		t.Fatalf("PoisonOwner(del) = %d, want 2", s)
-	}
-	if s := p.PoisonOwner(graph.Batch{}); s != 0 {
-		t.Fatalf("PoisonOwner(valid) = %d, want fallback 0", s)
 	}
 }
 

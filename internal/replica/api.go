@@ -1,10 +1,13 @@
 package replica
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
+	"reflect"
 	"strconv"
 	"time"
 
@@ -47,14 +50,14 @@ type TopKResponse[V any] struct {
 // TopEntry is one /v1/topk element.
 type TopEntry[V any] struct {
 	Vertex graph.VertexID `json:"vertex"`
-	Value  V              `json:"value"`
+	Value  jsonValue[V]   `json:"value"`
 }
 
 // ValueResponse is the JSON shape of /v1/value/{vertex}.
 type ValueResponse[V any] struct {
 	Generation uint64         `json:"generation"`
 	Vertex     graph.VertexID `json:"vertex"`
-	Value      V              `json:"value"`
+	Value      jsonValue[V]   `json:"value"`
 }
 
 // DiffResponse is the JSON shape of /v1/diff.
@@ -62,10 +65,45 @@ type DiffResponse[V any] struct {
 	From        uint64           `json:"from"`
 	To          uint64           `json:"to"`
 	Changed     []graph.VertexID `json:"changed"`
-	Before      []V              `json:"before"`
-	After       []V              `json:"after"`
+	Before      []jsonValue[V]   `json:"before"`
+	After       []jsonValue[V]   `json:"after"`
 	VertexDelta int              `json:"vertex_delta"`
 	EdgeDelta   int64            `json:"edge_delta"`
+}
+
+// jsonValue carries a vertex value through JSON. Finite values encode
+// as themselves; the float values JSON has no literal for — the +Inf an
+// SSSP snapshot holds for every unreachable vertex, -Inf, NaN — encode
+// as the strings "+Inf", "-Inf" and "NaN", and decode back.
+type jsonValue[V any] struct{ V V }
+
+func (j jsonValue[V]) MarshalJSON() ([]byte, error) {
+	if rv := reflect.ValueOf(j.V); rv.CanFloat() {
+		if f := rv.Float(); math.IsInf(f, 0) || math.IsNaN(f) {
+			return strconv.AppendQuote(nil, strconv.FormatFloat(f, 'g', -1, 64)), nil
+		}
+	}
+	return json.Marshal(j.V)
+}
+
+func (j *jsonValue[V]) UnmarshalJSON(b []byte) error {
+	if rv := reflect.ValueOf(&j.V).Elem(); rv.CanFloat() && len(b) > 0 && b[0] == '"' {
+		f, err := strconv.ParseFloat(string(bytes.Trim(b, `"`)), 64)
+		if err != nil {
+			return err
+		}
+		rv.SetFloat(f)
+		return nil
+	}
+	return json.Unmarshal(b, &j.V)
+}
+
+func jsonValues[V any](vs []V) []jsonValue[V] {
+	out := make([]jsonValue[V], len(vs))
+	for i, v := range vs {
+		out[i].V = v
+	}
+	return out
 }
 
 // API returns the HTTP/JSON query surface over src:
@@ -121,7 +159,7 @@ func API[V cmp.Ordered](src Source[V]) http.Handler {
 		top := qcache.TopK(src.Cache(), s, k)
 		resp := TopKResponse[V]{Generation: s.Generation, K: k, Top: make([]TopEntry[V], len(top))}
 		for i, t := range top {
-			resp.Top[i] = TopEntry[V]{Vertex: t.Vertex, Value: t.Value}
+			resp.Top[i] = TopEntry[V]{Vertex: t.Vertex, Value: jsonValue[V]{t.Value}}
 		}
 		writeJSON(w, resp)
 	})
@@ -141,7 +179,7 @@ func API[V cmp.Ordered](src Source[V]) http.Handler {
 				"vertex "+strconv.FormatUint(v, 10)+" is outside generation "+strconv.FormatUint(s.Generation, 10))
 			return
 		}
-		writeJSON(w, ValueResponse[V]{Generation: s.Generation, Vertex: graph.VertexID(v), Value: val})
+		writeJSON(w, ValueResponse[V]{Generation: s.Generation, Vertex: graph.VertexID(v), Value: jsonValue[V]{val}})
 	})
 	mux.HandleFunc("GET /v1/diff", func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -159,7 +197,7 @@ func API[V cmp.Ordered](src Source[V]) http.Handler {
 		}
 		resp := DiffResponse[V]{
 			From: d.From, To: d.To,
-			Changed: d.Changed, Before: d.Before, After: d.After,
+			Changed: d.Changed, Before: jsonValues(d.Before), After: jsonValues(d.After),
 			VertexDelta: d.VertexDelta, EdgeDelta: d.EdgeDelta,
 		}
 		if resp.Changed == nil {
@@ -220,7 +258,14 @@ func writeSnapshotMeta[V any](w http.ResponseWriter, src Source[V], s *core.Resu
 	})
 }
 
+// writeJSON encodes v into a buffer before touching w, so an encoding
+// failure becomes a typed 500 instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		httpError(w, http.StatusInternalServerError, "response encoding failed", err.Error())
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
+	w.Write(buf.Bytes())
 }

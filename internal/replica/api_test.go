@@ -3,6 +3,8 @@ package replica
 import (
 	"encoding/json"
 	"errors"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -170,7 +172,7 @@ func TestAPITopKAndValue(t *testing.T) {
 		t.Fatalf("topk = %+v", topk)
 	}
 	for i := 1; i < len(topk.Top); i++ {
-		if topk.Top[i].Value > topk.Top[i-1].Value {
+		if topk.Top[i].Value.V > topk.Top[i-1].Value.V {
 			t.Fatalf("topk not descending: %+v", topk.Top)
 		}
 	}
@@ -179,10 +181,89 @@ func TestAPITopKAndValue(t *testing.T) {
 		t.Fatalf("status %d", code)
 	}
 	if val.Value != topk.Top[0].Value {
-		t.Fatalf("value %v != topk head %v", val.Value, topk.Top[0].Value)
+		t.Fatalf("value %v != topk head %v", val.Value.V, topk.Top[0].Value.V)
 	}
 	if code, _ := getJSON(t, ts, "/v1/value/99999", nil); code != http.StatusNotFound {
 		t.Fatalf("out-of-range vertex: status %d, want 404", code)
+	}
+}
+
+// TestAPINonFiniteValues: JSON has no literal for the +Inf an SSSP
+// snapshot holds on every unreachable vertex. Such reads must still
+// answer 200 with a non-empty, parseable body — the value travels as the
+// string "+Inf" and decodes back — never a 200 with nothing after the
+// header.
+func TestAPINonFiniteValues(t *testing.T) {
+	// 0→1→2 reachable from source 0; 3, 4, 5 are not.
+	g, err := graph.Build(6, []graph.Edge{{From: 0, To: 1, Weight: 1}, {From: 1, To: 2, Weight: 1}, {From: 4, To: 5, Weight: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := core.NewEngine[float64, float64](g, algorithms.NewSSSP(0), core.Options{Retain: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+	// Generation 2 reaches vertex 3: its distance changes from +Inf.
+	if _, err := eng.ApplyBatch(graph.Batch{Add: []graph.Edge{{From: 2, To: 3, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(API[float64](engineSource{eng}))
+	defer ts.Close()
+
+	inf := math.Inf(1)
+	var (
+		val  ValueResponse[float64]
+		topk TopKResponse[float64]
+		diff DiffResponse[float64]
+	)
+	for _, c := range []struct {
+		path  string
+		out   any
+		check func() bool
+	}{
+		{"/v1/value/5", &val, func() bool { return val.Value.V == inf }},
+		{"/v1/value/2", &val, func() bool { return val.Value.V == 2 }},
+		{"/v1/topk?k=3", &topk, func() bool {
+			return len(topk.Top) == 3 && topk.Top[0].Value.V == inf && topk.Top[1].Value.V == inf && topk.Top[2].Value.V == 3
+		}},
+		{"/v1/diff?from=1&to=2", &diff, func() bool {
+			return len(diff.Changed) == 1 && diff.Changed[0] == 3 && diff.Before[0].V == inf && diff.After[0].V == 3
+		}},
+	} {
+		resp, err := ts.Client().Get(ts.URL + c.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || len(body) == 0 {
+			t.Errorf("%s: status %d with a %d-byte body, want 200 and a body", c.path, resp.StatusCode, len(body))
+			continue
+		}
+		if err := json.Unmarshal(body, c.out); err != nil {
+			t.Errorf("%s: body %q does not parse: %v", c.path, body, err)
+			continue
+		}
+		if !c.check() {
+			t.Errorf("%s: body %q decoded to the wrong values", c.path, body)
+		}
+	}
+}
+
+// TestAPIEncodeFailureIs500: a value the encoder rejects becomes a
+// typed JSON 500, decided before the header goes out.
+func TestAPIEncodeFailureIs500(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, math.Inf(1)) // a bare float, outside jsonValue
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
+		t.Fatalf("status %d body %q (decode: %v), want a JSON 500", rec.Code, rec.Body, err)
 	}
 }
 

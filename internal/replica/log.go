@@ -90,7 +90,10 @@ func (l *Log) SetFloor(seq uint64) {
 		l.floor = seq
 	}
 	if l.last < seq {
+		// Everything stored is now below the floor; keeping it would
+		// leave a hole between it and the next record appended.
 		l.last = seq
+		l.frames = nil
 	}
 }
 

@@ -269,36 +269,6 @@ type Options struct {
 	// controller is already promising), otherwise slow-batch capture is
 	// off; negative disables it explicitly. Ignored without Flight.
 	SlowBatch time.Duration
-
-	// TraceTag is OR'd into every trace ID the loop mints, letting a
-	// multi-loop composition (the partition router) namespace the IDs so
-	// traces from different shards never collide. The tag must occupy
-	// only high bits the loop's monotonically increasing counter will
-	// not reach (the router uses bits 48+). Zero means untagged.
-	TraceTag uint64
-
-	// ExternalAdmission marks the admission controller as charged by the
-	// caller: Submit skips its own Admit call (the router has already
-	// admitted the composite batch across all owning shards), while
-	// every release path — apply completion, quarantine, drain, failed
-	// enqueue — still feeds the controller so backlog accounting stays
-	// balanced. Ignored unless Admission is set.
-	ExternalAdmission bool
-
-	// QueueWhileDegraded lets Submit enqueue (with normal backpressure)
-	// while the loop is degraded instead of failing fast with
-	// ErrDegraded. The queued batches replay after recovery. The router
-	// sets this so a multi-shard batch is never partially submitted just
-	// because one shard is mid-repair.
-	QueueWhileDegraded bool
-
-	// OnDrop, when non-nil, is called from the apply goroutine whenever
-	// a queued batch is resolved without an apply call covering it: a
-	// quarantined poison batch, or the shutdown/terminal drain failing
-	// the queue. Together with OnApply it accounts for every accepted
-	// submission exactly once, in queue order — the property the
-	// partition router's per-shard FIFO mirrors rely on. Keep it fast.
-	OnDrop func(b graph.Batch, trace uint64, err error)
 }
 
 func (o Options) withDefaults() Options {
@@ -368,17 +338,6 @@ type Ticket struct {
 	done  chan Applied
 	trace uint64
 }
-
-// NewTicket constructs an unresolved ticket carrying the given trace
-// ID, for callers that compose their own apply pipelines over multiple
-// loops (the partition router resolves one composite ticket after all
-// owning shards apply). Resolve completes it.
-func NewTicket(trace uint64) *Ticket {
-	return &Ticket{done: make(chan Applied, 1), trace: trace}
-}
-
-// Resolve completes a ticket built with NewTicket. Call exactly once.
-func (t *Ticket) Resolve(a Applied) { t.done <- a }
 
 // Trace returns the batch's trace ID, assigned at Submit. Look the
 // completed lifecycle up with Recorder.Trace (or Server.Trace) after
@@ -515,10 +474,6 @@ func NewLoop(a Applier, opts Options) *Loop {
 // Flight returns the loop's flight recorder, nil when recording is off.
 func (l *Loop) Flight() *flight.Recorder { return l.rec }
 
-// SlowBatchThreshold returns the effective end-to-end latency above
-// which a batch triggers slow-batch capture (0 when disabled).
-func (l *Loop) SlowBatchThreshold() time.Duration { return l.slowThresh }
-
 // Admission returns the loop's admission controller, nil when admission
 // control is off. The nil controller is inert and safe to call.
 func (l *Loop) Admission() *admission.Controller { return l.ctl }
@@ -576,29 +531,7 @@ func batchWeight(b graph.Batch) int {
 // returns ErrClosed; in degraded mode, ErrDegraded; after a terminal
 // failure, that failure.
 func (l *Loop) Submit(ctx context.Context, b graph.Batch) (*Ticket, error) {
-	return l.submit(ctx, b, l.MintTrace())
-}
-
-// MintTrace assigns the next trace ID (tagged with Options.TraceTag).
-// Submit mints internally; SubmitTraced lets a composing caller mint
-// first, register the ID in its own bookkeeping, and submit after.
-func (l *Loop) MintTrace() uint64 {
-	return l.traceSeq.Add(1) | l.opts.TraceTag
-}
-
-// SubmitTraced is Submit with a caller-minted trace ID (from
-// MintTrace). The partition router uses it to register a sub-batch's
-// descriptor under the ID before the loop can possibly apply it, so
-// OnApply/OnDrop callbacks always find the descriptor in place. A zero
-// trace mints a fresh one.
-func (l *Loop) SubmitTraced(ctx context.Context, b graph.Batch, trace uint64) (*Ticket, error) {
-	if trace == 0 {
-		trace = l.MintTrace()
-	}
-	return l.submit(ctx, b, trace)
-}
-
-func (l *Loop) submit(ctx context.Context, b graph.Batch, tr uint64) (*Ticket, error) {
+	tr := l.traceSeq.Add(1)
 	if ctx != nil {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -606,7 +539,7 @@ func (l *Loop) submit(ctx context.Context, b graph.Batch, tr uint64) (*Ticket, e
 	}
 	w := batchWeight(b)
 	admitted := false
-	if l.ctl != nil && !l.opts.ExternalAdmission {
+	if l.ctl != nil {
 		// Refusals that outrank overload — closed, degraded, terminal —
 		// are checked first so shedding never masks them.
 		l.mu.Lock()
@@ -694,14 +627,12 @@ func (l *Loop) queueFullErr() error {
 }
 
 // submitErrLocked returns why new submissions are refused, or nil.
-// Precedence: terminal failure > degraded > closed. With
-// QueueWhileDegraded, degraded mode does not refuse — submissions
-// queue behind the held batch and replay after recovery.
+// Precedence: terminal failure > degraded > closed.
 func (l *Loop) submitErrLocked() error {
 	if l.failure != nil {
 		return l.failure
 	}
-	if l.degraded != nil && !l.opts.QueueWhileDegraded {
+	if l.degraded != nil {
 		return l.degraded
 	}
 	if l.closed {
@@ -819,10 +750,6 @@ func (l *Loop) QuarantinedTotal() uint64 {
 	return l.nQuar
 }
 
-// Health returns the loop's health tracker (nil if none was
-// configured; a nil tracker is inert and reads as Healthy).
-func (l *Loop) Health() *health.Tracker { return l.opts.Health }
-
 // quarantineLocked records a poison batch in the bounded ring.
 // l.mu must be held.
 func (l *Loop) quarantineLocked(pb PoisonBatch) {
@@ -864,13 +791,6 @@ func (l *Loop) run() {
 				}
 				l.rec.CompleteTrace(bt)
 				p.t.done <- Applied{Err: failure, Trace: bt}
-				if l.opts.OnDrop != nil {
-					dropErr := failure
-					if dropErr == nil {
-						dropErr = ErrClosed
-					}
-					l.opts.OnDrop(p.b, p.trace, dropErr)
-				}
 			}
 			return
 		}
@@ -901,9 +821,6 @@ func (l *Loop) run() {
 			}
 			l.rec.CompleteTrace(bt)
 			p.t.done <- Applied{Seq: attempt, Batches: 1, Err: rejErr, Trace: bt}
-			if l.opts.OnDrop != nil {
-				l.opts.OnDrop(p.b, p.trace, rejErr)
-			}
 			continue
 		}
 		headTrace, headEnqueued := l.q[0].trace, l.q[0].enqueued

@@ -94,7 +94,6 @@ var (
 		"graphbolt_serve_stuck_applies",
 		"graphbolt_shard_count",
 		"graphbolt_shard_merged_generation",
-		"graphbolt_shard_queue_depth",
 		"graphbolt_wal_size_bytes",
 	}
 	goldenHistograms = []string{
@@ -106,7 +105,6 @@ var (
 		"graphbolt_serve_queue_wait_seconds",
 		"graphbolt_serve_read_staleness_seconds",
 		"graphbolt_serve_recovery_backoff_seconds",
-		"graphbolt_shard_barrier_wait_seconds",
 		"graphbolt_wal_fsync_seconds",
 	}
 )

@@ -227,16 +227,16 @@ type ServerOptions struct {
 	// the admission SLO when Admission is set, otherwise off; negative
 	// disables explicitly. Ignored without Flight.
 	SlowBatch time.Duration
-	// Shards, when > 1, partitions serving: the graph is split by
-	// destination-vertex ownership into Shards subgraphs, each served by
-	// its own engine and single-writer apply loop, behind a router that
-	// splits every submitted batch, applies sub-batches concurrently,
-	// holds multi-shard batches at a cross-shard generation barrier, and
-	// publishes merged snapshots. Snapshot/SnapshotAt/Diff/Wait keep
-	// their exact semantics over the merged view. Queue depth, admission
-	// and coalescing options apply per shard; failure domains (poison
-	// quarantine, degraded mode, terminal failures) are per shard too.
-	// 0 and 1 mean the classic single-loop server.
+	// Shards, when > 1, partitions the apply step: the graph is split by
+	// destination-vertex ownership into Shards subgraphs, each with its
+	// own engine, and every batch the ingest loop dequeues is split by
+	// edge owner, applied to the shard engines concurrently, joined (the
+	// cross-shard generation barrier) and published as one merged
+	// snapshot. Snapshot/SnapshotAt/Diff/Wait keep their exact semantics
+	// over the merged view for partition-closed streams. Everything else
+	// — queue, coalescing, admission, poison quarantine, degraded mode,
+	// terminal failures — is the one ingest loop's, server-wide. 0 and 1
+	// mean a single engine.
 	Shards int
 	// ShardAssign optionally pins specific vertices to shards,
 	// overriding the hash partitioner (see partition.New). Entries must
@@ -256,10 +256,9 @@ type ServerOptions struct {
 // (journaled engine — the journal-before-mutate ordering is preserved
 // because journaling happens inside the single-writer apply loop).
 type Server[V, A any] struct {
-	eng    *core.Engine[V, A] // nil when sharded
-	loop   *serve.Loop        // nil when sharded
-	router *partition.Router[V, A]
-	view   *core.MultiView[V, A] // merged read view, sharded only
+	loop   *serve.Loop
+	view   readView[V]
+	shards *partition.Applier[V, A] // nil unless ServerOptions.Shards > 1
 	read   serve.ReadMetrics
 	cache  *qcache.Cache // nil when QueryCacheBytes == 0
 	gen0   uint64        // snapshot generation when the loop started
@@ -272,35 +271,38 @@ type Server[V, A any] struct {
 	closed bool
 }
 
+// readView is the lock-free read surface behind a Server: one engine's
+// published snapshots, or the merged view over the shard engines.
+type readView[V any] interface {
+	Snapshot() *core.ResultSnapshot[V]
+	SnapshotAt(gen uint64) (*core.ResultSnapshot[V], error)
+	RetainedGenerations() (oldest, newest uint64)
+	DiffSnapshots(from, to uint64) (*core.SnapshotDiff[V], error)
+}
+
 // NewServer wraps an in-memory engine. If the engine has not run yet,
 // NewServer performs the initial computation. From this point on, all
 // mutations must go through Submit — calling Run or ApplyBatch on the
-// engine directly breaks the single-writer invariant.
+// engine directly breaks the single-writer invariant. With
+// ServerOptions.Shards > 1, eng only supplies the graph, program and
+// options: serving state lives in per-shard engines spawned over the
+// split graph.
 func NewServer[V, A any](eng *Engine[V, A], opts ServerOptions) *Server[V, A] {
 	if opts.Shards > 1 {
-		// Sharded: eng supplies the graph, program and options; serving
-		// state lives in per-shard engines spawned over the split graph.
-		pt, err := partition.New(opts.Shards, opts.ShardAssign)
+		var srv *Server[V, A]
+		pt, engines, err := spawnShards(eng, opts.Shards, opts.ShardAssign)
+		if err == nil {
+			srv, err = newShardedServer(pt, engines, nil, nil, opts)
+		}
 		if err != nil {
 			panic(fmt.Sprintf("graphbolt: sharded server: %v", err))
 		}
-		parts, err := pt.SplitGraph(eng.Graph())
-		if err != nil {
-			panic(fmt.Sprintf("graphbolt: sharded server: %v", err))
-		}
-		engines := make([]*core.Engine[V, A], opts.Shards)
-		for s, g := range parts {
-			engines[s], err = eng.SpawnForGraph(g)
-			if err != nil {
-				panic(fmt.Sprintf("graphbolt: sharded server: shard %d: %v", s, err))
-			}
-		}
-		return newShardedServer(engines, nil, pt, eng.Graph(), nil, opts)
+		return srv
 	}
 	if eng.Snapshot() == nil {
 		eng.Run()
 	}
-	return newServer(eng, eng, nil, opts)
+	return newServer[V, A](eng, eng, nil, nil, opts)
 }
 
 // NewDurableServer wraps a durable engine opened with OpenDurable:
@@ -310,20 +312,35 @@ func NewDurableServer[V, A any](d *DurableEngine[V, A], opts ServerOptions) *Ser
 	if opts.Shards > 1 {
 		panic("graphbolt: sharded durable serving needs per-shard journals; use OpenShardedDurable + NewShardedDurableServer")
 	}
-	return newServer(d.Core(), d, d.Close, opts)
+	return newServer[V, A](d.Core(), d, nil, d.Close, opts)
 }
 
-func newServer[V, A any](eng *core.Engine[V, A], a serve.Applier, closeEng func() error, opts ServerOptions) *Server[V, A] {
+// newShardedServer serves per-shard engines (and optional per-shard
+// durable targets) through the fan-out applier.
+func newShardedServer[V, A any](pt *partition.Partitioner, engines []*core.Engine[V, A], targets []serve.Applier, closeEng func() error, opts ServerOptions) (*Server[V, A], error) {
+	sh, err := partition.NewApplier(pt, engines, targets, opts.registry())
+	if err != nil {
+		return nil, err
+	}
+	return newServer(sh.View(), sh, sh, closeEng, opts), nil
+}
+
+func (o ServerOptions) registry() *MetricsRegistry {
+	if o.Metrics != nil {
+		return o.Metrics
+	}
+	return serve.DefaultMetrics()
+}
+
+func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Applier[V, A], closeEng func() error, opts ServerOptions) *Server[V, A] {
 	s := &Server[V, A]{
-		eng:      eng,
-		gen0:     eng.Snapshot().Generation,
+		view:     view,
+		shards:   shards,
+		gen0:     view.Snapshot().Generation,
 		closeEng: closeEng,
 		watch:    make(chan struct{}),
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = serve.DefaultMetrics()
-	}
+	reg := opts.registry()
 	s.read = serve.NewReadMetrics(reg)
 	s.cache = qcache.New(opts.QueryCacheBytes, reg)
 	s.health = health.NewTracker(reg)
@@ -346,7 +363,7 @@ func newServer[V, A any](eng *core.Engine[V, A], a serve.Applier, closeEng func(
 		OnApply: func(ap Applied) {
 			// Cache eviction follows ring retention: entries for
 			// generations SnapshotAt can no longer serve are dead weight.
-			if oldest, _ := eng.RetainedGenerations(); oldest > 0 {
+			if oldest, _ := view.RetainedGenerations(); oldest > 0 {
 				s.cache.DropBelow(oldest)
 			}
 			s.mu.Lock()
@@ -359,75 +376,6 @@ func newServer[V, A any](eng *core.Engine[V, A], a serve.Applier, closeEng func(
 		},
 	})
 	return s
-}
-
-// newShardedServer wires a router over per-shard engines (and optional
-// per-shard durable appliers) into the Server facade. union is the
-// merged graph covering every shard's edges.
-func newShardedServer[V, A any](engines []*core.Engine[V, A], appliers []serve.Applier, pt *partition.Partitioner, union *Graph, closeEng func() error, opts ServerOptions) *Server[V, A] {
-	s := &Server[V, A]{
-		closeEng: closeEng,
-		watch:    make(chan struct{}),
-	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = serve.DefaultMetrics()
-	}
-	s.read = serve.NewReadMetrics(reg)
-	s.cache = qcache.New(opts.QueryCacheBytes, reg)
-	s.health = health.NewTracker(reg)
-	userCb := opts.OnApply
-	router, err := partition.NewRouter(engines, appliers, pt, union, partition.Options{
-		Loop: serve.Options{
-			QueueDepth:        opts.QueueDepth,
-			MaxBatchEdges:     opts.MaxBatchEdges,
-			Admission:         opts.Admission,
-			DisableCoalescing: opts.DisableCoalescing,
-			Policy:            opts.Policy,
-			Metrics:           reg,
-			QuarantineDepth:   opts.QuarantineDepth,
-			Backoff:           opts.Backoff,
-			ApplyDeadline:     opts.ApplyDeadline,
-			OnStuck:           opts.OnStuck,
-			Logger:            opts.Logger,
-			Flight:            opts.Flight,
-			SlowBatch:         opts.SlowBatch,
-		},
-		Retain:  engines[0].RetainDepth(),
-		Health:  s.health,
-		Metrics: reg,
-		OnPublish: func(uint64) {
-			if oldest, _ := s.view.RetainedGenerations(); oldest > 0 {
-				s.cache.DropBelow(oldest)
-			}
-			s.mu.Lock()
-			close(s.watch)
-			s.watch = make(chan struct{})
-			s.mu.Unlock()
-		},
-		OnApplied: func(ap Applied) {
-			if userCb != nil {
-				userCb(ap)
-			}
-		},
-		Logger: opts.Logger,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("graphbolt: sharded server: %v", err))
-	}
-	s.router = router
-	s.view = router.View()
-	s.gen0 = router.Gen0()
-	return s
-}
-
-// snapshot returns the current read view: the merged multi-shard
-// snapshot when sharded, the engine's otherwise.
-func (s *Server[V, A]) snapshot() *ResultSnapshot[V] {
-	if s.router != nil {
-		return s.view.Snapshot()
-	}
-	return s.eng.Snapshot()
 }
 
 // Submit enqueues a mutation batch for the single-writer apply loop.
@@ -439,9 +387,6 @@ func (s *Server[V, A]) snapshot() *ResultSnapshot[V] {
 // ticket fails wrapping ErrInvalidBatch and the batch is quarantined
 // (Quarantined) while the loop keeps serving.
 func (s *Server[V, A]) Submit(ctx context.Context, b Batch) (*SubmitTicket, error) {
-	if s.router != nil {
-		return s.router.Submit(ctx, b)
-	}
 	return s.loop.Submit(ctx, b)
 }
 
@@ -464,7 +409,7 @@ func (s *Server[V, A]) SubmitWait(ctx context.Context, b Batch) (*ResultSnapshot
 // lock-free and safe from any goroutine, concurrently with streaming
 // mutations; the snapshot is immutable and may be held indefinitely.
 func (s *Server[V, A]) Snapshot() *ResultSnapshot[V] {
-	snap := s.snapshot()
+	snap := s.view.Snapshot()
 	s.read.Observe(snap.PublishedAt)
 	return snap
 }
@@ -480,7 +425,7 @@ func (s *Server[V, A]) Query(fn func(*ResultSnapshot[V])) {
 
 // Generation returns the generation of the current snapshot.
 func (s *Server[V, A]) Generation() uint64 {
-	return s.snapshot().Generation
+	return s.view.Snapshot().Generation
 }
 
 // SnapshotAt returns the retained snapshot for exactly generation gen —
@@ -491,30 +436,21 @@ func (s *Server[V, A]) Generation() uint64 {
 // generation addressable). Retained(), via RetainedGenerations, reports
 // the currently addressable window.
 func (s *Server[V, A]) SnapshotAt(gen uint64) (*ResultSnapshot[V], error) {
-	if s.router != nil {
-		return s.view.SnapshotAt(gen)
-	}
-	return s.eng.SnapshotAt(gen)
+	return s.view.SnapshotAt(gen)
 }
 
 // RetainedGenerations returns the inclusive [oldest, newest] generation
 // window currently addressable via SnapshotAt, or (0, 0) before the
 // first publication.
 func (s *Server[V, A]) RetainedGenerations() (oldest, newest uint64) {
-	if s.router != nil {
-		return s.view.RetainedGenerations()
-	}
-	return s.eng.RetainedGenerations()
+	return s.view.RetainedGenerations()
 }
 
 // Diff compares two retained generations and reports the vertices whose
 // values changed between them, with before/after values and the vertex
 // and edge count deltas. Both generations must still be retained.
 func (s *Server[V, A]) Diff(from, to uint64) (*SnapshotDiff[V], error) {
-	if s.router != nil {
-		return s.view.DiffSnapshots(from, to)
-	}
-	return s.eng.DiffSnapshots(from, to)
+	return s.view.DiffSnapshots(from, to)
 }
 
 // Cache returns the server's per-generation query cache for use with
@@ -567,7 +503,7 @@ func (s *Server[V, A]) Wait(ctx context.Context, gen uint64) (*ResultSnapshot[V]
 		ctx = context.Background()
 	}
 	for {
-		if snap := s.snapshot(); snap != nil && snap.Generation >= gen {
+		if snap := s.view.Snapshot(); snap != nil && snap.Generation >= gen {
 			return snap, nil
 		}
 		if err := s.Err(); err != nil {
@@ -580,7 +516,7 @@ func (s *Server[V, A]) Wait(ctx context.Context, gen uint64) (*ResultSnapshot[V]
 		if closed {
 			// No further applies will happen; re-check once to close the
 			// race with the final apply, then fail.
-			if snap := s.snapshot(); snap != nil && snap.Generation >= gen {
+			if snap := s.view.Snapshot(); snap != nil && snap.Generation >= gen {
 				return snap, nil
 			}
 			return nil, fmt.Errorf("%w: generation %d never published", ErrServerClosed, gen)
@@ -594,83 +530,38 @@ func (s *Server[V, A]) Wait(ctx context.Context, gen uint64) (*ResultSnapshot[V]
 }
 
 // Sync blocks until every batch submitted before the call has been
-// applied (on a sharded server: applied on every owning shard and
-// folded into a published merged snapshot), then returns the current
-// snapshot. A nil ctx means no deadline.
+// applied and published, then returns the current snapshot. A nil ctx
+// means no deadline.
 func (s *Server[V, A]) Sync(ctx context.Context) (*ResultSnapshot[V], error) {
-	if s.router != nil {
-		if err := s.router.Sync(ctx); err != nil {
-			return nil, err
-		}
-		return s.view.Snapshot(), nil
-	}
 	if err := s.loop.Sync(ctx); err != nil {
 		return nil, err
 	}
-	return s.eng.Snapshot(), nil
+	return s.view.Snapshot(), nil
 }
 
 // QueueDepth returns the number of batches currently queued for the
-// apply loop — summed across shards (sub-batches) when sharded.
-func (s *Server[V, A]) QueueDepth() int {
-	if s.router != nil {
-		return s.router.Depth()
-	}
-	return s.loop.Depth()
-}
+// apply loop.
+func (s *Server[V, A]) QueueDepth() int { return s.loop.Depth() }
 
 // Admission returns the server's admission controller, nil unless
 // ServerOptions.Admission was set. The nil controller is inert and
-// safe to call. A sharded server runs one controller per shard with
-// the shared config; this returns shard 0's — use Admissions for all.
-func (s *Server[V, A]) Admission() *AdmissionController {
-	if s.router != nil {
-		return s.router.Admission(0)
-	}
-	return s.loop.Admission()
-}
-
-// Admissions returns every shard's admission controller, indexed by
-// shard (a single-element slice when not sharded; all nil when
-// admission is off).
-func (s *Server[V, A]) Admissions() []*AdmissionController {
-	if s.router != nil {
-		return s.router.Admissions()
-	}
-	return []*AdmissionController{s.loop.Admission()}
-}
+// safe to call.
+func (s *Server[V, A]) Admission() *AdmissionController { return s.loop.Admission() }
 
 // MaxBatchEdges returns the current effective coalescing cap: the
 // admission governor's floating cap when admission is on, the
-// configured static cap otherwise. Sharded servers report the largest
-// per-shard cap.
-func (s *Server[V, A]) MaxBatchEdges() int {
-	if s.router != nil {
-		return s.router.MaxBatchEdges()
-	}
-	return s.loop.MaxBatchEdges()
-}
+// configured static cap otherwise.
+func (s *Server[V, A]) MaxBatchEdges() int { return s.loop.MaxBatchEdges() }
 
 // SetMaxBatchEdges adjusts the coalescing cap at runtime (clamped into
 // the admission floor/ceiling band when admission is on; non-positive
-// values are ignored). Sharded servers adjust every shard.
-func (s *Server[V, A]) SetMaxBatchEdges(n int) {
-	if s.router != nil {
-		s.router.SetMaxBatchEdges(n)
-		return
-	}
-	s.loop.SetMaxBatchEdges(n)
-}
+// values are ignored).
+func (s *Server[V, A]) SetMaxBatchEdges(n int) { s.loop.SetMaxBatchEdges(n) }
 
 // Flight returns the server's flight recorder, nil unless
 // ServerOptions.Flight was set. The nil recorder is inert and safe to
 // call.
-func (s *Server[V, A]) Flight() *FlightRecorder {
-	if s.router != nil {
-		return s.router.Flight()
-	}
-	return s.loop.Flight()
-}
+func (s *Server[V, A]) Flight() *FlightRecorder { return s.loop.Flight() }
 
 // Trace returns the completed lifecycle record covering trace ID id —
 // assigned at Submit, returned by SubmitTicket.Trace and on
@@ -696,16 +587,11 @@ func (s *Server[V, A]) FlightHandler() http.Handler { return s.Flight().Handler(
 // Err returns the ingest loop's terminal failure, or nil. After a
 // terminal failure the wrapped engine must be discarded; a durable
 // engine can be reopened from its checkpoint and journal. Degraded
-// mode is not terminal and does not show up here — see Health. On a
-// sharded server this is the first shard failure observed, latched:
-// its value never changes once non-nil, names the failing shard, and
-// keeps precedence over ErrServerClosed after Close.
-func (s *Server[V, A]) Err() error {
-	if s.router != nil {
-		return s.router.Err()
-	}
-	return s.loop.Err()
-}
+// mode is not terminal and does not show up here — see Health. The
+// value never changes once non-nil, names the failing shard on a
+// sharded server, and keeps precedence over ErrServerClosed after
+// Close.
+func (s *Server[V, A]) Err() error { return s.loop.Err() }
 
 // Health returns the server's health tracker. Its State method reports
 // HealthHealthy, HealthDegraded (reads serving, writes failing fast
@@ -728,65 +614,45 @@ func (s *Server[V, A]) HealthHandler() http.Handler { return health.Handler(s.he
 // Quarantined returns the retained poison-batch records, oldest first
 // (a bounded ring: the most recent ServerOptions.QuarantineDepth).
 // Each record carries the offending batch, its submission sequence,
-// the validation error and the rejection time. A sharded server merges
-// every shard's ring, ordered by quarantine time.
-func (s *Server[V, A]) Quarantined() []PoisonBatch {
-	if s.router != nil {
-		return s.router.Quarantined()
-	}
-	return s.loop.Quarantined()
-}
+// the validation error and the rejection time.
+func (s *Server[V, A]) Quarantined() []PoisonBatch { return s.loop.Quarantined() }
 
 // QuarantinedTotal returns the running count of quarantined batches,
-// including records the ring has since evicted — summed across shards
-// when sharded.
-func (s *Server[V, A]) QuarantinedTotal() uint64 {
-	if s.router != nil {
-		return s.router.QuarantinedTotal()
-	}
-	return s.loop.QuarantinedTotal()
-}
+// including records the ring has since evicted.
+func (s *Server[V, A]) QuarantinedTotal() uint64 { return s.loop.QuarantinedTotal() }
 
-// Shards returns the number of partition shards serving writes: 1 for
-// the classic single-loop server.
+// Shards returns the number of partition shards each batch fans out
+// over: 1 for a single engine.
 func (s *Server[V, A]) Shards() int {
-	if s.router != nil {
-		return s.router.Shards()
+	if s.shards == nil {
+		return 1
 	}
-	return 1
+	return s.shards.Shards()
 }
 
-// ShardInfo is a point-in-time report of one partition shard.
+// ShardInfo is a point-in-time report of what one partition shard
+// still owns: its engine's progress and its journal's health.
 type ShardInfo struct {
-	Shard       int         // shard index
-	QueueDepth  int         // sub-batches queued on the shard loop
-	Applied     uint64      // apply calls the shard completed
-	Quarantined uint64      // poison batches the shard ever quarantined
-	State       HealthState // the shard's own health state
+	Shard   int    // shard index
+	Applied uint64 // sub-batches the shard's engine has applied
+	Ailment error  // storage fault blocking the shard's journal, nil when healthy
 }
 
-// ShardInfos reports every shard's queue depth, apply count,
-// quarantine total and health state; a single-element slice for the
-// classic single-loop server.
+// ShardInfos reports every shard's applied count and ailment; a
+// single-element slice (the loop's apply count, the degraded cause) for
+// a single engine.
 func (s *Server[V, A]) ShardInfos() []ShardInfo {
-	if s.router == nil {
-		return []ShardInfo{{
-			QueueDepth:  s.loop.Depth(),
-			Applied:     s.loop.Seq(),
-			Quarantined: s.loop.QuarantinedTotal(),
-			State:       s.health.State(),
-		}}
-	}
-	out := make([]ShardInfo, s.router.Shards())
-	for i := range out {
-		l := s.router.Loop(i)
-		out[i] = ShardInfo{
-			Shard:       i,
-			QueueDepth:  l.Depth(),
-			Applied:     l.Seq(),
-			Quarantined: l.QuarantinedTotal(),
-			State:       s.router.ShardHealth(i).State(),
+	if s.shards == nil {
+		one := ShardInfo{Applied: s.loop.Seq()}
+		if info := s.health.Info(); info.State == HealthDegraded {
+			one.Ailment = info.Cause
 		}
+		return []ShardInfo{one}
+	}
+	out := make([]ShardInfo, s.shards.Shards())
+	for i := range out {
+		out[i].Shard = i
+		out[i].Applied, out[i].Ailment = s.shards.ShardStatus(i)
 	}
 	return out
 }
@@ -796,17 +662,9 @@ func (s *Server[V, A]) ShardInfos() []ShardInfo {
 // and — for durable servers — closes the journal. Reads remain valid
 // after Close: the last published snapshot stays available.
 func (s *Server[V, A]) Close(ctx context.Context) error {
-	var err error
-	var done <-chan struct{}
-	if s.router != nil {
-		err = s.router.Close(ctx)
-		done = s.router.Done()
-	} else {
-		err = s.loop.Close(ctx)
-		done = s.loop.Done()
-	}
+	err := s.loop.Close(ctx)
 	select {
-	case <-done:
+	case <-s.loop.Done():
 	default:
 		// ctx expired while the queue was still draining: the loop is
 		// still writing, so leave the journal open and the server

@@ -2,18 +2,12 @@ package graphbolt_test
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	graphbolt "repro"
-	"repro/internal/algorithms"
-	"repro/internal/core"
 )
 
 // roundRobinAssign pins every vertex in [0, n) to shard v % shards so
@@ -99,8 +93,8 @@ func closedEdges(rng *rand.Rand, pools [][]graphbolt.VertexID, count int) []grap
 
 // randomClosedBatch derives the next batch from the mirror alone.
 // Roughly a quarter of batches confine themselves to one shard's pool
-// (exercising the barrier-skip fast path); the rest mix pools so most
-// batches span shards and cross the generation barrier.
+// (single-shard applies); the rest mix pools so most
+// batches fan out over several shards.
 func randomClosedBatch(rng *rand.Rand, m shardMirror, pools [][]graphbolt.VertexID) graphbolt.Batch {
 	var b graphbolt.Batch
 	single := rng.Intn(4) == 0
@@ -251,182 +245,5 @@ func TestShardEquivalenceSSSP(t *testing.T) {
 			runShardEquivalence(t, shards, int64(2000+shards),
 				func() graphbolt.Program[float64, float64] { return graphbolt.NewSSSP(0) }, 8, 1e-9)
 		})
-	}
-}
-
-// TestShardServerPoisonConfinement pins the sharded failure-domain
-// contract for invalid batches: the whole batch is quarantined on the
-// shard owning the first invalid edge, the other shards' quarantines
-// stay empty, and every shard keeps applying afterwards.
-func TestShardServerPoisonConfinement(t *testing.T) {
-	const n, shards = 30, 3
-	assign, pools := roundRobinAssign(n, shards)
-	rng := rand.New(rand.NewSource(9))
-	g, err := graphbolt.BuildGraph(n, closedEdges(rng, pools, 60))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := graphbolt.NewEngine[float64, float64](g, graphbolt.NewPageRank(),
-		graphbolt.Options{MaxIterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := graphbolt.NewServer(eng, graphbolt.ServerOptions{Shards: shards, ShardAssign: assign})
-	ctx := context.Background()
-	defer srv.Close(ctx)
-
-	// First invalid edge's To is vertex 7 → shard 1 owns the poison.
-	poison := graphbolt.Batch{Add: []graphbolt.Edge{
-		{From: 0, To: 3, Weight: 1},
-		{From: 4, To: 7, Weight: math.NaN()},
-	}}
-	if _, err := srv.SubmitWait(ctx, poison); !errors.Is(err, graphbolt.ErrInvalidBatch) {
-		t.Fatalf("poison SubmitWait = %v, want ErrInvalidBatch", err)
-	}
-	if got := srv.QuarantinedTotal(); got != 1 {
-		t.Fatalf("QuarantinedTotal() = %d, want 1", got)
-	}
-	for _, si := range srv.ShardInfos() {
-		want := uint64(0)
-		if si.Shard == 1 {
-			want = 1
-		}
-		if si.Quarantined != want {
-			t.Fatalf("shard %d quarantined %d batches, want %d", si.Shard, si.Quarantined, want)
-		}
-	}
-	q := srv.Quarantined()
-	if len(q) != 1 || !errors.Is(q[0].Err, graphbolt.ErrInvalidBatch) {
-		t.Fatalf("Quarantined() = %+v, want one ErrInvalidBatch record", q)
-	}
-
-	// Every shard — including the one that just quarantined — still
-	// applies valid work.
-	for s := 0; s < shards; s++ {
-		p := pools[s]
-		if _, err := srv.SubmitWait(ctx, graphbolt.Batch{Add: []graphbolt.Edge{
-			{From: p[0], To: p[1], Weight: 1},
-		}}); err != nil {
-			t.Fatalf("post-poison SubmitWait on shard %d: %v", s, err)
-		}
-	}
-	if st := srv.Health().State(); st != graphbolt.HealthHealthy {
-		t.Fatalf("health = %v after confined poison, want Healthy", st)
-	}
-}
-
-// trippableRank is PageRank with a remotely armed landmine: once
-// tripped, computing the victim vertex panics. The engine's parallel
-// runtime converts the panic into a *parallel.PanicError, which the
-// owning shard's apply loop treats as terminal — giving the test a
-// public-API way to kill exactly one shard.
-type trippableRank struct {
-	*algorithms.PageRank
-	victim  core.VertexID
-	tripped atomic.Bool
-}
-
-func (p *trippableRank) Compute(v core.VertexID, agg float64) float64 {
-	if v == p.victim && p.tripped.Load() {
-		panic("shard_test: tripped victim vertex")
-	}
-	return p.PageRank.Compute(v, agg)
-}
-
-// TestShardServerFailureIsolation pins satellite contract #6 at the
-// Server level: a terminal apply failure on one shard (a) fails that
-// batch's ticket, (b) latches into Server.Err() naming the shard,
-// (c) leaves the surviving shards applying, and (d) keeps precedence
-// over ErrServerClosed across Close.
-func TestShardServerFailureIsolation(t *testing.T) {
-	const n, shards = 20, 2
-	assign, pools := roundRobinAssign(n, shards)
-	prog := &trippableRank{PageRank: graphbolt.NewPageRank(), victim: 5} // 5 % 2 → shard 1
-	g, err := graphbolt.BuildGraph(n, []graphbolt.Edge{
-		{From: 0, To: 2, Weight: 1}, {From: 1, To: 3, Weight: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := graphbolt.NewEngine[float64, float64](g, prog, graphbolt.Options{MaxIterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := graphbolt.NewServer(eng, graphbolt.ServerOptions{Shards: shards, ShardAssign: assign})
-	ctx := context.Background()
-
-	// Healthy first: both shards apply.
-	if _, err := srv.SubmitWait(ctx, graphbolt.Batch{Add: []graphbolt.Edge{
-		{From: 0, To: 4, Weight: 1}, {From: 1, To: 5, Weight: 1},
-	}}); err != nil {
-		t.Fatalf("pre-trip SubmitWait: %v", err)
-	}
-
-	// Arm the landmine and recompute the victim: shard 1 dies mid-apply.
-	prog.tripped.Store(true)
-	tk, err := srv.Submit(ctx, graphbolt.Batch{Add: []graphbolt.Edge{{From: 3, To: 5, Weight: 1}}})
-	if err != nil {
-		t.Fatalf("Submit trigger batch: %v", err)
-	}
-	if _, err := tk.Wait(ctx); err == nil {
-		t.Fatal("trigger batch applied cleanly, want terminal failure")
-	}
-
-	// The failure latches into Err(), deterministically naming shard 1.
-	deadline := time.Now().Add(10 * time.Second)
-	var terminal error
-	for terminal = srv.Err(); terminal == nil; terminal = srv.Err() {
-		if time.Now().After(deadline) {
-			t.Fatal("Err() never latched the shard failure")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if !strings.Contains(terminal.Error(), "shard 1") {
-		t.Fatalf("Err() = %v, want the failing shard named", terminal)
-	}
-	for time.Now().Before(deadline) && srv.Health().State() != graphbolt.HealthFailed {
-		time.Sleep(time.Millisecond)
-	}
-	if st := srv.Health().State(); st != graphbolt.HealthFailed {
-		t.Fatalf("health = %v with a failed shard, want Failed", st)
-	}
-
-	// A terminal failure poisons the whole server — exactly the
-	// single-loop contract — so new Submits fail fast with the latched
-	// error even when they target the surviving shard. The survivor's
-	// own loop stays healthy (loop-level isolation) and reads keep
-	// serving the last merged snapshot.
-	p0 := pools[0]
-	_, err = srv.Submit(ctx, graphbolt.Batch{Add: []graphbolt.Edge{{From: p0[0], To: p0[1], Weight: 1}}})
-	if err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("post-failure Submit = %v, want fail-fast with the latched shard 1 failure", err)
-	}
-	if snap := srv.Snapshot(); snap == nil || len(snap.Values) == 0 {
-		t.Fatal("reads stopped serving after a single-shard failure")
-	}
-	infos := srv.ShardInfos()
-	if infos[0].State == graphbolt.HealthFailed {
-		t.Fatalf("shard 0 reported Failed, want isolation: %+v", infos[0])
-	}
-	if infos[1].State != graphbolt.HealthFailed {
-		t.Fatalf("shard 1 state = %v, want Failed", infos[1].State)
-	}
-
-	// Failure-over-ErrClosed precedence: Close surfaces the latched
-	// failure, Err() is stable across Close, and post-Close Submits
-	// report the failure, not ErrServerClosed.
-	closeErr := srv.Close(ctx)
-	if closeErr == nil || !strings.Contains(closeErr.Error(), "shard 1") {
-		t.Fatalf("Close() = %v, want the latched shard 1 failure", closeErr)
-	}
-	if got := srv.Err(); got == nil || got.Error() != terminal.Error() {
-		t.Fatalf("Err() changed across Close: %v vs %v", got, terminal)
-	}
-	_, err = srv.Submit(ctx, graphbolt.Batch{Add: []graphbolt.Edge{{From: p0[0], To: p0[2], Weight: 1}}})
-	if err == nil || errors.Is(err, graphbolt.ErrServerClosed) {
-		t.Fatalf("post-Close Submit = %v, want the terminal failure to outrank ErrServerClosed", err)
-	}
-	if !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("post-Close Submit error %v does not name the failed shard", err)
 	}
 }
