@@ -36,6 +36,7 @@ type Engine[V, A any] struct {
 	hist *deps.Store[A]
 
 	locks *parallel.StripedLocks
+	sc    scratch[V, A]
 	level int // completed BSP levels
 	ran   bool
 
@@ -50,6 +51,62 @@ type Engine[V, A any] struct {
 
 	stats Stats         // cumulative
 	met   engineMetrics // zero value when instrumentation is off
+}
+
+// scratch is the working memory of runDelta, refine and naiveContinue,
+// owned by the engine so that a batch allocates nothing proportional to
+// |V|. Nothing in it carries meaning from one call to the next: every
+// slice entry is valid only where the bitset named beside it says so, and
+// each bitset is cleared (n/64 words) where its use begins, so growing
+// may simply replace everything.
+type scratch[V, A any] struct {
+	n int // vertices the members below can hold
+
+	// refine: rolling stash of old values at the previous level and the
+	// work aggregates of the current one.
+	oldStash, nextOldStash     []V // valid where stashValid / nextStashValid
+	stashValid, nextStashValid *bitset.Bitset
+	aggWork                    []A // valid where aggInit (push) or touched (pull)
+	aggInit                    *bitset.Bitset
+	touchedAny                 *bitset.Bitset // union of touched across refined levels
+
+	touched *bitset.Bitset // targets updated at the current level
+	seen    *bitset.Bitset // deduplication within one level
+	// fronts are the changed sets: refine builds each level's in one and
+	// the hybrid seed in the other; runDelta alternates between them.
+	fronts [2]*frontier.Frontier
+}
+
+// size makes the scratch hold n vertices, with headroom so a stream that
+// adds vertices batch after batch reallocates O(log) times.
+func (s *scratch[V, A]) size(n int) {
+	if n <= s.n {
+		return
+	}
+	n += n / 4
+	*s = scratch[V, A]{
+		n:              n,
+		oldStash:       make([]V, n),
+		nextOldStash:   make([]V, n),
+		stashValid:     bitset.New(n),
+		nextStashValid: bitset.New(n),
+		aggWork:        make([]A, n),
+		aggInit:        bitset.New(n),
+		touchedAny:     bitset.New(n),
+		touched:        bitset.New(n),
+		seen:           bitset.New(n),
+		fronts:         [2]*frontier.Frontier{frontier.New(n), frontier.New(n)},
+	}
+}
+
+// otherFront returns the scratch frontier that is not f, emptied.
+func (s *scratch[V, A]) otherFront(f *frontier.Frontier) *frontier.Frontier {
+	o := s.fronts[0]
+	if f == o {
+		o = s.fronts[1]
+	}
+	o.Reset()
+	return o
 }
 
 // NewEngine creates an engine over g. The graph may be nil only if a
@@ -206,6 +263,7 @@ func (e *Engine[V, A]) resetState() {
 	} else {
 		e.hist = nil
 	}
+	e.sc.size(n)
 	e.level = 0
 }
 
@@ -219,8 +277,10 @@ func (e *Engine[V, A]) resetHistory() {
 	)
 }
 
-// grow extends engine state to n vertices (mutations can add vertices).
+// grow extends engine state and scratch to n vertices (mutations can add
+// vertices).
 func (e *Engine[V, A]) grow(n int) {
+	e.sc.size(n)
 	for v := len(e.vals); v < n; v++ {
 		e.vals = append(e.vals, e.p.InitValue(VertexID(v)))
 		e.old = append(e.old, e.p.InitValue(VertexID(v)))
@@ -264,7 +324,8 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel
 		if !first && (front == nil || front.IsEmpty()) {
 			break
 		}
-		touched := bitset.New(n)
+		touched := e.sc.touched
+		touched.ClearAll()
 
 		if e.pull {
 			e.pullLevel(first, front, touched, edgeWork)
@@ -316,7 +377,7 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel
 
 		// Compute phase: level 1 computes every vertex (c_1 = ∮(д_1)
 		// differs from c_0 in general); later levels only touched ones.
-		next := frontier.New(n)
+		next := e.sc.otherFront(front)
 		computeOne := func(v VertexID, wasTouched bool) {
 			nv := e.p.Compute(v, e.agg[v])
 			if wasTouched && e.tracking() {
@@ -384,7 +445,8 @@ func (e *Engine[V, A]) pullLevel(first bool, front *frontier.Frontier, touched *
 			affected[v] = VertexID(v)
 		}
 	} else {
-		seen := bitset.New(n)
+		seen := e.sc.seen
+		seen.ClearAll()
 		for _, u := range front.Vertices() {
 			ts, _ := e.g.OutNeighbors(u)
 			for _, t := range ts {

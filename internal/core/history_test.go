@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/obs"
 )
@@ -246,4 +247,73 @@ func TestSnapshotAtConcurrentWithWriter(t *testing.T) {
 		t.Fatal(msg)
 	default:
 	}
+}
+
+// TestRetainedGraphsScannedDuringStream is the structural-sharing half of
+// the lock-free contract: successive graph snapshots share every page a
+// batch did not touch, so readers walk both directions of whatever
+// generations SnapshotAt still serves while the writer streams batches
+// that also grow the vertex set. Under -race a write to a shared page is
+// a report; without it, a snapshot whose lists stopped adding up to its
+// edge count is.
+func TestRetainedGraphsScannedDuringStream(t *testing.T) {
+	batches := 150
+	if testing.Short() {
+		batches = 40
+	}
+	const n0 = 200
+	g := graph.MustBuild(n0, gen.RMAT(98, n0, 2000, gen.WeightSmallInt))
+	eng, err := core.NewEngine[float64, float64](g, algorithms.NewSSSP(0), core.Options{Retain: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Run()
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 3; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				oldest, newest := eng.RetainedGenerations()
+				s, err := eng.SnapshotAt(oldest + uint64(w+i)%(newest-oldest+1))
+				if err != nil {
+					continue // evicted between the two calls
+				}
+				var out, in int64
+				for v := 0; v < s.Graph.NumVertices(); v++ {
+					ts, ws := s.Graph.OutNeighbors(graph.VertexID(v))
+					out += int64(len(ts))
+					us, _ := s.Graph.InNeighbors(graph.VertexID(v))
+					in += int64(len(us))
+					if len(ts) != len(ws) || len(ts) != s.Graph.OutDegree(graph.VertexID(v)) {
+						t.Errorf("generation %d: vertex %d lists disagree", s.Generation, v)
+						return
+					}
+				}
+				if out != s.Graph.NumEdges() || in != s.Graph.NumEdges() || len(s.Values) != s.Graph.NumVertices() {
+					t.Errorf("generation %d: %d out / %d in entries for %d edges, %d values for %d vertices",
+						s.Generation, out, in, s.Graph.NumEdges(), len(s.Values), s.Graph.NumVertices())
+					return
+				}
+			}
+		}(w)
+	}
+	r := gen.NewRNG(9)
+	for i := 0; i < batches; i++ {
+		n := eng.Graph().NumVertices()
+		b := makeBatch(eng.Graph(), uint64(100+i), 15, 5)
+		b.Add = append(b.Add, graph.Edge{From: graph.VertexID(r.Intn(n)), To: graph.VertexID(n + r.Intn(3)), Weight: 1})
+		if _, err := eng.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/bitset"
-	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -111,14 +111,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	// their contribution over every out-edge changes at every level.
 	var degChanged []VertexID
 	if e.deg {
-		seen := map[VertexID]struct{}{}
-		for _, ed := range res.Added {
-			seen[ed.From] = struct{}{}
-		}
-		for _, ed := range res.Deleted {
-			seen[ed.From] = struct{}{}
-		}
-		for u := range seen {
+		for _, u := range mutatedSources(res) {
 			if oldOutDeg(u) != newG.OutDegree(u) {
 				degChanged = append(degChanged, u)
 			}
@@ -128,24 +121,25 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	// Rolling stash of OLD values at the previous level for vertices
 	// whose history entry there was overwritten. New values never need
 	// stashing: post-refinement history IS the new run.
-	oldStash := make([]V, n)
-	stashValid := bitset.New(n)
-	nextOldStash := make([]V, n)
-	nextStashValid := bitset.New(n)
+	sc := &e.sc
+	oldStash, nextOldStash := sc.oldStash, sc.nextOldStash
+	stashValid, nextStashValid := sc.stashValid, sc.nextStashValid
+	stashValid.ClearAll()
 
 	// pending maps extended vertices to their original stabilized tail
 	// aggregate; it is read-only during parallel phases and mutated only
 	// between levels.
 	pending := make(map[VertexID]A)
 
-	aggWork := make([]A, n)
-	aggInit := bitset.New(n)
+	aggWork, aggInit := sc.aggWork, sc.aggInit
 
 	var changedPrev []VertexID    // old-vs-new value changed at level i-1
 	workers := parallel.Workers() // for per-worker extension collectors
 
-	touched := bitset.New(n)    // targets updated at the current level
-	touchedAny := bitset.New(n) // union across levels, for the hand-off
+	touched := sc.touched       // targets updated at the current level
+	touchedAny := sc.touchedAny // union across levels, for the hand-off
+	touchedAny.ClearAll()
+	changedF := sc.fronts[0]
 
 	for i := 1; i <= H; i++ {
 		j := i - 1
@@ -171,6 +165,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		}
 
 		touched.ClearAll()
+		aggInit.ClearAll()
 
 		if e.pull {
 			e.refinePullLevel(newG, res, changedPrev, degChanged, newValAt, touched, aggWork, edgeWork)
@@ -216,7 +211,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			// (b) Transitive impact (⋃△): sources whose value (or
 			// out-degree) changed update their contribution over every
 			// out-edge of the new graph.
-			sources := mergeSources(n, changedPrev, degChanged)
+			sources := mergeSources(sc.seen, changedPrev, degChanged)
 			parallel.ForWorker(len(sources), 16, func(worker, s, t2 int) {
 				var cnt int64
 				for k := s; k < t2; k++ {
@@ -247,7 +242,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		// the refined aggregate, and build the next changed set.
 		members := touched.Members(nil)
 		nextStashValid.ClearAll()
-		changedF := frontier.New(n)
+		changedF.Reset()
 		extensions := make([][]tailFix[A], workers)
 		parallel.ForWorker(len(members), 64, func(worker, s, t2 int) {
 			for k := s; k < t2; k++ {
@@ -293,7 +288,6 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		touchedAny.Or(touched)
 		oldStash, nextOldStash = nextOldStash, oldStash
 		stashValid, nextStashValid = nextStashValid, stashValid
-		aggInit.ClearAll()
 		st.RefineIterations++
 	}
 
@@ -310,7 +304,8 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	// newly added vertices need refreshing — this keeps per-batch work
 	// proportional to the refinement's reach instead of |V|.
 	canContinue := H < e.opts.MaxIterations
-	seed := frontier.New(n)
+	seed := sc.fronts[1]
+	seed.Reset()
 	refresh := func(v int) {
 		vid := VertexID(v)
 		e.vals[v] = e.valueAt(vid, H)
@@ -417,15 +412,16 @@ func (e *Engine[V, A]) refinePullLevel(
 	})
 }
 
-// mergeSources deduplicates the union of two vertex lists.
-func mergeSources(n int, a, b []VertexID) []VertexID {
+// mergeSources deduplicates the union of two vertex lists, using seen as
+// scratch.
+func mergeSources(seen *bitset.Bitset, a, b []VertexID) []VertexID {
 	if len(b) == 0 {
 		return a
 	}
 	if len(a) == 0 {
 		return b
 	}
-	seen := bitset.New(n)
+	seen.ClearAll()
 	out := make([]VertexID, 0, len(a)+len(b))
 	for _, v := range a {
 		if seen.Set(v) {
@@ -440,6 +436,22 @@ func mergeSources(n int, a, b []VertexID) []VertexID {
 	return out
 }
 
+// mutatedSources returns the distinct sources of the batch's added and
+// deleted edges in ascending order. Everything derived from it — which
+// sources re-push, and with that the order floating-point contributions
+// are summed in — is then a function of the batch, not of map iteration.
+func mutatedSources(res graph.ApplyResult) []VertexID {
+	us := make([]VertexID, 0, len(res.Added)+len(res.Deleted))
+	for _, ed := range res.Added {
+		us = append(us, ed.From)
+	}
+	for _, ed := range res.Deleted {
+		us = append(us, ed.From)
+	}
+	slices.Sort(us)
+	return slices.Compact(us)
+}
+
 // naiveContinue is the incorrect-by-design baseline of §2.2: reuse the
 // converged values directly, folding the structural change into the
 // running aggregates with *current* values, then keep iterating. It
@@ -451,7 +463,8 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 	e.grow(n)
 
 	edgeWork := parallel.NewCounter()
-	touched := bitset.New(n)
+	touched := e.sc.touched
+	touched.ClearAll()
 	oldOutDeg := func(u VertexID) int {
 		if int(u) < oldN {
 			return oldG.OutDegree(u)
@@ -497,14 +510,7 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 			edgeWork.Add(0, 1)
 		}
 		if e.deg {
-			seen := map[VertexID]struct{}{}
-			for _, ed := range res.Added {
-				seen[ed.From] = struct{}{}
-			}
-			for _, ed := range res.Deleted {
-				seen[ed.From] = struct{}{}
-			}
-			for u := range seen {
+			for _, u := range mutatedSources(res) {
 				odeg, ndeg := oldOutDeg(u), newG.OutDegree(u)
 				if odeg == ndeg {
 					continue
@@ -526,7 +532,8 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 		}
 	}
 
-	seed := frontier.New(n)
+	seed := e.sc.fronts[0]
+	seed.Reset()
 	members := touched.Members(nil)
 	for _, v := range members {
 		nv := e.p.Compute(v, e.agg[v])

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -173,5 +174,110 @@ func TestRefinementUnderConcurrency(t *testing.T) {
 			core.Options{Mode: core.ModeReset, MaxIterations: 10})
 		fresh.Run()
 		scalarsMatch(t, eng.Values(), fresh.Values(), 1e-8, "concurrent refinement")
+	}
+}
+
+// TestSameStreamTwiceIsBitIdentical runs one stream through two engines
+// on one processor: with no scheduling left, every value must come out
+// bit for bit the same. PageRank sums floats, so this holds only while
+// the order sources push in is a function of the batch (sorted touched
+// sources), never of map iteration.
+func TestSameStreamTwiceIsBitIdentical(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	defer runtime.GOMAXPROCS(prev)
+
+	edges := gen.RMAT(96, 400, 5000, gen.WeightUniform)
+	s, err := stream.FromEdges(400, edges, stream.Config{BatchSize: 60, DeleteFraction: 0.3, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range []core.Mode{core.ModeGraphBolt, core.ModeNaive} {
+		run := func() [][]float64 {
+			eng, err := core.NewEngine[float64, float64](s.Base, algorithms.NewPageRank(),
+				core.Options{Mode: mode, MaxIterations: 10, Horizon: 6})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			var perBatch [][]float64
+			for _, b := range s.Batches[:12] {
+				if _, err := eng.ApplyBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				perBatch = append(perBatch, eng.CopyValues())
+			}
+			return perBatch
+		}
+		first, second := run(), run()
+		for bi := range first {
+			for v := range first[bi] {
+				if math.Float64bits(first[bi][v]) != math.Float64bits(second[bi][v]) {
+					t.Fatalf("%v: batch %d vertex %d: %v in one run, %v in the other",
+						mode, bi, v, first[bi][v], second[bi][v])
+				}
+			}
+		}
+	}
+}
+
+// TestSoakVertexGrowth streams batches that keep naming new vertices —
+// a few per batch, then one far beyond the range — so the engine-owned
+// refinement scratch has to grow several times mid-stream, and
+// cross-checks against a fresh run every few batches. PageRank takes the
+// push path, SSSP the pull path.
+func TestSoakVertexGrowth(t *testing.T) {
+	cases := []struct {
+		name string
+		prog core.Program[float64, float64]
+		eps  float64
+	}{
+		{"pagerank", algorithms.NewPageRank(), 1e-7},
+		{"sssp", algorithms.NewSSSP(0), 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			const n0 = 150
+			g := graph.MustBuild(n0, gen.RMAT(97, n0, 1200, gen.WeightSmallInt))
+			opts := core.Options{MaxIterations: 12, Horizon: 8}
+			eng, err := core.NewEngine[float64, float64](g, c.prog, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Run()
+			r := gen.NewRNG(41)
+			for bi := 0; bi < 40; bi++ {
+				n := eng.Graph().NumVertices()
+				grow := 12
+				if bi == 25 {
+					grow = 1000
+				}
+				var b graph.Batch
+				for i := 0; i < 30; i++ {
+					b.Add = append(b.Add, graph.Edge{
+						From:   graph.VertexID(r.Intn(n + grow)),
+						To:     graph.VertexID(r.Intn(n + grow)),
+						Weight: float64(r.Intn(9) + 1),
+					})
+				}
+				all := eng.Graph().Edges(nil)
+				for i := 0; i < 10; i++ {
+					e := all[r.Intn(len(all))]
+					b.Del = append(b.Del, graph.Edge{From: e.From, To: e.To})
+				}
+				if _, err := eng.ApplyBatch(b); err != nil {
+					t.Fatal(err)
+				}
+				if bi%4 != 3 {
+					continue
+				}
+				fresh, _ := core.NewEngine[float64, float64](eng.Graph(), c.prog,
+					core.Options{Mode: core.ModeReset, MaxIterations: 12})
+				fresh.Run()
+				scalarsMatch(t, eng.Values(), fresh.Values(), c.eps, "growth soak "+c.name)
+			}
+			if n := eng.Graph().NumVertices(); n < 4*n0 {
+				t.Fatalf("stream grew the vertex set only to %d", n)
+			}
+		})
 	}
 }

@@ -13,7 +13,7 @@ import (
 // dependency store after the initial run, relative to the baseline
 // footprint both systems share (graph structure + per-vertex
 // value/aggregate arrays). TC is reported as its dynamic adjacency
-// relative to the CSR/CSC snapshot.
+// relative to the graph snapshot.
 func Table9(cfg Config) error {
 	cfg = cfg.withDefaults()
 	cfg.printf("Table 9: memory increase of GraphBolt over GB-Reset (dependency store / baseline)\n")
@@ -26,9 +26,10 @@ func Table9(cfg Config) error {
 		g := s.Base
 		n := int64(g.NumVertices())
 		m := g.NumEdges()
-		// Shared baseline: CSR + CSC (targets 4B, weights 8B, offsets 8B)
-		// plus two value arrays and one aggregate array per vertex.
-		graphBytes := 2 * (m*(4+8) + (n+1)*8)
+		// Shared baseline: both adjacency directions (targets 4B and
+		// weights 8B per edge, a 48B list header per vertex) plus two
+		// value arrays and one aggregate array per vertex.
+		graphBytes := 2 * (m*(4+8) + n*48)
 
 		perAlgo := []struct {
 			name     string
@@ -50,7 +51,7 @@ func Table9(cfg Config) error {
 			cfg.printf("%-5s %-5s %14d %14d %8.2f%%\n",
 				pa.name, spec.Name, baseline, hist, 100*float64(hist)/float64(baseline))
 		}
-		// TC: dynamic multiset adjacency (both directions) vs CSR/CSC.
+		// TC: dynamic multiset adjacency (both directions) vs the snapshot.
 		// Go map overhead ≈ 48B/bucket-ish; estimate 24B per directed
 		// edge entry per direction plus per-vertex headers.
 		tcExtra := 2*(m*24) + 2*(n*48)

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -45,6 +46,22 @@ func BenchmarkApplyBatch1K(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.Apply(batch)
+	}
+}
+
+// BenchmarkApplySmallBatch is the serving shape: a 20-edge batch (15
+// additions, 5 deletions) on graphs of two sizes. ns/op and B/op must
+// not scale with |E|.
+func BenchmarkApplySmallBatch(b *testing.B) {
+	for _, m := range []int{100_000, 400_000} {
+		b.Run(fmt.Sprintf("E=%dk", m/1000), func(b *testing.B) {
+			g, batch := smallBatchCase(m)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				g.Apply(batch)
+			}
+		})
 	}
 }
 

@@ -4,25 +4,11 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func edgesOf(g *Graph) []Edge { return g.Edges(nil) }
-
-func sortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		a, b := es[i], es[j]
-		if a.From != b.From {
-			return a.From < b.From
-		}
-		if a.To != b.To {
-			return a.To < b.To
-		}
-		return a.Weight < b.Weight
-	})
-}
 
 func TestBuildBasics(t *testing.T) {
 	g := MustBuild(5, []Edge{
@@ -163,8 +149,10 @@ func TestApplySelfLoop(t *testing.T) {
 	}
 }
 
-// referenceApply recomputes the mutated edge multiset naively.
-func referenceApply(n int, edges []Edge, batch Batch) (int, []Edge) {
+// referenceApply recomputes the mutated edge multiset naively; it also
+// returns the edges it removed.
+func referenceApply(n int, edges []Edge, batch Batch) (int, []Edge, []Edge) {
+	var removed []Edge
 	remaining := append([]Edge(nil), edges...)
 	for _, d := range batch.Del {
 		// The graph removes the smallest-weight instance among parallel
@@ -178,6 +166,7 @@ func referenceApply(n int, edges []Edge, batch Batch) (int, []Edge) {
 			}
 		}
 		if best >= 0 {
+			removed = append(removed, remaining[best])
 			remaining = append(remaining[:best], remaining[best+1:]...)
 		}
 	}
@@ -190,7 +179,7 @@ func referenceApply(n int, edges []Edge, batch Batch) (int, []Edge) {
 			n = int(e.To) + 1
 		}
 	}
-	return n, remaining
+	return n, remaining, removed
 }
 
 // Property: Apply equals rebuilding from the mutated edge multiset.
@@ -227,7 +216,7 @@ func TestQuickApplyMatchesRebuild(t *testing.T) {
 		}
 
 		ng, _ := g.Apply(batch)
-		wantN, wantEdges := referenceApply(n, edges, batch)
+		wantN, wantEdges, _ := referenceApply(n, edges, batch)
 		if ng.NumVertices() != wantN {
 			return false
 		}

@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"repro/internal/parallel"
+	"cmp"
+	"slices"
 )
 
 // Batch is a set of structural mutations applied atomically between BSP
@@ -23,13 +24,15 @@ type ApplyResult struct {
 	MissingDeletes int
 }
 
-// Apply produces a new snapshot reflecting the batch, per §4.1: a
-// sequential pass over the vertex array computes offset adjustments, then
-// a vertex-parallel pass shifts surviving edges and inserts additions.
-// Vertex ids referenced beyond the current range grow the vertex set.
+// Apply produces a new snapshot reflecting the batch and leaves the
+// receiver untouched: the new snapshot shares every page and list the
+// batch does not name, and nothing reachable from the receiver is
+// written. Cost is O(Σ deg(touched) + touched·pageSize + V/pageSize) plus
+// sorting the batch — nothing proportional to |E|. Vertex ids referenced
+// beyond the current range grow the vertex set.
 //
 // If a delete request matches multiple parallel edges, one instance is
-// removed per request. The receiver is left untouched.
+// removed per request, lowest weight first.
 func (g *Graph) Apply(batch Batch) (*Graph, ApplyResult) {
 	n := g.n
 	for _, e := range batch.Add {
@@ -41,172 +44,154 @@ func (g *Graph) Apply(batch Batch) (*Graph, ApplyResult) {
 		}
 	}
 
-	ng := &Graph{n: n}
 	var res ApplyResult
 	res.Added = append(res.Added, batch.Add...)
+	adds := slices.Clone(batch.Add)
+	dels := slices.Clone(batch.Del)
+	sortEdges(adds)
+	sortEdges(dels)
 
 	// The out direction determines which delete requests match; it
 	// reports the removed instances (with weights), which then drive the
-	// in direction so both stay consistent.
-	var deleted []Edge
-	ng.out, deleted, res.MissingDeletes = mutateAdjacency(&g.out, g.n, n, batch.Add, batch.Del, false)
-	res.Deleted = deleted
-	ng.in, _, _ = mutateAdjacency(&g.in, g.n, n, batch.Add, deleted, true)
+	// in direction so both stay consistent. The in direction sees every
+	// edge flipped, so one mutate serves both.
+	ng := &Graph{n: n}
+	ng.out, res.Deleted = g.out.mutate(n, adds, dels)
+	res.MissingDeletes = len(dels) - len(res.Deleted)
 
-	ng.m = g.m + int64(len(batch.Add)) - int64(len(deleted))
+	gone := slices.Clone(res.Deleted)
+	flipEdges(adds)
+	flipEdges(gone)
+	sortEdges(adds)
+	sortEdges(gone)
+	var removed []Edge
+	ng.in, removed = g.in.mutate(n, adds, gone)
+	if len(removed) != len(gone) {
+		panic("graph: in and out directions disagree")
+	}
+
+	ng.m = g.m + int64(len(adds)) - int64(len(gone))
 	return ng, res
 }
 
-// bucket holds one vertex's pending mutations in a direction, targets
-// sorted ascending.
-type bucket struct {
-	targets []VertexID
-	weights []float64 // only populated for additions
+// mutate returns the adjacency over n vertices with dels removed and adds
+// inserted, and the removed edges with their stored weights in ascending
+// (source, list position) order. Both inputs are in this direction's
+// terms (From indexes the page table) and sorted by sortEdges; a delete
+// request matches on (From, To) alone. Touched vertices are visited in
+// ascending order, so each page is cloned at most once.
+func (a adjacency) mutate(n int, adds, dels []Edge) (adjacency, []Edge) {
+	na := make(adjacency, numPages(n))
+	for i := copy(na, a); i < len(na); i++ {
+		na[i] = &emptyPage
+	}
+	var removed []Edge
+	cloned := -1 // index of the page cloned last
+	for len(adds) > 0 || len(dels) > 0 {
+		// The lowest vertex either list still names.
+		var v VertexID
+		if len(dels) == 0 || (len(adds) > 0 && adds[0].From <= dels[0].From) {
+			v = adds[0].From
+		} else {
+			v = dels[0].From
+		}
+		va := sourceRun(adds, v)
+		vd := sourceRun(dels, v)
+		adds, dels = adds[len(va):], dels[len(vd):]
+		if int(v) >= n {
+			continue // a delete naming a vertex the graph does not have
+		}
+		old := *na.list(v)
+		matches := countMatches(old.targets, vd)
+		if len(va) == 0 && matches == 0 {
+			continue // nothing to change: keep sharing the page
+		}
+
+		size := len(old.targets) + len(va) - matches
+		nl := list{make([]VertexID, 0, size), make([]float64, 0, size)}
+		for i, t := range old.targets {
+			w := old.weights[i]
+			// Insert additions in (target, weight) order so the merged
+			// list keeps the canonical ordering buildAdjacency
+			// establishes; a graph round-tripped through Edges+Build
+			// (checkpointing) must match this one instance-for-instance,
+			// or later deletions of parallel edges pick different copies.
+			for len(va) > 0 && (va[0].To < t || (va[0].To == t && va[0].Weight < w)) {
+				nl.targets = append(nl.targets, va[0].To)
+				nl.weights = append(nl.weights, va[0].Weight)
+				va = va[1:]
+			}
+			// Skip delete requests whose target has been passed.
+			for len(vd) > 0 && vd[0].To < t {
+				vd = vd[1:]
+			}
+			if len(vd) > 0 && vd[0].To == t {
+				vd = vd[1:]
+				removed = append(removed, Edge{From: v, To: t, Weight: w})
+				continue
+			}
+			nl.targets = append(nl.targets, t)
+			nl.weights = append(nl.weights, w)
+		}
+		for _, e := range va {
+			nl.targets = append(nl.targets, e.To)
+			nl.weights = append(nl.weights, e.Weight)
+		}
+		if len(nl.targets) != size {
+			panic("graph: match count and merge disagree")
+		}
+
+		pi := int(v >> pageShift)
+		if pi != cloned {
+			pg := *na[pi]
+			na[pi] = &pg
+			cloned = pi
+		}
+		na[pi][v&pageMask] = nl
+	}
+	return na, removed
 }
 
-// mutateAdjacency rewrites one direction. oldN is the receiver's vertex
-// count, n the new one; transpose keys by destination.
-func mutateAdjacency(a *adjacency, oldN, n int, add, del []Edge, transpose bool) (adjacency, []Edge, int) {
-	adds := bucketEdges(add, transpose)
-	dels := bucketEdges(del, transpose)
-
-	// Pass 1 (sequential over vertices): exact new degrees. Matching
-	// deletes are counted with the same merge pass 2 performs, so the
-	// offsets are final. This is the "offset adjustment" pass of §4.1.
-	newDeg := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		oldDeg := 0
-		var ts []VertexID
-		if v < oldN {
-			ts, _ = a.neighbors(VertexID(v))
-			oldDeg = len(ts)
-		}
-		m := 0
-		if d, ok := dels[VertexID(v)]; ok {
-			m = countMatches(ts, d.targets)
-		}
-		nAdd := 0
-		if ab, ok := adds[VertexID(v)]; ok {
-			nAdd = len(ab.targets)
-		}
-		newDeg[v+1] = int64(oldDeg + nAdd - m)
+// sourceRun returns the leading run of edges whose From is v.
+func sourceRun(edges []Edge, v VertexID) []Edge {
+	i := 0
+	for i < len(edges) && edges[i].From == v {
+		i++
 	}
-	for i := 0; i < n; i++ {
-		newDeg[i+1] += newDeg[i]
-	}
+	return edges[:i]
+}
 
-	na := adjacency{
-		offsets: newDeg,
-		targets: make([]VertexID, newDeg[n]),
-		weights: make([]float64, newDeg[n]),
-	}
-
-	// Pass 2 (vertex-parallel): merge surviving old edges with sorted
-	// additions into the new chunks.
-	deletedOut := make([][]Edge, n)
-	missing := parallel.NewCounter()
-	parallel.ForWorker(n, 64, func(worker, start, end int) {
-		for v := start; v < end; v++ {
-			vid := VertexID(v)
-			var ts []VertexID
-			var ws []float64
-			if v < oldN {
-				ts, ws = a.neighbors(vid)
-			}
-			db := dels[vid]
-			ab := adds[vid]
-			pos := na.offsets[v]
-			var removed []Edge
-
-			di, ai := 0, 0
-			for i, t := range ts {
-				// Insert additions in (target, weight) order so the merged
-				// list keeps the canonical ordering buildAdjacency
-				// establishes; a graph round-tripped through Edges+Build
-				// (checkpointing) must match this one instance-for-instance,
-				// or later deletions of parallel edges pick different copies.
-				for ai < len(ab.targets) && (ab.targets[ai] < t ||
-					(ab.targets[ai] == t && ab.weights[ai] < ws[i])) {
-					na.targets[pos] = ab.targets[ai]
-					na.weights[pos] = ab.weights[ai]
-					pos++
-					ai++
-				}
-				// Skip delete requests whose target has been passed.
-				for di < len(db.targets) && db.targets[di] < t {
-					di++
-					missing.Add(worker, 1)
-				}
-				if di < len(db.targets) && db.targets[di] == t {
-					di++
-					if transpose {
-						removed = append(removed, Edge{From: t, To: vid, Weight: ws[i]})
-					} else {
-						removed = append(removed, Edge{From: vid, To: t, Weight: ws[i]})
-					}
-					continue
-				}
-				na.targets[pos] = t
-				na.weights[pos] = ws[i]
-				pos++
-			}
-			for ai < len(ab.targets) {
-				na.targets[pos] = ab.targets[ai]
-				na.weights[pos] = ab.weights[ai]
-				pos++
-				ai++
-			}
-			if left := len(db.targets) - di; left > 0 {
-				missing.Add(worker, int64(left))
-			}
-			if pos != na.offsets[v+1] {
-				panic("graph: offset pass and shift pass disagree")
-			}
-			deletedOut[v] = removed
+// sortEdges orders edges by (From, To, Weight): grouped by the vertex
+// whose list they change, and within a group in the order the adjacency
+// lists use, so deletion removes the same parallel-edge instances in both
+// directions.
+func sortEdges(edges []Edge) {
+	slices.SortFunc(edges, func(a, b Edge) int {
+		if c := cmp.Compare(a.From, b.From); c != 0 {
+			return c
 		}
+		if c := cmp.Compare(a.To, b.To); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Weight, b.Weight)
 	})
-
-	var allDeleted []Edge
-	for _, d := range deletedOut {
-		allDeleted = append(allDeleted, d...)
-	}
-	return na, allDeleted, int(missing.Sum())
 }
 
-// bucketEdges groups edges by direction-dependent source, sorted by
-// (target, weight) — the same order the adjacency lists use, so deletion
-// removes the same parallel-edge instances in both directions.
-func bucketEdges(edges []Edge, transpose bool) map[VertexID]bucket {
-	if len(edges) == 0 {
-		return nil
+func flipEdges(edges []Edge) {
+	for i, e := range edges {
+		edges[i].From, edges[i].To = e.To, e.From
 	}
-	m := make(map[VertexID]bucket)
-	for _, e := range edges {
-		s, t := e.From, e.To
-		if transpose {
-			s, t = t, s
-		}
-		b := m[s]
-		b.targets = append(b.targets, t)
-		b.weights = append(b.weights, e.Weight)
-		m[s] = b
-	}
-	for s, b := range m {
-		sortNeighborRange(b.targets, b.weights)
-		m[s] = b
-	}
-	return m
 }
 
 // countMatches merges a sorted neighbor list against sorted delete
-// targets, consuming one neighbor instance per delete request.
-func countMatches(ts []VertexID, want []VertexID) int {
+// requests, consuming one neighbor instance per request.
+func countMatches(ts []VertexID, want []Edge) int {
 	i, j, matches := 0, 0, 0
 	for i < len(ts) && j < len(want) {
 		switch {
-		case ts[i] < want[j]:
+		case ts[i] < want[j].To:
 			i++
-		case ts[i] > want[j]:
+		case ts[i] > want[j].To:
 			j++
 		default:
 			matches++

@@ -209,26 +209,54 @@ type VertexValue[V any] struct {
 }
 
 // TopK returns the k highest-valued vertices of the snapshot, ties
-// broken by ascending vertex id, memoized in c (which may be nil).
+// broken by ascending vertex id, memoized in c (which may be nil). A miss
+// costs O(n log k): one pass over the values through a k-entry heap.
 func TopK[V cmp.Ordered](c *Cache, s *core.ResultSnapshot[V], k int) []VertexValue[V] {
 	if s == nil || k <= 0 {
 		return nil
 	}
 	return c.Do(Key{Gen: s.Generation, Kind: "topk", Arg: uint64(k)}, func() (any, int64) {
-		pairs := make([]VertexValue[V], len(s.Values))
-		for v, x := range s.Values {
-			pairs[v] = VertexValue[V]{Vertex: graph.VertexID(v), Value: x}
-		}
-		sort.Slice(pairs, func(i, j int) bool {
-			if pairs[i].Value != pairs[j].Value {
-				return pairs[i].Value > pairs[j].Value
+		// before is the result order: value descending, vertex ascending.
+		before := func(a, b VertexValue[V]) bool {
+			if a.Value != b.Value {
+				return a.Value > b.Value
 			}
-			return pairs[i].Vertex < pairs[j].Vertex
-		})
-		if k < len(pairs) {
-			pairs = append([]VertexValue[V](nil), pairs[:k]...)
+			return a.Vertex < b.Vertex
 		}
-		return pairs, int64(len(pairs))*24 + 48
+		k := min(k, len(s.Values))
+		// top holds the best k seen so far as a heap whose root ranks
+		// last: the entry the next better candidate replaces.
+		top := make([]VertexValue[V], k)
+		for v, x := range s.Values[:k] {
+			top[v] = VertexValue[V]{Vertex: graph.VertexID(v), Value: x}
+		}
+		siftDown := func(i int) {
+			for {
+				last := 2*i + 1 // becomes the child that ranks last
+				if last >= k {
+					return
+				}
+				if last+1 < k && before(top[last], top[last+1]) {
+					last++
+				}
+				if !before(top[i], top[last]) {
+					return
+				}
+				top[i], top[last] = top[last], top[i]
+				i = last
+			}
+		}
+		for i := k/2 - 1; i >= 0; i-- {
+			siftDown(i)
+		}
+		for v := k; v < len(s.Values); v++ {
+			if p := (VertexValue[V]{Vertex: graph.VertexID(v), Value: s.Values[v]}); before(p, top[0]) {
+				top[0] = p
+				siftDown(0)
+			}
+		}
+		sort.Slice(top, func(i, j int) bool { return before(top[i], top[j]) })
+		return top, int64(len(top))*24 + 48
 	}).([]VertexValue[V])
 }
 

@@ -2,7 +2,9 @@ package qcache_test
 
 import (
 	"fmt"
+	"math"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -92,6 +94,47 @@ func TestQuickCachedEqualsUncached(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTopKMatchesFullSort checks the k-heap against sorting everything:
+// same entries in the same order (value descending, vertex ascending),
+// on values drawn from a small alphabet so ties cross the cut, for k
+// below, at and beyond the number of vertices.
+func TestTopKMatchesFullSort(t *testing.T) {
+	check := func(seed uint64, n8 uint8) bool {
+		r := gen.NewRNG(seed)
+		n := int(n8) % 70
+		s := &core.ResultSnapshot[float64]{Generation: 1, Values: make([]float64, n)}
+		for v := range s.Values {
+			s.Values[v] = float64(r.Intn(6)) / 2
+			if r.Intn(10) == 0 {
+				s.Values[v] = math.Inf(1) // unreachable under SSSP
+			}
+		}
+		want := make([]qcache.VertexValue[float64], n)
+		for v, x := range s.Values {
+			want[v] = qcache.VertexValue[float64]{Vertex: graph.VertexID(v), Value: x}
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Value > want[j].Value })
+		for _, k := range []int{1, 2, n / 2, n - 1, n, n + 1, 3 * n} {
+			got := qcache.TopK(nil, s, k)
+			if k <= 0 {
+				if got != nil {
+					t.Logf("seed %d n %d: TopK(%d) = %v, want nil", seed, n, k, got)
+					return false
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got, want[:min(k, n)]) {
+				t.Logf("seed %d n %d: TopK(%d) = %v, want %v", seed, n, k, got, want[:min(k, n)])
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
