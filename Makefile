@@ -46,14 +46,17 @@ check: fmt vet build race
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/graph/
 
+# The six per-feature suites below (chaos, shard, overload, flight,
+# replica, failover) all take SUITE_FLAGS; CI passes SUITE_FLAGS=-short
+# to shrink the soaks and streams.
+
 # chaos runs the self-healing soak under the race detector: hundreds of
 # randomized batches through a durable server while fsync failures, torn
 # writes and scripted poison batches fire underneath, asserting the
 # server ends Healthy, quarantines exactly the poisons, and matches a
-# from-scratch run on the surviving stream. CHAOS_FLAGS=-short shrinks
-# the stream for CI.
+# from-scratch run on the surviving stream.
 chaos:
-	$(GO) test -race -run TestChaosSoak -v $(CHAOS_FLAGS) .
+	$(GO) test -race -run TestChaosSoak -v $(SUITE_FLAGS) .
 
 # shard runs the sharded-serving suite under the race detector: the
 # differential equivalence harness (2- and 4-shard servers over 100+
@@ -62,9 +65,9 @@ chaos:
 # (fsync failures confined to one shard's journal, server-wide degraded
 # mode, replay without double-apply, restart equivalence), the serving
 # contract suite at widths 1 and 2, and the fan-out applier's unit
-# tests. SHARD_FLAGS=-short shrinks the soak for CI.
+# tests.
 shard:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSoak|TestServingContract' -v $(SHARD_FLAGS) .
+	$(GO) test -race -run 'TestShardEquivalence|TestShardSoak|TestServingContract' -v $(SUITE_FLAGS) .
 	$(GO) test -race ./internal/partition/
 
 # overload runs the admission-control soak under the race detector: an
@@ -72,9 +75,9 @@ shard:
 # test asserts bounded p99 queue wait, retryable sheds with RetryAfter
 # hints, the coalescing governor widening then narrowing the batch cap,
 # a Healthy -> Overloaded -> Healthy round-trip, and BSP equivalence
-# over the admitted batches. OVERLOAD_FLAGS=-short shrinks it for CI.
+# over the admitted batches.
 overload:
-	$(GO) test -race -run TestOverloadSoak -v $(OVERLOAD_FLAGS) .
+	$(GO) test -race -run TestOverloadSoak -v $(SUITE_FLAGS) .
 
 # flight runs the flight-recorder smoke under the race detector: the
 # end-to-end acceptance test (deterministic coalescing, a scripted fsync
@@ -82,9 +85,9 @@ overload:
 # trace-merge property test (every accepted submission's trace ID lands
 # in exactly one applied trace set, under governor-cap changes, sheds and
 # quarantine), the lock-free ring torture tests, and the <5% recorder
-# apply-latency overhead check. FLIGHT_FLAGS=-short shrinks it for CI.
+# apply-latency overhead check.
 flight:
-	$(GO) test -race -run TestFlightRecorder -v $(FLIGHT_FLAGS) .
+	$(GO) test -race -run TestFlightRecorder -v $(SUITE_FLAGS) .
 	$(GO) test -race -run 'TestTrace|TestRing|TestSnapshotConsistent' ./internal/flight/ ./internal/serve/
 
 # replica runs the replication suite under the race detector: the
@@ -92,11 +95,10 @@ flight:
 # over a real HTTP stack, every acked generation's snapshot compared to
 # the leader's), the kill/restart + seq-exact-resume e2e, the torn-
 # frame/leader-outage chaos stream, and the replica package's unit,
-# contract and frame-codec tests. REPLICA_FLAGS=-short shrinks the
-# streams for CI.
+# contract and frame-codec tests.
 replica:
-	$(GO) test -race -run 'TestReplica' -v $(REPLICA_FLAGS) .
-	$(GO) test -race $(REPLICA_FLAGS) ./internal/replica/... ./internal/wal/
+	$(GO) test -race -run 'TestReplica' -v $(SUITE_FLAGS) .
+	$(GO) test -race $(SUITE_FLAGS) ./internal/replica/... ./internal/wal/
 
 # failover runs the compaction-chaos e2e under the race detector: a
 # leader checkpointing every 3 batches over a 5-record replication log,
@@ -105,10 +107,9 @@ replica:
 # is killed and restarted across compaction windows. Asserts the
 # follower re-seeds itself from shipped checkpoints, the stall watchdog
 # reclaims dead connections, and it ends Healthy, caught up, and
-# generation-exact with the leader. FAILOVER_FLAGS=-short shrinks the
-# stream for CI.
+# generation-exact with the leader.
 failover:
-	$(GO) test -race -run TestFailoverCompactionChaos -v $(FAILOVER_FLAGS) .
+	$(GO) test -race -run TestFailoverCompactionChaos -v $(SUITE_FLAGS) .
 
 # fuzz runs every fuzz target for FUZZTIME each (Go only allows one
 # -fuzz pattern per invocation). The seed corpora alone run in `make

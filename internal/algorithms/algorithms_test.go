@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -28,7 +29,7 @@ func TestPageRankDeltaMatchesRetractPropagate(t *testing.T) {
 	p.PropagateDelta(&a1, 0.4, 0.9, 0, 1, 1, 5, 5)
 	p.Retract(&a2, 0.4, 0, 1, 1, 5)
 	p.Propagate(&a2, 0.9, 0, 1, 1, 5)
-	if math.Abs(a1-a2) > 1e-15 {
+	if !difftest.Approx(a1, a2, 0, 1e-15) {
 		t.Fatalf("delta %v != retract+propagate %v", a1, a2)
 	}
 }
@@ -60,12 +61,12 @@ func TestLabelPropSeedsClamped(t *testing.T) {
 	}
 	// Unlabeled normalizes.
 	out = p.Compute(1, []float64{1, 1, 2})
-	if math.Abs(out[2]-0.5) > 1e-15 {
+	if !difftest.Approx(out[2], 0.5, 0, 1e-15) {
 		t.Fatalf("normalize = %v", out)
 	}
 	// Zero mass: uniform.
 	out = p.Compute(1, []float64{0, 0, 0})
-	if math.Abs(out[0]-1.0/3) > 1e-15 {
+	if !difftest.Approx(out[0], 1.0/3, 0, 1e-15) {
 		t.Fatalf("zero-mass = %v", out)
 	}
 }
@@ -79,7 +80,7 @@ func TestLabelPropDeltaConsistency(t *testing.T) {
 	p.Retract(&a2, oldV, 0, 1, 2.5, 0)
 	p.Propagate(&a2, newV, 0, 1, 2.5, 0)
 	for f := range a1 {
-		if math.Abs(a1[f]-a2[f]) > 1e-12 {
+		if !difftest.Approx(a1[f], a2[f], 0, 1e-12) {
 			t.Fatalf("delta %v != r+p %v", a1, a2)
 		}
 	}
@@ -107,7 +108,7 @@ func TestCoEMStructuralRetract(t *testing.T) {
 	p.Propagate(&a, 0.8, 0, 1, 2.0, 0)
 	p.Propagate(&a, 0.4, 2, 1, 1.0, 0)
 	p.Retract(&a, 0.8, 0, 1, 2.0, 0)
-	if math.Abs(a.Sum-0.4) > 1e-15 || math.Abs(a.W-1.0) > 1e-15 {
+	if !difftest.Approx(a.Sum, 0.4, 0, 1e-15) || !difftest.Approx(a.W, 1.0, 0, 1e-15) {
 		t.Fatalf("after retract: %+v", a)
 	}
 }
@@ -119,7 +120,7 @@ func TestBeliefPropContributionRoundTrip(t *testing.T) {
 	p.Propagate(&agg, src, 3, 7, 1, 0)
 	p.Retract(&agg, src, 3, 7, 1, 0)
 	for s, x := range agg {
-		if math.Abs(x-1) > 1e-12 {
+		if !difftest.Approx(x, 1, 0, 1e-12) {
 			t.Fatalf("propagate+retract not identity at state %d: %v", s, x)
 		}
 	}
@@ -128,19 +129,19 @@ func TestBeliefPropContributionRoundTrip(t *testing.T) {
 func TestBeliefPropComputeNormalizes(t *testing.T) {
 	p := NewBeliefProp(3)
 	out := p.Compute(0, []float64{2, 2, 4})
-	if math.Abs(out[0]-0.25) > 1e-15 || math.Abs(out[2]-0.5) > 1e-15 {
+	if !difftest.Approx(out[0], 0.25, 0, 1e-15) || !difftest.Approx(out[2], 0.5, 0, 1e-15) {
 		t.Fatalf("normalize = %v", out)
 	}
 	var total float64
 	for _, x := range out {
 		total += x
 	}
-	if math.Abs(total-1) > 1e-15 {
+	if !difftest.Approx(total, 1, 0, 1e-15) {
 		t.Fatalf("belief sums to %v", total)
 	}
 	// Degenerate aggregates fall back to uniform.
 	out = p.Compute(0, []float64{0, 0, 0})
-	if math.Abs(out[0]-1.0/3) > 1e-15 {
+	if !difftest.Approx(out[0], 1.0/3, 0, 1e-15) {
 		t.Fatalf("degenerate = %v", out)
 	}
 }
@@ -170,7 +171,7 @@ func TestCollabFilterSolveIdentity(t *testing.T) {
 	x := p.Compute(0, agg)
 	for i := range x {
 		want := float64(i+1) / 1.1
-		if math.Abs(x[i]-want) > 1e-12 {
+		if !difftest.Approx(x[i], want, 0, 1e-12) {
 			t.Fatalf("x[%d] = %v, want %v", i, x[i], want)
 		}
 	}
@@ -198,12 +199,12 @@ func TestCollabFilterDeltaMatchesRetractPropagate(t *testing.T) {
 	p.Retract(&a2, oldV, 0, 1, 2, 0)
 	p.Propagate(&a2, newV, 0, 1, 2, 0)
 	for i := range a1.M {
-		if math.Abs(a1.M[i]-a2.M[i]) > 1e-12 {
+		if !difftest.Approx(a1.M[i], a2.M[i], 0, 1e-12) {
 			t.Fatalf("M mismatch at %d", i)
 		}
 	}
 	for i := range a1.B {
-		if math.Abs(a1.B[i]-a2.B[i]) > 1e-12 {
+		if !difftest.Approx(a1.B[i], a2.B[i], 0, 1e-12) {
 			t.Fatalf("B mismatch at %d", i)
 		}
 	}
@@ -426,7 +427,7 @@ func TestKatzCentralityChain(t *testing.T) {
 		t.Fatalf("katz not ordered by reachability: %v", v)
 	}
 	// Exact fixed point: k0 = 1; k1 = 1 + .01·k0; k2 = 1 + .01·k1.
-	if math.Abs(v[1]-1.01) > 1e-12 || math.Abs(v[2]-1.0101) > 1e-12 {
+	if !difftest.Approx(v[1], 1.01, 0, 1e-12) || !difftest.Approx(v[2], 1.0101, 0, 1e-12) {
 		t.Fatalf("katz values %v", v)
 	}
 }

@@ -60,16 +60,29 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Approx is the repository's one statement of tolerance-bounded float
+// equality: got and want are equal when they are identical (so equal
+// infinities are equal), or when they differ by at most abs, or by at
+// most rel times the larger magnitude. NaN equals nothing. A zero
+// tolerance disables that arm; both zero means exact. Unlike the usual
+// one-liners it neither divides by a value that may be zero, nor depends
+// on argument order, nor is blind to scale.
+func Approx(got, want, rel, abs float64) bool {
+	if got == want {
+		return true
+	}
+	d := math.Abs(got - want)
+	if math.IsNaN(d) || math.IsInf(d, 0) {
+		return false
+	}
+	return d <= abs || d <= rel*math.Max(math.Abs(got), math.Abs(want))
+}
+
 // ScalarEqual returns a float64 comparator with absolute tolerance tol;
 // two +Inf (unreachable SSSP vertices) compare equal, and tol <= 0
 // means exact.
 func ScalarEqual(tol float64) func(got, want float64) bool {
-	return func(got, want float64) bool {
-		if got == want || (math.IsInf(got, 1) && math.IsInf(want, 1)) {
-			return true
-		}
-		return math.Abs(got-want) <= tol
-	}
+	return func(got, want float64) bool { return Approx(got, want, 0, tol) }
 }
 
 // VectorEqual returns a []float64 comparator applying ScalarEqual

@@ -1,6 +1,7 @@
 package difftest_test
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -53,5 +54,39 @@ func TestDifferentialSecondSeeds(t *testing.T) {
 			func() core.Program[float64, float64] { return algorithms.NewPageRank() },
 			difftest.ScalarEqual(1e-7),
 			difftest.Config{Seed: seed, Batches: 15})
+	}
+}
+
+// TestApprox pins the one tolerance rule: relative-or-absolute,
+// symmetric, safe at zero, equal infinities equal, NaN never.
+func TestApprox(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	for _, tc := range []struct {
+		got, want, rel, abs float64
+		equal               bool
+	}{
+		{1, 1, 0, 0, true},
+		{1, 1 + 1e-9, 0, 0, false},
+		{1, 1 + 1e-9, 0, 1e-8, true},
+		{1e9, 1e9 + 1, 0, 1e-6, false}, // absolute alone is scale-blind
+		{1e9, 1e9 + 1, 1e-6, 0, true},
+		{0, 1e-12, 1e-6, 0, false}, // relative alone fails at zero, without dividing by it
+		{0, 1e-12, 1e-6, 1e-9, true},
+		{inf, inf, 0, 0, true},
+		{-inf, -inf, 0, 0, true},
+		{inf, -inf, 1, inf, false},
+		{inf, 1e300, 1, 1, false},
+		{nan, nan, 1, inf, false},
+		{nan, 1, 1, inf, false},
+	} {
+		for _, swap := range []bool{false, true} {
+			got, want := tc.got, tc.want
+			if swap {
+				got, want = want, got
+			}
+			if difftest.Approx(got, want, tc.rel, tc.abs) != tc.equal {
+				t.Errorf("Approx(%v, %v, rel %v, abs %v) = %v, want %v", got, want, tc.rel, tc.abs, !tc.equal, tc.equal)
+			}
+		}
 	}
 }

@@ -66,8 +66,7 @@ type scratch[V, A any] struct {
 	// work aggregates of the current one.
 	oldStash, nextOldStash     []V // valid where stashValid / nextStashValid
 	stashValid, nextStashValid *bitset.Bitset
-	aggWork                    []A // valid where aggInit (push) or touched (pull)
-	aggInit                    *bitset.Bitset
+	aggWork                    []A            // valid where touched
 	touchedAny                 *bitset.Bitset // union of touched across refined levels
 
 	touched *bitset.Bitset // targets updated at the current level
@@ -91,7 +90,6 @@ func (s *scratch[V, A]) size(n int) {
 		stashValid:     bitset.New(n),
 		nextStashValid: bitset.New(n),
 		aggWork:        make([]A, n),
-		aggInit:        bitset.New(n),
 		touchedAny:     bitset.New(n),
 		touched:        bitset.New(n),
 		seen:           bitset.New(n),
@@ -314,9 +312,12 @@ func (e *Engine[V, A]) valueAt(v VertexID, level int) V {
 // fromLevel-1, with e.old holding the earlier value.
 func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel int) Stats {
 	var st Stats
-	n := e.g.NumVertices()
+	all := allVertices(e.g.NumVertices())
 	edgeWork := parallel.NewCounter()
 	vertWork := parallel.NewCounter()
+	touched := e.sc.touched
+	to := sink[A]{agg: e.agg, work: edgeWork}
+	change := func(u VertexID) (V, V, int) { return e.old[u], e.vals[u], e.g.OutDegree(u) }
 
 	front := seed
 	for level := fromLevel; level <= maxLevel; level++ {
@@ -324,92 +325,34 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel
 		if !first && (front == nil || front.IsEmpty()) {
 			break
 		}
-		touched := e.sc.touched
 		touched.ClearAll()
 
-		if e.pull {
-			e.pullLevel(first, front, touched, edgeWork)
-		} else if first {
+		switch {
+		case e.pull && first:
+			e.pullEdges(all, e.current(), to)
+		case e.pull:
+			// Only out-neighbours of the frontier can see a new input set.
+			seen := e.sc.seen
+			seen.ClearAll()
+			e.markOut(front.Vertices(), seen)
+			e.pullEdges(listOf(seen.Members(nil)), e.current(), to)
+		case first:
 			// Level 1: full contributions from every vertex.
-			parallel.ForWorker(n, 64, func(worker, startV, endV int) {
-				var cnt int64
-				for u := startV; u < endV; u++ {
-					uid := VertexID(u)
-					ts, ws := e.g.OutNeighbors(uid)
-					deg := len(ts)
-					src := e.vals[u]
-					for i, t := range ts {
-						e.locks.Lock(t)
-						e.p.Propagate(&e.agg[t], src, uid, t, ws[i], deg)
-						e.locks.Unlock(t)
-						touched.Set(t)
-					}
-					cnt += int64(deg)
-				}
-				edgeWork.Add(worker, cnt)
-			})
-		} else {
-			verts := front.Vertices()
-			parallel.ForWorker(len(verts), 16, func(worker, startV, endV int) {
-				var cnt int64
-				for k := startV; k < endV; k++ {
-					uid := verts[k]
-					ts, ws := e.g.OutNeighbors(uid)
-					deg := len(ts)
-					oldSrc, newSrc := e.old[uid], e.vals[uid]
-					for i, t := range ts {
-						e.locks.Lock(t)
-						if e.delta != nil {
-							e.delta.PropagateDelta(&e.agg[t], oldSrc, newSrc, uid, t, ws[i], deg, deg)
-							cnt++
-						} else {
-							e.p.Retract(&e.agg[t], oldSrc, uid, t, ws[i], deg)
-							e.p.Propagate(&e.agg[t], newSrc, uid, t, ws[i], deg)
-							cnt += 2
-						}
-						e.locks.Unlock(t)
-						touched.Set(t)
-					}
-				}
-				edgeWork.Add(worker, cnt)
-			})
+			e.pushEdges(opPropagate, all, 64, change, to)
+		default:
+			e.pushEdges(opDelta, listOf(front.Vertices()), 16, change, to)
 		}
 
 		// Compute phase: level 1 computes every vertex (c_1 = ∮(д_1)
 		// differs from c_0 in general); later levels only touched ones.
 		next := e.sc.otherFront(front)
-		computeOne := func(v VertexID, wasTouched bool) {
-			nv := e.p.Compute(v, e.agg[v])
-			if wasTouched && e.tracking() {
-				e.hist.Append(v, level, e.agg[v])
-			}
-			if e.p.Changed(e.vals[v], nv) {
-				e.old[v] = e.vals[v]
-				e.vals[v] = nv
-				next.AddAtomic(v)
-			}
-		}
 		if first {
-			parallel.ForWorker(n, 256, func(worker, startV, endV int) {
-				for v := startV; v < endV; v++ {
-					computeOne(VertexID(v), touched.Get(VertexID(v)))
-				}
-				vertWork.Add(worker, int64(endV-startV))
-			})
-			if e.tracking() && e.opts.DisableVerticalPruning {
-				e.snapshotAll(level)
-			}
+			e.computeVertices(all, 256, level, next, vertWork)
 		} else {
-			members := touched.Members(nil)
-			parallel.ForWorker(len(members), 64, func(worker, startV, endV int) {
-				for k := startV; k < endV; k++ {
-					computeOne(members[k], true)
-				}
-				vertWork.Add(worker, int64(endV-startV))
-			})
-			if e.tracking() && e.opts.DisableVerticalPruning {
-				e.snapshotAll(level)
-			}
+			e.computeVertices(listOf(touched.Members(nil)), 64, level, next, vertWork)
+		}
+		if e.tracking() && e.opts.DisableVerticalPruning {
+			e.snapshotAll(level)
 		}
 		front = next
 		e.level = level
@@ -432,51 +375,12 @@ func (e *Engine[V, A]) snapshotAll(level int) {
 	}
 }
 
-// pullLevel re-aggregates affected vertices by pulling their full
-// in-neighborhood — the re-evaluation strategy for non-decomposable
-// aggregations (§3.3). On the first level every vertex pulls; afterwards
-// only out-neighbors of the frontier.
-func (e *Engine[V, A]) pullLevel(first bool, front *frontier.Frontier, touched *bitset.Bitset, edgeWork *parallel.Counter) {
-	n := e.g.NumVertices()
-	var affected []VertexID
-	if first {
-		affected = make([]VertexID, n)
-		for v := range affected {
-			affected[v] = VertexID(v)
-		}
-	} else {
-		seen := e.sc.seen
-		seen.ClearAll()
-		for _, u := range front.Vertices() {
-			ts, _ := e.g.OutNeighbors(u)
-			for _, t := range ts {
-				seen.Set(t)
-			}
-		}
-		affected = seen.Members(nil)
-	}
-	parallel.ForWorker(len(affected), 64, func(worker, startV, endV int) {
-		var cnt int64
-		for k := startV; k < endV; k++ {
-			v := affected[k]
-			na := e.p.IdentityAgg()
-			us, ws := e.g.InNeighbors(v)
-			for i, u := range us {
-				e.p.Propagate(&na, e.vals[u], u, v, ws[i], e.g.OutDegree(u))
-			}
-			cnt += int64(len(us))
-			e.agg[v] = na
-			if len(us) > 0 {
-				touched.Set(v)
-			}
-		}
-		edgeWork.Add(worker, cnt)
-	})
-}
-
 // runLigra performs full synchronous recomputation: every level
 // re-aggregates every vertex over all in-edges (no selective
-// scheduling), stopping at MaxIterations or when no value changes.
+// scheduling), stopping at MaxIterations or when no value changes. Its
+// fused aggregate-and-compute loop deliberately shares no code with the
+// kernels of edgemap.go: it is the from-scratch baseline Table 5 times
+// and the equivalence tests cross-check the kernels against.
 func (e *Engine[V, A]) runLigra() Stats {
 	var st Stats
 	n := e.g.NumVertices()

@@ -1,38 +1,25 @@
 package core_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
-// almostEqual compares float values with a relative-or-absolute epsilon
-// that absorbs float non-associativity between parallel runs.
-func almostEqual(a, b, eps float64) bool {
-	if a == b {
-		return true
-	}
-	if math.IsInf(a, 1) && math.IsInf(b, 1) {
-		return true
-	}
-	d := math.Abs(a - b)
-	if d <= eps {
-		return true
-	}
-	return d <= eps*math.Max(math.Abs(a), math.Abs(b))
-}
-
+// scalarsMatch and vectorsMatch compare with one epsilon used both
+// relatively and absolutely (difftest.Approx), which absorbs float
+// non-associativity between parallel runs; eps 0 is exact.
 func scalarsMatch(t *testing.T, got, want []float64, eps float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d vs %d", label, len(got), len(want))
 	}
 	for v := range got {
-		if !almostEqual(got[v], want[v], eps) {
+		if !difftest.Approx(got[v], want[v], eps, eps) {
 			t.Fatalf("%s: vertex %d: got %v want %v", label, v, got[v], want[v])
 		}
 	}
@@ -45,7 +32,7 @@ func vectorsMatch(t *testing.T, got, want [][]float64, eps float64, label string
 	}
 	for v := range got {
 		for f := range got[v] {
-			if !almostEqual(got[v][f], want[v][f], eps) {
+			if !difftest.Approx(got[v][f], want[v][f], eps, eps) {
 				t.Fatalf("%s: vertex %d[%d]: got %v want %v", label, v, f, got[v][f], want[v][f])
 			}
 		}
@@ -61,7 +48,7 @@ func TestPageRankTinyGraphAgainstHandRolled(t *testing.T) {
 	}
 	e.Run()
 	for v, r := range e.Values() {
-		if !almostEqual(r, 1.0, 1e-9) {
+		if !difftest.Approx(r, 1.0, 1e-9, 1e-9) {
 			t.Fatalf("vertex %d rank %v, want 1", v, r)
 		}
 	}
@@ -74,10 +61,10 @@ func TestPageRankDanglingVertex(t *testing.T) {
 	e.Run()
 	// c1(0) = 0.15; c1(1) = 0.15 + 0.85*1 = 1.0
 	// c2(1) = 0.15 + 0.85*c1(0) = 0.2775
-	if !almostEqual(e.Values()[0], 0.15, 1e-12) {
+	if !difftest.Approx(e.Values()[0], 0.15, 1e-12, 1e-12) {
 		t.Fatalf("c2(0) = %v", e.Values()[0])
 	}
-	if !almostEqual(e.Values()[1], 0.15+0.85*0.15, 1e-12) {
+	if !difftest.Approx(e.Values()[1], 0.15+0.85*0.15, 1e-12, 1e-12) {
 		t.Fatalf("c2(1) = %v", e.Values()[1])
 	}
 }
@@ -398,7 +385,7 @@ func TestNaiveModeProducesDifferentValues(t *testing.T) {
 	diff := 0
 	for v := range naive.Values() {
 		for f := range naive.Values()[v] {
-			if math.Abs(naive.Values()[v][f]-fresh.Values()[v][f]) > 1e-6 {
+			if !difftest.Approx(naive.Values()[v][f], fresh.Values()[v][f], 0, 1e-6) {
 				diff++
 				break
 			}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -85,10 +86,10 @@ func TestValueAtLevelTrajectory(t *testing.T) {
 	if got := e.ValueAtLevel(1, 0); got != 1 {
 		t.Fatalf("level0 = %v, want initial 1", got)
 	}
-	if got := e.ValueAtLevel(1, 1); math.Abs(got-1.0) > 1e-12 { // 0.15+0.85·1
+	if got := e.ValueAtLevel(1, 1); !difftest.Approx(got, 1.0, 0, 1e-12) { // 0.15+0.85·1
 		t.Fatalf("level1 = %v, want 1.0", got)
 	}
-	if got := e.ValueAtLevel(1, 2); math.Abs(got-0.2775) > 1e-12 { // 0.15+0.85·0.15
+	if got := e.ValueAtLevel(1, 2); !difftest.Approx(got, 0.2775, 0, 1e-12) { // 0.15+0.85·0.15
 		t.Fatalf("level2 = %v, want 0.2775", got)
 	}
 }

@@ -37,12 +37,15 @@ type Program[V, A any] interface {
 	// (u,v) with weight w into *agg (the ⊎ operator). srcOutDeg is the
 	// out-degree of u in the graph snapshot the contribution belongs to
 	// (old snapshot for re-propagation of old values, new snapshot for
-	// new values), as required by degree-normalized algorithms.
+	// new values), as required by degree-normalized algorithms. It is
+	// meaningful only for DegreeSensitive programs: any other program
+	// may be handed 0 (the pull kernel skips the per-in-edge lookup).
 	Propagate(agg *A, src V, u, v VertexID, w float64, srcOutDeg int)
 
-	// Retract removes a previously propagated contribution (⋃-).
-	// Non-decomposable programs (see Pull) may implement it as a panic;
-	// the engine never calls Retract for them.
+	// Retract removes a previously propagated contribution (⋃-);
+	// srcOutDeg as for Propagate. Non-decomposable programs (see
+	// PullProgram) may implement it as a panic; the engine never calls
+	// Retract for them.
 	Retract(agg *A, src V, u, v VertexID, w float64, srcOutDeg int)
 
 	// Compute applies ∮ to produce the vertex value from its aggregate.

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 )
@@ -78,7 +79,7 @@ func TestQuickPageRankRefinementInvariant(t *testing.T) {
 			core.Options{Mode: core.ModeReset, MaxIterations: maxIter})
 		fresh.Run()
 		for v := range inc.Values() {
-			if !almostEqual(inc.Values()[v], fresh.Values()[v], 1e-7) {
+			if !difftest.Approx(inc.Values()[v], fresh.Values()[v], 1e-7, 1e-7) {
 				t.Logf("seed %d: vertex %d: %v vs %v (mode=%v maxIter=%d horizon=%d)",
 					seed, v, inc.Values()[v], fresh.Values()[v], mode, maxIter, horizon)
 				return false
@@ -122,7 +123,7 @@ func TestQuickLabelPropRefinementInvariant(t *testing.T) {
 		fresh.Run()
 		for v := range inc.Values() {
 			for f := range inc.Values()[v] {
-				if !almostEqual(inc.Values()[v][f], fresh.Values()[v][f], 1e-7) {
+				if !difftest.Approx(inc.Values()[v][f], fresh.Values()[v][f], 1e-7, 1e-7) {
 					t.Logf("seed %d: vertex %d[%d]: %v vs %v", seed, v, f,
 						inc.Values()[v][f], fresh.Values()[v][f])
 					return false
@@ -194,7 +195,7 @@ func TestQuickCoEMRefinementInvariant(t *testing.T) {
 			core.Options{Mode: core.ModeReset, MaxIterations: maxIter})
 		fresh.Run()
 		for v := range inc.Values() {
-			if !almostEqual(inc.Values()[v], fresh.Values()[v], 1e-7) {
+			if !difftest.Approx(inc.Values()[v], fresh.Values()[v], 1e-7, 1e-7) {
 				t.Logf("seed %d: vertex %d: %v vs %v", seed, v, inc.Values()[v], fresh.Values()[v])
 				return false
 			}
@@ -225,7 +226,7 @@ func TestQuickKatzRefinementInvariant(t *testing.T) {
 			core.Options{Mode: core.ModeReset, MaxIterations: maxIter})
 		fresh.Run()
 		for v := range inc.Values() {
-			if !almostEqual(inc.Values()[v], fresh.Values()[v], 1e-8) {
+			if !difftest.Approx(inc.Values()[v], fresh.Values()[v], 1e-8, 1e-8) {
 				t.Logf("seed %d: vertex %d: %v vs %v", seed, v, inc.Values()[v], fresh.Values()[v])
 				return false
 			}
@@ -260,7 +261,7 @@ func TestQuickCollabFilterRefinementInvariant(t *testing.T) {
 		fresh.Run()
 		for v := range inc.Values() {
 			for f := range inc.Values()[v] {
-				if !almostEqual(inc.Values()[v][f], fresh.Values()[v][f], 1e-5) {
+				if !difftest.Approx(inc.Values()[v][f], fresh.Values()[v][f], 1e-5, 1e-5) {
 					t.Logf("seed %d: vertex %d[%d]: %v vs %v", seed, v, f,
 						inc.Values()[v][f], fresh.Values()[v][f])
 					return false
@@ -296,7 +297,7 @@ func TestQuickBeliefPropRefinementInvariant(t *testing.T) {
 		fresh.Run()
 		for v := range inc.Values() {
 			for f := range inc.Values()[v] {
-				if !almostEqual(inc.Values()[v][f], fresh.Values()[v][f], 1e-5) {
+				if !difftest.Approx(inc.Values()[v][f], fresh.Values()[v][f], 1e-5, 1e-5) {
 					t.Logf("seed %d: vertex %d[%d]: %v vs %v", seed, v, f,
 						inc.Values()[v][f], fresh.Values()[v][f])
 					return false

@@ -100,23 +100,9 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	edgeWork := parallel.NewCounter()
 	vertWork := parallel.NewCounter()
 
-	oldOutDeg := func(u VertexID) int {
-		if int(u) < oldN {
-			return oldG.OutDegree(u)
-		}
-		return 0
-	}
-
 	// Vertices whose out-degree changed: for degree-normalized programs
 	// their contribution over every out-edge changes at every level.
-	var degChanged []VertexID
-	if e.deg {
-		for _, u := range mutatedSources(res) {
-			if oldOutDeg(u) != newG.OutDegree(u) {
-				degChanged = append(degChanged, u)
-			}
-		}
-	}
+	degChanged := e.degreeChanged(oldG, newG, res)
 
 	// Rolling stash of OLD values at the previous level for vertices
 	// whose history entry there was overwritten. New values never need
@@ -131,8 +117,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	// between levels.
 	pending := make(map[VertexID]A)
 
-	aggWork, aggInit := sc.aggWork, sc.aggInit
-
+	aggWork := sc.aggWork
 	var changedPrev []VertexID    // old-vs-new value changed at level i-1
 	workers := parallel.Workers() // for per-worker extension collectors
 
@@ -140,6 +125,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	touchedAny := sc.touchedAny // union across levels, for the hand-off
 	touchedAny.ClearAll()
 	changedF := sc.fronts[0]
+	to := sink[A]{agg: aggWork, work: edgeWork}
 
 	for i := 1; i <= H; i++ {
 		j := i - 1
@@ -165,77 +151,32 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		}
 
 		touched.ClearAll()
-		aggInit.ClearAll()
-
 		if e.pull {
-			e.refinePullLevel(newG, res, changedPrev, degChanged, newValAt, touched, aggWork, edgeWork)
+			// Non-decomposable: every target the batch or a changed source
+			// reaches re-aggregates its whole in-neighbourhood of the new
+			// graph from new source values.
+			markTargets(res, touched)
+			e.markOut(changedPrev, touched)
+			e.markOut(degChanged, touched)
+			e.pullEdges(listOf(touched.Members(nil)), newValAt, to)
 		} else {
-			// The work aggregate for a touched target starts from the old
-			// aggregate at this level; first touch initializes it under
-			// the target's stripe lock.
-			ensure := func(t VertexID) {
-				if !aggInit.Get(t) {
-					aggWork[t] = e.p.CloneAgg(oldAggAt(t))
-					aggInit.Set(t)
-				}
-			}
+			// The work aggregate of a target starts from its old aggregate
+			// at this level.
+			to.first = func(t VertexID) A { return e.p.CloneAgg(oldAggAt(t)) }
 
 			// (a) Direct impact: added edges re-propagate old source
 			// values (⊎); deleted edges retract them (⋃-), both with old
 			// degrees and the deleted edges' original weights.
-			parallel.ForWorker(len(res.Added), 64, func(worker, s, t2 int) {
-				for k := s; k < t2; k++ {
-					ed := res.Added[k]
-					ov := oldValAt(ed.From)
-					e.locks.Lock(ed.To)
-					ensure(ed.To)
-					e.p.Propagate(&aggWork[ed.To], ov, ed.From, ed.To, ed.Weight, oldOutDeg(ed.From))
-					e.locks.Unlock(ed.To)
-					touched.Set(ed.To)
-				}
-				edgeWork.Add(worker, int64(t2-s))
-			})
-			parallel.ForWorker(len(res.Deleted), 64, func(worker, s, t2 int) {
-				for k := s; k < t2; k++ {
-					ed := res.Deleted[k]
-					ov := oldValAt(ed.From)
-					e.locks.Lock(ed.To)
-					ensure(ed.To)
-					e.p.Retract(&aggWork[ed.To], ov, ed.From, ed.To, ed.Weight, oldOutDeg(ed.From))
-					e.locks.Unlock(ed.To)
-					touched.Set(ed.To)
-				}
-				edgeWork.Add(worker, int64(t2-s))
-			})
+			e.foldEdges(opPropagate, res.Added, oldValAt, oldG, to)
+			e.foldEdges(opRetract, res.Deleted, oldValAt, oldG, to)
 
 			// (b) Transitive impact (⋃△): sources whose value (or
 			// out-degree) changed update their contribution over every
 			// out-edge of the new graph.
 			sources := mergeSources(sc.seen, changedPrev, degChanged)
-			parallel.ForWorker(len(sources), 16, func(worker, s, t2 int) {
-				var cnt int64
-				for k := s; k < t2; k++ {
-					u := sources[k]
-					ov, nv := oldValAt(u), newValAt(u)
-					odeg, ndeg := oldOutDeg(u), newG.OutDegree(u)
-					ts, ws := newG.OutNeighbors(u)
-					for x, tv := range ts {
-						e.locks.Lock(tv)
-						ensure(tv)
-						if e.delta != nil {
-							e.delta.PropagateDelta(&aggWork[tv], ov, nv, u, tv, ws[x], odeg, ndeg)
-							cnt++
-						} else {
-							e.p.Retract(&aggWork[tv], ov, u, tv, ws[x], odeg)
-							e.p.Propagate(&aggWork[tv], nv, u, tv, ws[x], ndeg)
-							cnt += 2
-						}
-						e.locks.Unlock(tv)
-						touched.Set(tv)
-					}
-				}
-				edgeWork.Add(worker, cnt)
-			})
+			e.pushEdges(opDelta, listOf(sources), 16, func(u VertexID) (V, V, int) {
+				return oldValAt(u), newValAt(u), outDegree(oldG, u)
+			}, to)
 		}
 
 		// Compute phase: derive old and new values at this level, store
@@ -366,52 +307,6 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	return st
 }
 
-// refinePullLevel is the non-decomposable path: affected vertices
-// re-aggregate their entire in-neighborhood of the new graph using new
-// source values (§3.3's re-evaluation strategy).
-func (e *Engine[V, A]) refinePullLevel(
-	newG *graph.Graph,
-	res graph.ApplyResult,
-	changedPrev, degChanged []VertexID,
-	newValAt func(VertexID) V,
-	touched *bitset.Bitset,
-	aggWork []A,
-	edgeWork *parallel.Counter,
-) {
-	for _, ed := range res.Added {
-		touched.Set(ed.To)
-	}
-	for _, ed := range res.Deleted {
-		touched.Set(ed.To)
-	}
-	mark := func(us []VertexID) {
-		for _, u := range us {
-			ts, _ := newG.OutNeighbors(u)
-			for _, t := range ts {
-				touched.Set(t)
-			}
-		}
-	}
-	mark(changedPrev)
-	mark(degChanged)
-
-	affected := touched.Members(nil)
-	parallel.ForWorker(len(affected), 64, func(worker, s, t2 int) {
-		var cnt int64
-		for k := s; k < t2; k++ {
-			v := affected[k]
-			na := e.p.IdentityAgg()
-			us, ws := newG.InNeighbors(v)
-			for i, u := range us {
-				e.p.Propagate(&na, newValAt(u), u, v, ws[i], newG.OutDegree(u))
-			}
-			cnt += int64(len(us))
-			aggWork[v] = na
-		}
-		edgeWork.Add(worker, cnt)
-	})
-}
-
 // mergeSources deduplicates the union of two vertex lists, using seen as
 // scratch.
 func mergeSources(seen *bitset.Bitset, a, b []VertexID) []VertexID {
@@ -452,99 +347,53 @@ func mutatedSources(res graph.ApplyResult) []VertexID {
 	return slices.Compact(us)
 }
 
+// degreeChanged returns, in ascending order, the sources of the batch's
+// edges whose out-degree differs between the two snapshots — none for
+// programs whose contributions do not depend on it.
+func (e *Engine[V, A]) degreeChanged(oldG, newG *graph.Graph, res graph.ApplyResult) []VertexID {
+	if !e.deg {
+		return nil
+	}
+	var out []VertexID
+	for _, u := range mutatedSources(res) {
+		if outDegree(oldG, u) != newG.OutDegree(u) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
 // naiveContinue is the incorrect-by-design baseline of §2.2: reuse the
 // converged values directly, folding the structural change into the
 // running aggregates with *current* values, then keep iterating. It
 // converges to S*(G^T, R_G) rather than S*(G^T, I).
 func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyResult) Stats {
 	e.g = newG
-	n := newG.NumVertices()
-	oldN := oldG.NumVertices()
-	e.grow(n)
+	e.grow(newG.NumVertices())
 
 	edgeWork := parallel.NewCounter()
+	vertWork := parallel.NewCounter()
 	touched := e.sc.touched
 	touched.ClearAll()
-	oldOutDeg := func(u VertexID) int {
-		if int(u) < oldN {
-			return oldG.OutDegree(u)
-		}
-		return 0
-	}
+	to := sink[A]{agg: e.agg, work: edgeWork}
 
 	if e.pull {
-		for _, ed := range res.Added {
-			touched.Set(ed.To)
-		}
-		for _, ed := range res.Deleted {
-			touched.Set(ed.To)
-		}
-		affected := touched.Members(nil)
-		parallel.ForWorker(len(affected), 64, func(worker, s, t2 int) {
-			var cnt int64
-			for k := s; k < t2; k++ {
-				v := affected[k]
-				na := e.p.IdentityAgg()
-				us, ws := newG.InNeighbors(v)
-				for i, u := range us {
-					e.p.Propagate(&na, e.vals[u], u, v, ws[i], newG.OutDegree(u))
-				}
-				cnt += int64(len(us))
-				e.agg[v] = na
-			}
-			edgeWork.Add(worker, cnt)
-		})
+		markTargets(res, touched)
+		e.pullEdges(listOf(touched.Members(nil)), e.current(), to)
 	} else {
-		for _, ed := range res.Added {
-			e.locks.Lock(ed.To)
-			e.p.Propagate(&e.agg[ed.To], e.vals[ed.From], ed.From, ed.To, ed.Weight, newG.OutDegree(ed.From))
-			e.locks.Unlock(ed.To)
-			touched.Set(ed.To)
-			edgeWork.Add(0, 1)
-		}
-		for _, ed := range res.Deleted {
-			e.locks.Lock(ed.To)
-			e.p.Retract(&e.agg[ed.To], e.vals[ed.From], ed.From, ed.To, ed.Weight, oldOutDeg(ed.From))
-			e.locks.Unlock(ed.To)
-			touched.Set(ed.To)
-			edgeWork.Add(0, 1)
-		}
-		if e.deg {
-			for _, u := range mutatedSources(res) {
-				odeg, ndeg := oldOutDeg(u), newG.OutDegree(u)
-				if odeg == ndeg {
-					continue
-				}
-				ts, ws := newG.OutNeighbors(u)
-				for x, t := range ts {
-					e.locks.Lock(t)
-					if e.delta != nil {
-						e.delta.PropagateDelta(&e.agg[t], e.vals[u], e.vals[u], u, t, ws[x], odeg, ndeg)
-					} else {
-						e.p.Retract(&e.agg[t], e.vals[u], u, t, ws[x], odeg)
-						e.p.Propagate(&e.agg[t], e.vals[u], u, t, ws[x], ndeg)
-					}
-					e.locks.Unlock(t)
-					touched.Set(t)
-					edgeWork.Add(0, 1)
-				}
-			}
-		}
+		// Added edges carry the new out-degree, deleted ones the old.
+		e.foldEdges(opPropagate, res.Added, e.current(), newG, to)
+		e.foldEdges(opRetract, res.Deleted, e.current(), oldG, to)
+		e.pushEdges(opDelta, listOf(e.degreeChanged(oldG, newG, res)), 16, func(u VertexID) (V, V, int) {
+			return e.vals[u], e.vals[u], outDegree(oldG, u)
+		}, to)
 	}
 
 	seed := e.sc.fronts[0]
 	seed.Reset()
-	members := touched.Members(nil)
-	for _, v := range members {
-		nv := e.p.Compute(v, e.agg[v])
-		if e.p.Changed(e.vals[v], nv) {
-			e.old[v] = e.vals[v]
-			e.vals[v] = nv
-			seed.AddAtomic(v)
-		}
-	}
+	e.computeVertices(listOf(touched.Members(nil)), 64, e.level, seed, vertWork)
 	st := e.runDelta(e.level+1, seed, e.level+e.opts.MaxIterations)
 	st.EdgeComputations += edgeWork.Sum()
-	st.VertexComputations += int64(len(members))
+	st.VertexComputations += vertWork.Sum()
 	return st
 }

@@ -1,23 +1,12 @@
 package replicatest
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 )
-
-// scalarEqual mirrors difftest.ScalarEqual: absolute tolerance, +Inf
-// equal to +Inf (unreachable SSSP vertices).
-func scalarEqual(tol float64) func(got, want float64) bool {
-	return func(got, want float64) bool {
-		if got == want || (math.IsInf(got, 1) && math.IsInf(want, 1)) {
-			return true
-		}
-		return math.Abs(got-want) <= tol
-	}
-}
 
 func batches(t *testing.T) int {
 	if testing.Short() {
@@ -32,7 +21,7 @@ func batches(t *testing.T) int {
 func TestReplicationEquivalencePageRank(t *testing.T) {
 	Run[float64, float64](t,
 		func() core.Program[float64, float64] { return algorithms.NewPageRank() },
-		scalarEqual(1e-7),
+		difftest.ScalarEqual(1e-7),
 		Config{Seed: 1, Batches: batches(t)})
 }
 
@@ -43,7 +32,7 @@ func TestReplicationEquivalencePageRank(t *testing.T) {
 func TestReplicationEquivalenceSSSPDurable(t *testing.T) {
 	Run[float64, float64](t,
 		func() core.Program[float64, float64] { return algorithms.NewSSSP(0) },
-		scalarEqual(0),
+		difftest.ScalarEqual(0),
 		Config{Seed: 2, Batches: batches(t), MaxIterations: 512, DurableFollower: true, CheckpointEvery: 7})
 }
 
@@ -52,6 +41,6 @@ func TestReplicationEquivalenceSSSPDurable(t *testing.T) {
 func TestReplicationEquivalenceConnectedComponents(t *testing.T) {
 	Run[float64, float64](t,
 		func() core.Program[float64, float64] { return algorithms.NewConnectedComponents() },
-		scalarEqual(0),
+		difftest.ScalarEqual(0),
 		Config{Seed: 3, Batches: batches(t), MaxIterations: 256})
 }
