@@ -84,11 +84,14 @@ overload:
 # failure forcing a Degraded dump, /debug/flight filtered by trace), the
 # trace-merge property test (every accepted submission's trace ID lands
 # in exactly one applied trace set, under governor-cap changes, sheds and
-# quarantine), the lock-free ring torture tests, and the <5% recorder
-# apply-latency overhead check.
+# quarantine), the ring torture tests twenty times over (a roomy ring and
+# a two-slot ring where every write laps another; with the ring behind a
+# mutex they cannot flake), and the <5% recorder apply-latency overhead
+# check.
 flight:
 	$(GO) test -race -run TestFlightRecorder -v $(SUITE_FLAGS) .
-	$(GO) test -race -run 'TestTrace|TestRing|TestSnapshotConsistent' ./internal/flight/ ./internal/serve/
+	$(GO) test -race -run 'TestTrace' ./internal/flight/ ./internal/serve/
+	$(GO) test -race -count=20 -run 'TestRing|TestSnapshotConsistent' ./internal/flight/
 
 # replica runs the replication suite under the race detector: the
 # leader/follower equivalence harness (~100 randomized batches streamed

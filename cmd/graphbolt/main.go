@@ -101,7 +101,6 @@ import (
 	"time"
 
 	graphbolt "repro"
-	"repro/internal/admission"
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/durable"
@@ -109,10 +108,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/parallel"
-	"repro/internal/partition"
 	"repro/internal/qcache"
-	"repro/internal/serve"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
@@ -186,20 +182,7 @@ func main() {
 	var healthProxy atomic.Pointer[health.Tracker]
 	var reg *obs.Registry
 	if *metricsAt != "" {
-		reg = obs.Default()
-		core.SetDefaultMetrics(reg)
-		core.RegisterMetrics(reg)
-		wal.RegisterMetrics(reg)
-		durable.RegisterMetrics(reg)
-		serve.SetDefaultMetrics(reg)
-		serve.RegisterMetrics(reg)
-		qcache.RegisterMetrics(reg)
-		health.RegisterMetrics(reg)
-		admission.RegisterMetrics(reg)
-		flight.RegisterMetrics(reg)
-		partition.RegisterMetrics(reg)
-		graphbolt.RegisterReplicaMetrics(reg)
-		parallel.SetMetrics(reg)
+		reg = graphbolt.EnableMetrics()
 	}
 	// The recorder is built before the metrics mux so /debug/flight can
 	// serve it from the start; with -flight off the nil recorder is inert

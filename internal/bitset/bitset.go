@@ -1,19 +1,17 @@
 // Package bitset implements a fixed-capacity bitset with atomic set
-// operations, used by the engine for dense frontiers, changed-vertex sets,
-// and the horizon bit-vector that seeds hybrid execution (§4.2 of the
-// paper).
+// operations. It is the engine's vertex-set type: the changed sets that
+// drive selective scheduling, the touched/seen marks of a level, and the
+// seed of hybrid execution (§4.2 of the paper).
 package bitset
 
 import (
 	"math/bits"
 	"sync/atomic"
-
-	"repro/internal/parallel"
 )
 
 // Bitset is a fixed-capacity set of uint32 keys. Set/Get are safe for
-// concurrent use; Clear/ClearAll are not (call them between parallel
-// phases, as the engine does).
+// concurrent use; ClearAll, Or and the scans are not (call them between
+// parallel phases, as the engine does).
 type Bitset struct {
 	words []uint64
 	n     int
@@ -47,11 +45,6 @@ func (b *Bitset) Get(i uint32) bool {
 	return atomic.LoadUint64(&b.words[i>>6])&(uint64(1)<<(i&63)) != 0
 }
 
-// Clear clears bit i. Not safe concurrently with Set on the same word.
-func (b *Bitset) Clear(i uint32) {
-	b.words[i>>6] &^= uint64(1) << (i & 63)
-}
-
 // ClearAll zeroes the whole set.
 func (b *Bitset) ClearAll() {
 	clear(b.words)
@@ -66,20 +59,6 @@ func (b *Bitset) Count() int {
 	return total
 }
 
-// CountParallel is Count using the parallel runtime; worthwhile for
-// multi-million-vertex sets swept every iteration.
-func (b *Bitset) CountParallel() int {
-	c := parallel.NewCounter()
-	parallel.ForWorker(len(b.words), 1024, func(worker, start, end int) {
-		var n int64
-		for i := start; i < end; i++ {
-			n += int64(bits.OnesCount64(b.words[i]))
-		}
-		c.Add(worker, n)
-	})
-	return int(c.Sum())
-}
-
 // Members appends all set keys to dst in ascending order and returns it.
 func (b *Bitset) Members(dst []uint32) []uint32 {
 	for wi, w := range b.words {
@@ -90,17 +69,6 @@ func (b *Bitset) Members(dst []uint32) []uint32 {
 		}
 	}
 	return dst
-}
-
-// Range calls fn for every set key in ascending order.
-func (b *Bitset) Range(fn func(i uint32)) {
-	for wi, w := range b.words {
-		for w != 0 {
-			tz := bits.TrailingZeros64(w)
-			fn(uint32(wi*64 + tz))
-			w &^= 1 << tz
-		}
-	}
 }
 
 // Or merges other into b (b |= other). Capacities must match. Not safe

@@ -2,7 +2,6 @@ package core
 
 import (
 	"repro/internal/bitset"
-	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -199,7 +198,7 @@ func outDegree(g *graph.Graph, u VertexID) int {
 // the set; a vertex whose value changed keeps the previous one in e.old
 // and joins next. In tracking modes the aggregate of a touched vertex is
 // recorded as its dependency at the level.
-func (e *Engine[V, A]) computeVertices(vs vertexSet, grain, level int, next *frontier.Frontier, work *parallel.Counter) {
+func (e *Engine[V, A]) computeVertices(vs vertexSet, grain, level int, next *bitset.Bitset, work *parallel.Counter) {
 	track, touched := e.tracking(), e.sc.touched
 	parallel.ForWorker(vs.len(), grain, func(worker, lo, hi int) {
 		for k := lo; k < hi; k++ {
@@ -211,7 +210,7 @@ func (e *Engine[V, A]) computeVertices(vs vertexSet, grain, level int, next *fro
 			if e.p.Changed(e.vals[v], nv) {
 				e.old[v] = e.vals[v]
 				e.vals[v] = nv
-				next.AddAtomic(v)
+				next.Set(v)
 			}
 		}
 		work.Add(worker, int64(hi-lo))

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/bitset"
 	"repro/internal/deps"
-	"repro/internal/frontier"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -73,7 +72,7 @@ type scratch[V, A any] struct {
 	seen    *bitset.Bitset // deduplication within one level
 	// fronts are the changed sets: refine builds each level's in one and
 	// the hybrid seed in the other; runDelta alternates between them.
-	fronts [2]*frontier.Frontier
+	fronts [2]*bitset.Bitset
 }
 
 // size makes the scratch hold n vertices, with headroom so a stream that
@@ -93,17 +92,17 @@ func (s *scratch[V, A]) size(n int) {
 		touchedAny:     bitset.New(n),
 		touched:        bitset.New(n),
 		seen:           bitset.New(n),
-		fronts:         [2]*frontier.Frontier{frontier.New(n), frontier.New(n)},
+		fronts:         [2]*bitset.Bitset{bitset.New(n), bitset.New(n)},
 	}
 }
 
-// otherFront returns the scratch frontier that is not f, emptied.
-func (s *scratch[V, A]) otherFront(f *frontier.Frontier) *frontier.Frontier {
+// otherFront returns the scratch changed set that is not f, emptied.
+func (s *scratch[V, A]) otherFront(f *bitset.Bitset) *bitset.Bitset {
 	o := s.fronts[0]
 	if f == o {
 		o = s.fronts[1]
 	}
-	o.Reset()
+	o.ClearAll()
 	return o
 }
 
@@ -310,7 +309,7 @@ func (e *Engine[V, A]) valueAt(v VertexID, level int) V {
 // computes. For fromLevel > 1 (hybrid continuation), seed holds the
 // vertices whose value changed between levels fromLevel-2 and
 // fromLevel-1, with e.old holding the earlier value.
-func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel int) Stats {
+func (e *Engine[V, A]) runDelta(fromLevel int, seed *bitset.Bitset, maxLevel int) Stats {
 	var st Stats
 	all := allVertices(e.g.NumVertices())
 	edgeWork := parallel.NewCounter()
@@ -322,7 +321,7 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel
 	front := seed
 	for level := fromLevel; level <= maxLevel; level++ {
 		first := level == 1
-		if !first && (front == nil || front.IsEmpty()) {
+		if !first && (front == nil || front.Count() == 0) {
 			break
 		}
 		touched.ClearAll()
@@ -334,13 +333,13 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *frontier.Frontier, maxLevel
 			// Only out-neighbours of the frontier can see a new input set.
 			seen := e.sc.seen
 			seen.ClearAll()
-			e.markOut(front.Vertices(), seen)
+			e.markOut(front.Members(nil), seen)
 			e.pullEdges(listOf(seen.Members(nil)), e.current(), to)
 		case first:
 			// Level 1: full contributions from every vertex.
 			e.pushEdges(opPropagate, all, 64, change, to)
 		default:
-			e.pushEdges(opDelta, listOf(front.Vertices()), 16, change, to)
+			e.pushEdges(opDelta, listOf(front.Members(nil)), 16, change, to)
 		}
 
 		// Compute phase: level 1 computes every vertex (c_1 = ∮(д_1)

@@ -183,7 +183,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		// the refined aggregate, and build the next changed set.
 		members := touched.Members(nil)
 		nextStashValid.ClearAll()
-		changedF.Reset()
+		changedF.ClearAll()
 		extensions := make([][]tailFix[A], workers)
 		parallel.ForWorker(len(members), 64, func(worker, s, t2 int) {
 			for k := s; k < t2; k++ {
@@ -204,7 +204,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 					extensions[worker] = append(extensions[worker], tailFix[A]{v, e.p.CloneAgg(oldAgg)})
 				}
 				if e.p.Changed(oldVal, newVal) {
-					changedF.AddAtomic(v)
+					changedF.Set(v)
 				}
 			}
 			vertWork.Add(worker, int64(t2-s))
@@ -225,7 +225,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			}
 		}
 
-		changedPrev = changedF.Vertices()
+		changedPrev = changedF.Members(nil)
 		touchedAny.Or(touched)
 		oldStash, nextOldStash = nextOldStash, oldStash
 		stashValid, nextStashValid = nextStashValid, stashValid
@@ -246,7 +246,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	// proportional to the refinement's reach instead of |V|.
 	canContinue := H < e.opts.MaxIterations
 	seed := sc.fronts[1]
-	seed.Reset()
+	seed.ClearAll()
 	refresh := func(v int) {
 		vid := VertexID(v)
 		e.vals[v] = e.valueAt(vid, H)
@@ -259,7 +259,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			prev := e.valueAt(vid, H-1)
 			if e.p.Changed(prev, e.vals[v]) {
 				e.old[v] = prev
-				seed.AddAtomic(vid)
+				seed.Set(vid)
 			}
 		}
 	}
@@ -281,7 +281,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 					prev := e.valueAt(vid, H-1)
 					if e.p.Changed(prev, e.vals[v]) {
 						e.old[v] = prev
-						seed.AddAtomic(vid)
+						seed.Set(vid)
 					}
 				}
 			})
@@ -390,7 +390,7 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 	}
 
 	seed := e.sc.fronts[0]
-	seed.Reset()
+	seed.ClearAll()
 	e.computeVertices(listOf(touched.Members(nil)), 64, e.level, seed, vertWork)
 	st := e.runDelta(e.level+1, seed, e.level+e.opts.MaxIterations)
 	st.EdgeComputations += edgeWork.Sum()

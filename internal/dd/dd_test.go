@@ -284,3 +284,22 @@ func TestQuickSSSPEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSSSPTailInputMoved: an epoch can leave the deepest level's output
+// unchanged while moving its input — deleting 0→1 delays vertex 1 by a
+// hop at the same distance — so the loop must not stop there: the new
+// edge 1→3 only shows one level further down.
+func TestSSSPTailInputMoved(t *testing.T) {
+	base := []graph.Edge{
+		{From: 0, To: 1, Weight: 2}, {From: 0, To: 2, Weight: 1},
+		{From: 2, To: 1, Weight: 1}, {From: 0, To: 3, Weight: 10},
+	}
+	s := NewSSSP(0, 16)
+	s.Update(ssspEdges(base), nil)
+	adds := []graph.Edge{{From: 1, To: 3, Weight: 1}}
+	s.Update(ssspEdges(adds), ssspEdges(base[:1]))
+	want := referenceSSSP(4, append(base[1:], adds...), 0)
+	if got := s.Distances(); !ssspMatches(got, want) {
+		t.Fatalf("got %v want %v", got, want)
+	}
+}

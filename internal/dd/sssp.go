@@ -105,11 +105,17 @@ func (s *SSSP) Update(addEdges, delEdges []KV[uint32, WeightedEdge]) {
 			// diffs have died out, to keep its arrangement current. The
 			// level's output diffs become the next level's input and are
 			// folded into its collection there — exactly once.
+			quietIn := len(dDists) == 0
 			s.dists[i].ApplyAll(dDists)
 			dC := s.cand[i].Update(dDists, dEdges)
 			dDists = s.mins[i].Update(append(dC, dDists...))
-			if len(dDists) == 0 && i+1 == len(s.cand) {
-				return // tail reached with nothing escaping
+			if quietIn && len(dDists) == 0 && i+1 == len(s.cand) {
+				// The tail's input and output both stand, so they are
+				// still equal: a fixed point of the updated edges. An
+				// unchanged output alone is not enough — the input may
+				// have moved away from it — so that case falls through to
+				// the comparison below.
+				return
 			}
 			continue
 		}

@@ -48,9 +48,6 @@ func New[A any](n, horizon int, clone func(A) A, bytes func(A) int, identity fun
 // Horizon returns the horizontal-pruning cut-off.
 func (s *Store[A]) Horizon() int { return s.horizon }
 
-// NumVertices returns the vertex capacity.
-func (s *Store[A]) NumVertices() int { return len(s.hist) }
-
 // Grow extends the store to n vertices (new histories empty). No-op if
 // already large enough.
 func (s *Store[A]) Grow(n int) {
@@ -112,27 +109,6 @@ func (s *Store[A]) Append(v uint32, level int, agg A) {
 	s.hist[v] = h
 }
 
-// FillTo extends v's history with copies of its last entry up to level
-// (no-op when there is no history or it already reaches level). Used by
-// the refinement path before overwriting a level that vertical pruning
-// skipped.
-func (s *Store[A]) FillTo(v uint32, level int) {
-	if level > s.horizon {
-		level = s.horizon
-	}
-	h := s.hist[v]
-	if len(h) == 0 {
-		return
-	}
-	for len(h) < level {
-		cp := s.clone(h[len(h)-1])
-		s.heapBytes.Add(int64(s.bytes(cp)))
-		s.entries.Add(1)
-		h = append(h, cp)
-	}
-	s.hist[v] = h
-}
-
 // HeapBytes reports the approximate heap footprint of all stored
 // aggregates (Table 9's memory-overhead metric).
 func (s *Store[A]) HeapBytes() int64 {
@@ -144,23 +120,6 @@ func (s *Store[A]) HeapBytes() int64 {
 // horizontal/vertical pruning of §3.2 is saving versus |V|·iterations.
 func (s *Store[A]) Entries() int64 {
 	return s.entries.Load()
-}
-
-// Reset drops all histories (used when an engine restarts from scratch).
-func (s *Store[A]) Reset() {
-	for i := range s.hist {
-		s.hist[i] = nil
-	}
-	s.heapBytes.Store(0)
-	s.entries.Store(0)
-}
-
-// ChangedAt reports whether v's aggregate changed at exactly the given
-// level — i.e. whether the stored history's frontier reached that level.
-// It over-approximates "value changed at level" (Compute may collapse
-// distinct aggregates), which is safe for seeding hybrid execution.
-func (s *Store[A]) ChangedAt(v uint32, level int) bool {
-	return len(s.hist[v]) == level
 }
 
 // Export copies every vertex history out of the store, for engine

@@ -93,44 +93,15 @@ func TestHorizontalPruning(t *testing.T) {
 	}
 }
 
-func TestFillTo(t *testing.T) {
-	s := newFloatStore(1, 10)
-	s.FillTo(0, 5) // no history: no-op
-	if s.Last(0) != 0 {
-		t.Fatal("FillTo on empty history created entries")
-	}
-	s.Append(0, 1, 1.0)
-	s.FillTo(0, 3)
-	if s.Last(0) != 3 {
-		t.Fatalf("Last = %d, want 3", s.Last(0))
-	}
-	if a, _ := s.Lookup(0, 3); a != 1.0 {
-		t.Fatalf("filled level = %v", a)
-	}
-}
-
-func TestGrowAndReset(t *testing.T) {
+func TestGrow(t *testing.T) {
 	s := newFloatStore(2, 5)
 	s.Append(0, 1, 1.0)
 	s.Grow(5)
-	if s.NumVertices() != 5 {
-		t.Fatalf("NumVertices = %d", s.NumVertices())
-	}
 	if _, ok := s.Lookup(4, 1); ok {
 		t.Fatal("grown vertex has history")
 	}
-	s.Reset()
-	if _, ok := s.Lookup(0, 1); ok {
-		t.Fatal("Reset left history")
-	}
-}
-
-func TestChangedAt(t *testing.T) {
-	s := newFloatStore(1, 10)
-	s.Append(0, 1, 1.0)
-	s.Append(0, 3, 3.0)
-	if !s.ChangedAt(0, 3) || s.ChangedAt(0, 2) || s.ChangedAt(0, 4) {
-		t.Fatal("ChangedAt wrong")
+	if a, ok := s.Lookup(0, 1); !ok || a != 1.0 {
+		t.Fatalf("Grow lost history: %v, %v", a, ok)
 	}
 }
 
@@ -232,8 +203,8 @@ func TestExportImportRoundTrip(t *testing.T) {
 
 	s2 := newFloatStore(0, 5)
 	s2.Import(exported)
-	if s2.NumVertices() != 3 {
-		t.Fatalf("vertices = %d", s2.NumVertices())
+	if len(s2.hist) != 3 {
+		t.Fatalf("vertices = %d", len(s2.hist))
 	}
 	if a, _ := s2.Lookup(0, 2); a != 2.0 {
 		t.Fatalf("lookup(0,2) = %v", a)

@@ -1,8 +1,7 @@
 // Package flight is the engine's black box: an always-on, fixed-capacity
 // ring of structured lifecycle events that costs O(1) per event — one
-// atomic cursor increment plus a handful of atomic field stores, zero
-// allocation — and is safe to write from any goroutine concurrently with
-// dumps.
+// struct store under a mutex, zero allocation — and is safe to write
+// from any goroutine concurrently with dumps.
 //
 // Every mutation batch is assigned a monotonically increasing trace ID
 // at Submit; the serve loop, the durable journal and the WAL stamp their
@@ -22,22 +21,22 @@
 // admission SLO), and Handler serves the live ring and the last dump
 // over HTTP (/debug/flight), filterable by trace ID and event kind.
 //
-// Concurrency design: the write cursor is a single atomic counter; each
-// writer claims a position, maps it onto a slot (position mod capacity),
-// and publishes through a per-slot seqlock — `start` is stamped before
-// the fields, `commit` after, both with the claimed position. A reader
-// accepts a slot only when commit matches the position before the field
-// reads and start still matches after them; with Go's sequentially
-// consistent atomics this rejects every torn read, so a dump taken in
-// the middle of a write storm is internally consistent (it simply omits
-// the slots in flux). All Recorder methods are nil-safe: a nil *Recorder
-// records nothing and costs one nil check, mirroring the obs
-// conventions.
+// Concurrency design: the ring is a []Event and a write cursor behind
+// one mutex. Record stores one struct under it and Snapshot copies the
+// live window under it, so a dump taken in the middle of a write storm
+// is exactly the newest window and Dropped is exact. (An earlier
+// per-slot seqlock of atomics admitted torn events — a writer lapped by
+// a full ring turn finished its field stores after the newer writer's
+// commit — and its seven sequentially consistent stores per event
+// measured slower than the uncontended lock.) All Recorder methods are
+// nil-safe: a nil *Recorder records nothing and costs one nil check,
+// mirroring the obs conventions.
 package flight
 
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -97,8 +96,8 @@ const (
 	// B = 1 on success, 0 on failure.
 	KindRepair
 	// KindPhase: an engine phase span delivered through the obs.Sink
-	// interface. At is the span's start; A = duration nanoseconds,
-	// B = interned phase-name ID (see Event.Note).
+	// interface. At is the span's start; A = duration nanoseconds; the
+	// phase name travels with the event (see Event.Note).
 	KindPhase
 	// KindReseed: a follower installed a leader checkpoint after log
 	// compaction. A = applied sequence before, B = checkpoint sequence
@@ -166,6 +165,8 @@ type Event struct {
 	At int64
 	// A and B are the kind-specific payloads.
 	A, B int64
+	// phase is the span name of a KindPhase event.
+	phase string
 }
 
 // Time returns the event timestamp.
@@ -205,7 +206,7 @@ func (e Event) Note() string {
 		}
 		return fmt.Sprintf("attempt=%d failed", e.A)
 	case KindPhase:
-		return fmt.Sprintf("name=%s took=%v", phaseName(e.B), time.Duration(e.A))
+		return fmt.Sprintf("name=%s took=%v", e.phase, time.Duration(e.A))
 	case KindReseed:
 		return fmt.Sprintf("from_seq=%d to_seq=%d", e.A, e.B)
 	case KindStall:
@@ -243,20 +244,6 @@ type Options struct {
 	Logger *slog.Logger
 	// Metrics, when non-nil, receives the graphbolt_flight_* counters.
 	Metrics *obs.Registry
-}
-
-// slot is one ring entry, published through a per-slot seqlock: start is
-// stamped (position+1) before the fields, commit after. Readers accept
-// the fields only when commit matched before and start still matches
-// after reading them.
-type slot struct {
-	start  atomic.Uint64
-	commit atomic.Uint64
-	trace  atomic.Uint64
-	kind   atomic.Uint64
-	at     atomic.Int64
-	a      atomic.Int64
-	b      atomic.Int64
 }
 
 // Metric names exported by this package.
@@ -300,9 +287,11 @@ func RegisterMetrics(r *obs.Registry) {
 // Recorder is the flight recorder. Construct with New; all methods are
 // safe for concurrent use and nil-safe.
 type Recorder struct {
-	slots  []slot
-	mask   uint64
-	cursor atomic.Uint64
+	// mu guards ring and cursor. Position p lives at ring[p&(len-1)];
+	// cursor is the next position, i.e. the events ever recorded.
+	mu     sync.Mutex
+	ring   []Event
+	cursor uint64
 
 	// active is the trace ID of the batch currently on the apply path
 	// (single-writer); the durable and WAL layers stamp their events
@@ -311,9 +300,8 @@ type Recorder struct {
 	active         atomic.Uint64
 	scratchJournal atomic.Int64
 
-	dropped atomic.Uint64
-	slow    atomic.Uint64
-	ndumps  atomic.Uint64
+	slow   atomic.Uint64
+	ndumps atomic.Uint64
 
 	traces traceLog
 
@@ -351,8 +339,7 @@ func New(opts Options) *Recorder {
 		logger = slog.Default()
 	}
 	r := &Recorder{
-		slots:      make([]slot, n),
-		mask:       uint64(n - 1),
+		ring:       make([]Event, n),
 		minDumpGap: gap,
 		logger:     logger,
 		met:        newMetrics(opts.Metrics),
@@ -366,7 +353,7 @@ func (r *Recorder) Depth() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.slots)
+	return len(r.ring)
 }
 
 // Events returns the total number of events ever recorded.
@@ -374,7 +361,9 @@ func (r *Recorder) Events() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.cursor.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.cursor
 }
 
 // Dropped returns the number of ring entries overwritten so far.
@@ -382,7 +371,12 @@ func (r *Recorder) Dropped() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.dropped.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if n := uint64(len(r.ring)); r.cursor > n {
+		return r.cursor - n
+	}
+	return 0
 }
 
 // Dumps returns the number of dumps emitted so far.
@@ -404,25 +398,20 @@ func (r *Recorder) SlowBatches() uint64 {
 // Record appends one event to the ring: O(1), allocation-free, safe
 // from any goroutine.
 func (r *Recorder) Record(k Kind, trace uint64, a, b int64) {
-	r.recordAt(k, trace, time.Now().UnixNano(), a, b)
+	r.record(Event{Kind: k, Trace: trace, At: time.Now().UnixNano(), A: a, B: b})
 }
 
-func (r *Recorder) recordAt(k Kind, trace uint64, at, a, b int64) {
+func (r *Recorder) record(ev Event) {
 	if r == nil {
 		return
 	}
-	pos := r.cursor.Add(1) - 1
-	s := &r.slots[pos&r.mask]
-	s.start.Store(pos + 1)
-	s.trace.Store(trace)
-	s.kind.Store(uint64(k))
-	s.at.Store(at)
-	s.a.Store(a)
-	s.b.Store(b)
-	s.commit.Store(pos + 1)
+	r.mu.Lock()
+	ev.Seq = r.cursor
+	r.ring[ev.Seq&uint64(len(r.ring)-1)] = ev
+	r.cursor++
+	r.mu.Unlock()
 	r.met.events.Inc()
-	if pos >= uint64(len(r.slots)) {
-		r.dropped.Add(1)
+	if ev.Seq >= uint64(len(r.ring)) {
 		r.met.dropped.Inc()
 	}
 }
@@ -430,13 +419,12 @@ func (r *Recorder) recordAt(k Kind, trace uint64, at, a, b int64) {
 // Phase implements obs.Sink: engine phase spans ("run", "refine",
 // "checkpoint", ...) are recorded as KindPhase events stamped with the
 // active trace, so per-batch timelines and engine phases land in one
-// time-correlated stream. The phase name is interned; the common case
-// (a name seen before) stays allocation-free.
+// time-correlated stream.
 func (r *Recorder) Phase(name string, start time.Time, duration time.Duration) {
 	if r == nil {
 		return
 	}
-	r.recordAt(KindPhase, r.active.Load(), start.UnixNano(), int64(duration), internPhase(name))
+	r.record(Event{Kind: KindPhase, Trace: r.active.Load(), At: start.UnixNano(), A: int64(duration), phase: name})
 }
 
 // BeginApply marks trace as the batch on the apply path and clears the
@@ -496,39 +484,22 @@ func (r *Recorder) Fsync(d time.Duration, failed bool) {
 	r.Record(k, r.active.Load(), int64(d), 0)
 }
 
-// Snapshot returns the committed events currently in the ring, oldest
-// first. It is safe concurrently with writers; slots being overwritten
-// at that instant are omitted rather than returned torn.
+// Snapshot returns the events currently in the ring — the newest
+// Depth() of them — oldest first. It is safe concurrently with writers.
 func (r *Recorder) Snapshot() []Event {
 	if r == nil {
 		return nil
 	}
-	cur := r.cursor.Load()
-	n := uint64(len(r.slots))
-	lo := uint64(0)
-	if cur > n {
-		lo = cur - n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	n := uint64(len(r.ring))
+	if r.cursor <= n {
+		return slices.Clone(r.ring[:r.cursor])
 	}
-	evs := make([]Event, 0, cur-lo)
-	for pos := lo; pos < cur; pos++ {
-		s := &r.slots[pos&r.mask]
-		if s.commit.Load() != pos+1 {
-			continue // not yet committed, or already overwritten
-		}
-		ev := Event{
-			Seq:   pos,
-			Trace: s.trace.Load(),
-			Kind:  Kind(s.kind.Load()),
-			At:    s.at.Load(),
-			A:     s.a.Load(),
-			B:     s.b.Load(),
-		}
-		if s.start.Load() != pos+1 {
-			continue // a newer writer claimed the slot mid-read
-		}
-		evs = append(evs, ev)
-	}
-	return evs
+	oldest := r.cursor & (n - 1)
+	evs := make([]Event, 0, n)
+	evs = append(evs, r.ring[oldest:]...)
+	return append(evs, r.ring[:oldest]...)
 }
 
 // Dump is one captured ring snapshot.
@@ -573,11 +544,14 @@ func (r *Recorder) dump(reason string, focus uint64, force bool) *Dump {
 		return nil
 	}
 	d := &Dump{
-		Reason:  reason,
-		Focus:   focus,
-		At:      now,
-		Dropped: r.dropped.Load(),
-		Events:  r.Snapshot(),
+		Reason: reason,
+		Focus:  focus,
+		At:     now,
+		Events: r.Snapshot(),
+	}
+	if len(d.Events) > 0 {
+		// Every position before the oldest retained one was overwritten.
+		d.Dropped = d.Events[0].Seq
 	}
 	r.lastDump = d
 	r.lastDumpAt = now
@@ -649,37 +623,4 @@ func renderTimeline(events []Event, trace uint64) string {
 		return "(no events retained for trace)"
 	}
 	return sb.String()
-}
-
-// Phase-name interning: KindPhase events must not allocate on the hot
-// path, so names map to small IDs through a process-wide table (phase
-// names come from a small fixed vocabulary).
-var phaseIntern sync.Map // string -> int64
-var phaseTable struct {
-	mu    sync.Mutex
-	names []string
-}
-
-func internPhase(name string) int64 {
-	if id, ok := phaseIntern.Load(name); ok {
-		return id.(int64)
-	}
-	phaseTable.mu.Lock()
-	defer phaseTable.mu.Unlock()
-	if id, ok := phaseIntern.Load(name); ok {
-		return id.(int64)
-	}
-	phaseTable.names = append(phaseTable.names, name)
-	id := int64(len(phaseTable.names)) // 1-based; 0 = unknown
-	phaseIntern.Store(name, id)
-	return id
-}
-
-func phaseName(id int64) string {
-	phaseTable.mu.Lock()
-	defer phaseTable.mu.Unlock()
-	if id >= 1 && int(id) <= len(phaseTable.names) {
-		return phaseTable.names[id-1]
-	}
-	return "?"
 }

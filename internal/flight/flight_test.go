@@ -78,59 +78,70 @@ func TestDepthRoundsToPowerOfTwo(t *testing.T) {
 	}
 }
 
+// ringShapes are the rings the torture tests run on: a roomy one, and a
+// two-slot ring under four writers, where every write laps another.
+var ringShapes = []struct {
+	name           string
+	depth, writers int
+}{
+	{"depth64x8", 64, 8},
+	{"depth2x4", 2, 4},
+}
+
 // TestRingOverwriteAccounting drives the ring far past capacity from
 // many goroutines and checks: dropped counts exactly the overwritten
 // entries, no event in the final snapshot is torn (every field encodes
 // the same writer), and the snapshot holds exactly the newest window.
 func TestRingOverwriteAccounting(t *testing.T) {
-	const depth = 64
-	const writers = 8
-	const perWriter = 1000
-	reg := obs.NewRegistry()
-	r := New(Options{Depth: depth, Logger: discard(), Metrics: reg})
+	for _, shape := range ringShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			const perWriter = 1000
+			depth := uint64(shape.depth)
+			reg := obs.NewRegistry()
+			r := New(Options{Depth: shape.depth, Logger: discard(), Metrics: reg})
 
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				// Encode the writer+iteration into every payload field so a
-				// torn slot (fields from different writers) is detectable.
-				tag := int64(w*perWriter + i)
-				r.Record(KindEnqueued, uint64(tag), tag, tag)
+			var wg sync.WaitGroup
+			for w := 0; w < shape.writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						// Encode the writer+iteration into every payload field so a
+						// torn slot (fields from different writers) is detectable.
+						tag := int64(w*perWriter + i)
+						r.Record(KindEnqueued, uint64(tag), tag, tag)
+					}
+				}(w)
 			}
-		}(w)
-	}
-	wg.Wait()
+			wg.Wait()
 
-	total := uint64(writers * perWriter)
-	if r.Events() != total {
-		t.Fatalf("events = %d, want %d", r.Events(), total)
-	}
-	if want := total - depth; r.Dropped() != want {
-		t.Fatalf("dropped = %d, want %d (total %d - depth %d)", r.Dropped(), want, total, depth)
-	}
-	if got := reg.Counter(MetricDropped, "").Value(); got != int64(total-depth) {
-		t.Fatalf("dropped counter = %d, want %d", got, total-depth)
-	}
+			total := uint64(shape.writers * perWriter)
+			if r.Events() != total {
+				t.Fatalf("events = %d, want %d", r.Events(), total)
+			}
+			if want := total - depth; r.Dropped() != want {
+				t.Fatalf("dropped = %d, want %d (total %d - depth %d)", r.Dropped(), want, total, depth)
+			}
+			if got := reg.Counter(MetricDropped, "").Value(); got != int64(total-depth) {
+				t.Fatalf("dropped counter = %d, want %d", got, total-depth)
+			}
+			if d := r.Dump("test", 0); d.Dropped != total-depth {
+				t.Fatalf("dump dropped = %d, want %d", d.Dropped, total-depth)
+			}
 
-	evs := r.Snapshot()
-	if len(evs) != depth {
-		t.Fatalf("final snapshot has %d events, want %d (all writers joined)", len(evs), depth)
-	}
-	seen := map[uint64]bool{}
-	for _, e := range evs {
-		if int64(e.Trace) != e.A || e.A != e.B {
-			t.Fatalf("torn event: trace=%d a=%d b=%d", e.Trace, e.A, e.B)
-		}
-		if e.Seq < total-depth || e.Seq >= total {
-			t.Fatalf("event seq %d outside newest window [%d,%d)", e.Seq, total-depth, total)
-		}
-		if seen[e.Seq] {
-			t.Fatalf("duplicate seq %d", e.Seq)
-		}
-		seen[e.Seq] = true
+			evs := r.Snapshot()
+			if uint64(len(evs)) != depth {
+				t.Fatalf("final snapshot has %d events, want %d", len(evs), depth)
+			}
+			for i, e := range evs {
+				if int64(e.Trace) != e.A || e.A != e.B {
+					t.Fatalf("torn event: trace=%d a=%d b=%d", e.Trace, e.A, e.B)
+				}
+				if want := total - depth + uint64(i); e.Seq != want {
+					t.Fatalf("event %d has seq %d, want %d (newest window, in order)", i, e.Seq, want)
+				}
+			}
+		})
 	}
 }
 
@@ -138,39 +149,46 @@ func TestRingOverwriteAccounting(t *testing.T) {
 // hammer the ring: every returned event must be internally consistent
 // (never a mix of two writers' fields).
 func TestSnapshotConsistentMidWrite(t *testing.T) {
-	r := New(Options{Depth: 32, Logger: discard()})
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			var i int64
-			for {
-				select {
-				case <-stop:
-					return
-				default:
+	for _, shape := range ringShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			r := New(Options{Depth: shape.depth, Logger: discard()})
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for w := 0; w < shape.writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					var i int64
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						tag := int64(w)<<32 | i
+						r.Record(Kind(1+i%16), uint64(tag), tag, tag)
+						i++
+					}
+				}(w)
+			}
+			deadline := time.Now().Add(100 * time.Millisecond)
+			for time.Now().Before(deadline) {
+				for _, e := range r.Snapshot() {
+					if int64(e.Trace) != e.A || e.A != e.B {
+						t.Errorf("torn event in mid-write snapshot: trace=%d a=%d b=%d", e.Trace, e.A, e.B)
+					}
+					if e.Kind < KindAdmitted || e.Kind > KindPhase {
+						t.Errorf("invalid kind %d in snapshot", e.Kind)
+					}
 				}
-				tag := int64(w)<<32 | i
-				r.Record(Kind(1+i%16), uint64(tag), tag, tag)
-				i++
+				if t.Failed() {
+					break
+				}
 			}
-		}(w)
+			close(stop)
+			wg.Wait()
+		})
 	}
-	deadline := time.Now().Add(200 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		for _, e := range r.Snapshot() {
-			if int64(e.Trace) != e.A || e.A != e.B {
-				t.Fatalf("torn event in mid-write snapshot: trace=%d a=%d b=%d", e.Trace, e.A, e.B)
-			}
-			if e.Kind < KindAdmitted || e.Kind > KindPhase {
-				t.Fatalf("invalid kind %d in snapshot", e.Kind)
-			}
-		}
-	}
-	close(stop)
-	wg.Wait()
 }
 
 func TestDumpThrottlingAndLastDump(t *testing.T) {
@@ -271,29 +289,35 @@ func TestActiveTraceCorrelation(t *testing.T) {
 	}
 }
 
+// TestPhaseSinkInterning: a KindPhase event carries its phase name with
+// it (there is no intern table to look it up in), and neither Record nor
+// Phase allocates.
 func TestPhaseSinkInterning(t *testing.T) {
 	r := New(Options{Depth: 32, Logger: discard()})
 	r.BeginApply(5)
 	start := time.Now().Add(-time.Second)
 	r.Phase("refine", start, 10*time.Millisecond)
-	r.Phase("refine", start, 20*time.Millisecond)
+	r.Phase("hybrid", start, 20*time.Millisecond)
 	r.EndApply()
 	evs := r.Snapshot()
 	if len(evs) != 2 {
 		t.Fatalf("%d events", len(evs))
 	}
-	if evs[0].B != evs[1].B {
-		t.Fatalf("same phase name interned to different ids: %d vs %d", evs[0].B, evs[1].B)
-	}
 	e := evs[0]
-	if e.Kind != KindPhase || e.Trace != 5 || e.A != int64(10*time.Millisecond) {
+	if e.Kind != KindPhase || e.Trace != 5 || e.A != int64(10*time.Millisecond) || e.B != 0 {
 		t.Fatalf("phase event: %+v", e)
 	}
 	if e.At != start.UnixNano() {
 		t.Fatalf("phase event At = %d, want span start %d", e.At, start.UnixNano())
 	}
-	if !strings.Contains(e.Note(), "name=refine") {
-		t.Fatalf("phase note: %q", e.Note())
+	if !strings.Contains(e.Note(), "name=refine") || !strings.Contains(evs[1].Note(), "name=hybrid") {
+		t.Fatalf("phase notes: %q, %q", e.Note(), evs[1].Note())
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		r.Record(KindEnqueued, 1, 2, 3)
+		r.Phase("refine", start, time.Millisecond)
+	}); n != 0 {
+		t.Fatalf("Record+Phase allocate %v times per call, want 0", n)
 	}
 }
 

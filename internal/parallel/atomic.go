@@ -1,59 +1,9 @@
 package parallel
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 )
-
-// AddFloat64 atomically adds delta to *addr using a CAS loop over the
-// float's bit pattern. This is the classic lock-free floating point
-// accumulate used by graph engines for sum aggregations (Algorithm 1,
-// line 6 of the paper uses the same primitive).
-func AddFloat64(addr *uint64, delta float64) {
-	for {
-		old := atomic.LoadUint64(addr)
-		nw := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(addr, old, nw) {
-			return
-		}
-	}
-}
-
-// MulFloat64 atomically multiplies *addr by factor (used by Belief
-// Propagation's product aggregation; retraction divides).
-func MulFloat64(addr *uint64, factor float64) {
-	for {
-		old := atomic.LoadUint64(addr)
-		nw := math.Float64bits(math.Float64frombits(old) * factor)
-		if atomic.CompareAndSwapUint64(addr, old, nw) {
-			return
-		}
-	}
-}
-
-// MinFloat64 atomically lowers *addr to v if v is smaller.
-func MinFloat64(addr *uint64, v float64) bool {
-	for {
-		old := atomic.LoadUint64(addr)
-		if math.Float64frombits(old) <= v {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(addr, old, math.Float64bits(v)) {
-			return true
-		}
-	}
-}
-
-// LoadFloat64 atomically reads a float64 stored as bits.
-func LoadFloat64(addr *uint64) float64 {
-	return math.Float64frombits(atomic.LoadUint64(addr))
-}
-
-// StoreFloat64 atomically writes a float64 as bits.
-func StoreFloat64(addr *uint64, v float64) {
-	atomic.StoreUint64(addr, math.Float64bits(v))
-}
 
 // lockStripes must be a power of two.
 const lockStripes = 4096
@@ -104,11 +54,4 @@ func (c *Counter) Sum() int64 {
 		total += atomic.LoadInt64(&c.cells[i].n)
 	}
 	return total
-}
-
-// Reset zeroes every cell.
-func (c *Counter) Reset() {
-	for i := range c.cells {
-		atomic.StoreInt64(&c.cells[i].n, 0)
-	}
 }

@@ -1,7 +1,7 @@
 // Package parallel provides the shared-memory parallel execution
 // primitives used throughout the GraphBolt engine: grained parallel-for
-// loops, atomic float operations, striped spinlocks for per-vertex
-// aggregate updates, and per-worker counters.
+// loops, striped locks for per-vertex aggregate updates, and per-worker
+// counters.
 //
 // The primitives intentionally mirror what a Ligra-style runtime needs:
 // flat fork-join loops over vertex and edge ranges, with no allocation on
@@ -19,33 +19,25 @@ import (
 // vertices), large enough to amortize the atomic fetch-add per claim.
 const DefaultGrain = 512
 
-// Procs returns the degree of parallelism loops run at.
-func Procs() int { return runtime.GOMAXPROCS(0) }
+// Workers returns the degree of parallelism loops run at, which is also
+// the upper bound on the worker ids ForWorker passes to its body. Always
+// ≥ 1.
+func Workers() int { return runtime.GOMAXPROCS(0) }
 
-// For runs body(i) for every i in [0, n) across Procs() goroutines using
-// dynamic chunk self-scheduling with DefaultGrain granularity. It blocks
-// until every index has been processed. For small n it runs inline.
+// For runs body(i) for every i in [0, n) across Workers() goroutines
+// using dynamic chunk self-scheduling with DefaultGrain granularity. It
+// blocks until every index has been processed. For small n it runs
+// inline.
 func For(n int, body func(i int)) {
-	ForGrain(n, DefaultGrain, body)
-}
-
-// ForGrain is For with an explicit grain size.
-func ForGrain(n, grain int, body func(i int)) {
-	ForWorker(n, grain, func(_, start, end int) {
+	ForWorker(n, DefaultGrain, func(_, start, end int) {
 		for i := start; i < end; i++ {
 			body(i)
 		}
 	})
 }
 
-// ForRange runs body(start, end) over disjoint subranges covering [0, n),
-// letting the body iterate a contiguous chunk itself. Useful when the body
-// wants to keep per-chunk locals (e.g. a worker-private counter).
-func ForRange(n, grain int, body func(start, end int)) {
-	ForWorker(n, grain, func(_, start, end int) { body(start, end) })
-}
-
-// ForWorker runs body(worker, start, end) like ForRange but also passes a
+// ForWorker runs body(worker, start, end) over disjoint subranges covering
+// [0, n), letting the body iterate a contiguous chunk itself, and passes a
 // dense worker id in [0, Workers()) so the body can index per-worker state
 // without false sharing on a shared counter. It is the one chunk
 // self-scheduler behind every loop in this package.
@@ -62,7 +54,7 @@ func ForWorker(n, grain int, body func(worker, start, end int)) {
 	if grain <= 0 {
 		grain = DefaultGrain
 	}
-	p := Procs()
+	p := Workers()
 	m := loopMet.Load()
 	var box panicBox
 	if p == 1 || n <= grain {
@@ -102,14 +94,4 @@ func ForWorker(n, grain int, body func(worker, start, end int)) {
 	wg.Wait()
 	m.observeLoop(p, &ls)
 	box.rethrow()
-}
-
-// Workers returns an upper bound on the worker ids ForWorker passes to its
-// body. Always ≥ 1.
-func Workers() int {
-	p := Procs()
-	if p < 1 {
-		return 1
-	}
-	return p
 }

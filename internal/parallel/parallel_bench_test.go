@@ -18,15 +18,6 @@ func BenchmarkForWorkerSum(b *testing.B) {
 	}
 }
 
-func BenchmarkAddFloat64(b *testing.B) {
-	var bits uint64
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			AddFloat64(&bits, 1)
-		}
-	})
-}
-
 func BenchmarkStripedLock(b *testing.B) {
 	locks := NewStripedLocks()
 	b.RunParallel(func(pb *testing.PB) {

@@ -42,11 +42,11 @@ func TestForWorkerPanickingKernel(t *testing.T) {
 	}
 }
 
-// TestForGrainPanicInlinePath covers the small-n inline path, which
-// must behave identically to the parallel path.
-func TestForGrainPanicInlinePath(t *testing.T) {
+// TestForPanicInlinePath covers the small-n inline path, which must
+// behave identically to the parallel path.
+func TestForPanicInlinePath(t *testing.T) {
 	err := Catch(func() {
-		ForGrain(4, 512, func(i int) {
+		For(4, func(i int) {
 			if i == 2 {
 				panic("inline boom")
 			}
@@ -61,15 +61,15 @@ func TestForGrainPanicInlinePath(t *testing.T) {
 	}
 }
 
-// TestForRangePanicQuiescence checks that the loop drains every worker
+// TestForWorkerPanicQuiescence checks that the loop drains every worker
 // before re-raising: once Catch returns, no body invocation is still in
 // flight (the engine relies on this to leave no goroutine mutating
 // state behind an error return).
-func TestForRangePanicQuiescence(t *testing.T) {
+func TestForWorkerPanicQuiescence(t *testing.T) {
 	const n = 1 << 18
 	var inFlight, maxSeen atomic.Int64
 	err := Catch(func() {
-		ForRange(n, 16, func(start, end int) {
+		ForWorker(n, 16, func(_, start, end int) {
 			cur := inFlight.Add(1)
 			for {
 				prev := maxSeen.Load()

@@ -229,9 +229,10 @@ func NewDurableFollower[V, A any](d *durable.Engine[V, A], leaderURL string, opt
 }
 
 // Run tails the leader until ctx is cancelled, reconnecting with
-// backoff across stream faults, stalls and leader outages, and
-// re-seeding itself from the leader's checkpoint when the log has been
-// compacted past its position. It returns ctx.Err() on cancellation,
+// backoff across stream faults, stalls and leader outages, repairing a
+// durable applier's journal fault before the next dial, and re-seeding
+// itself from the leader's checkpoint when the log has been compacted
+// past its position. It returns ctx.Err() on cancellation,
 // or a terminal error: the local applier rejected a record, or the
 // leader compacted the log and serves no checkpoint (or the applier
 // cannot install one) to bridge the gap. It runs the engine's initial
@@ -292,6 +293,15 @@ func (f *Follower[V, A]) Run(ctx context.Context) error {
 			f.opts.Health.Set(health.Degraded, err)
 			f.logger.Warn("replica: stream interrupted; will resume",
 				"applied", f.applied.Load(), "err", err)
+			// A durable applier latches a journal fault and refuses every
+			// record until it is repaired. No serve.Loop supervises a
+			// follower's applier, so Run does, on the goroutine that
+			// applies — still single-writer.
+			if rec, ok := f.ap.(serve.Recoverer); ok && rec.Ailment() != nil {
+				if rerr := rec.Recover(); rerr != nil {
+					f.logger.Warn("replica: journal repair failed; will retry", "err", rerr)
+				}
+			}
 			attempt++
 		}
 		delay := f.opts.Backoff.Delay(attempt - 1)

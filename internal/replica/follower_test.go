@@ -8,13 +8,16 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/backoff"
+	"repro/internal/core"
 	"repro/internal/durable"
+	"repro/internal/faultio"
 	"repro/internal/graph"
 	"repro/internal/health"
 	"repro/internal/wal"
@@ -82,6 +85,20 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// requireParity fails unless the follower's snapshot is the leader's:
+// same generation, same value at every vertex.
+func requireParity(t *testing.T, lead, foll *core.ResultSnapshot[float64]) {
+	t.Helper()
+	if foll.Generation != lead.Generation {
+		t.Fatalf("generation %d, leader at %d", foll.Generation, lead.Generation)
+	}
+	for v, want := range lead.Values {
+		if foll.Values[v] != want {
+			t.Fatalf("vertex %d: %v, leader has %v", v, foll.Values[v], want)
+		}
+	}
+}
+
 // TestFollowerReseedsAfterCompaction: a fresh follower connecting to a
 // leader whose log floor is past seq 0 must fetch the checkpoint,
 // install it, resume the stream from its sequence, and converge — with
@@ -130,16 +147,78 @@ func TestFollowerReseedsAfterCompaction(t *testing.T) {
 	if lag := f.Lag(); lag != 0 {
 		t.Fatalf("lag %d after catch-up", lag)
 	}
-	lead, foll := h.d.Snapshot(), f.Snapshot()
-	if foll.Generation != lead.Generation {
-		t.Fatalf("generation %d, leader at %d — re-seed must preserve parity", foll.Generation, lead.Generation)
+	requireParity(t, h.d.Snapshot(), f.Snapshot())
+	waitFor(t, "healthy", func() bool { return tr.State() == health.Healthy })
+}
+
+// TestDurableFollowerHealsJournalFault: one failed fsync latches an
+// ailment in the follower's durable engine, which then refuses every
+// record. Nothing but Run can repair it, so Run must: the follower has
+// to end Healthy, caught up and value-equal to the leader, with each
+// record in its journal exactly once.
+func TestDurableFollowerHealsJournalFault(t *testing.T) {
+	const records = 8
+	h := newLeaderHarness(t, LogOptions{Heartbeat: 5 * time.Millisecond})
+	ts := httptest.NewServer(h.mux)
+	defer ts.Close()
+
+	// The 4th fsync fails, once: the hook runs on the apply goroutine,
+	// so disarming from inside it is race-free.
+	fsync := faultio.NewFsync().FailEveryKth(4, nil)
+	dir := t.TempDir()
+	d, err := durable.Open(newTestEngine(t, 8), dir, durable.Options{
+		WAL: wal.Options{Hooks: wal.Hooks{BeforeSync: func() error {
+			err := fsync.Check()
+			if err != nil {
+				fsync.FailEveryKth(0, nil)
+			}
+			return err
+		}}},
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for v, want := range lead.Values {
-		if foll.Values[v] != want {
-			t.Fatalf("vertex %d: %v, leader has %v", v, foll.Values[v], want)
+	tr := health.NewTracker(nil)
+	f, err := NewDurableFollower(d, ts.URL, FollowerOptions{
+		Client:  ts.Client(),
+		Backoff: backoff.Policy{Base: time.Millisecond, Max: 10 * time.Millisecond},
+		Logger:  discardLogger(),
+		Health:  tr,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start(context.Background())
+	defer f.Close(context.Background())
+
+	h.apply(t, 0, records)
+	waitFor(t, "catch-up past the journal fault", func() bool { return f.AppliedSeq() == records })
+	waitFor(t, "healthy", func() bool { return tr.State() == health.Healthy })
+	if fsync.Failures() != 1 {
+		t.Fatalf("%d fsync failures injected, want exactly 1", fsync.Failures())
+	}
+	requireParity(t, h.d.Snapshot(), f.Snapshot())
+
+	if err := f.Close(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, err := wal.Open(filepath.Join(dir, "graph.wal"), wal.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	journal := w.Recovered()
+	if len(journal) != records {
+		t.Fatalf("journal holds %d records, want %d", len(journal), records)
+	}
+	for i, rec := range journal {
+		if rec.Seq != uint64(i+1) {
+			t.Fatalf("journal record %d has seq %d", i, rec.Seq)
 		}
 	}
-	waitFor(t, "healthy", func() bool { return tr.State() == health.Healthy })
 }
 
 // TestFollowerStallWatchdog: a connection that goes silent after the

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"repro/internal/graph"
 )
@@ -24,11 +23,6 @@ import (
 // as the end of the valid prefix; a stream consumer treats it as a
 // broken connection and resumes from its last applied sequence number.
 var ErrFrameCorrupt = errors.New("wal: corrupt frame")
-
-// ErrTailTruncated reports that the file under a TailReader shrank
-// below the reader's position — the writer checkpointed and Reset the
-// log, so the tail can no longer be followed from here.
-var ErrTailTruncated = errors.New("wal: log truncated under tail reader")
 
 // EncodeFrame returns the wire frame for one record: the u32 length +
 // u32 crc32c header followed by the seq-prefixed batch payload — the
@@ -102,81 +96,3 @@ func (fr *FrameReader) Next() (Record, error) {
 	}
 	return decodeFrameBody(body)
 }
-
-// TailReader follows a live WAL file read-only, yielding records as the
-// writer appends them — the cold-start path for a replication log that
-// attaches to an already-running journal. It reads with ReadAt at an
-// explicit offset, so a frame the writer has only partially flushed is
-// reported as not-yet-available and retried on the next call, never
-// misread (the CRC catches the rest).
-type TailReader struct {
-	f   *os.File
-	off int64 // offset of the next unread frame
-}
-
-// OpenTail opens the WAL at path for tailing, validating the file
-// header. The writer may hold the file open concurrently.
-func OpenTail(path string) (*TailReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: open tail: %w", err)
-	}
-	var hdr [8]byte
-	if _, err := io.ReadFull(f, hdr[:]); err != nil || hdr != fileMagic {
-		f.Close()
-		return nil, ErrNotWAL
-	}
-	return &TailReader{f: f, off: int64(len(fileMagic))}, nil
-}
-
-// Next returns the next complete, valid record. ok is false when the
-// valid prefix is exhausted for now — the writer may complete a partial
-// frame later, so the caller should poll again. A file that shrank
-// below the reader's position returns ErrTailTruncated (the writer
-// checkpointed and Reset the log); a corrupt frame in the middle of the
-// file returns ErrFrameCorrupt.
-func (t *TailReader) Next() (rec Record, ok bool, err error) {
-	fi, err := t.f.Stat()
-	if err != nil {
-		return Record{}, false, fmt.Errorf("wal: tail stat: %w", err)
-	}
-	if fi.Size() < t.off {
-		return Record{}, false, ErrTailTruncated
-	}
-	var hdr [frameHeaderSize]byte
-	if _, err := t.f.ReadAt(hdr[:], t.off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, false, nil // header not fully written yet
-		}
-		return Record{}, false, fmt.Errorf("wal: tail read: %w", err)
-	}
-	length := binary.LittleEndian.Uint32(hdr[0:4])
-	wantCRC := binary.LittleEndian.Uint32(hdr[4:8])
-	if length < 8 || length > maxRecordBytes {
-		return Record{}, false, fmt.Errorf("%w: implausible length %d at offset %d", ErrFrameCorrupt, length, t.off)
-	}
-	body := make([]byte, length)
-	if _, err := t.f.ReadAt(body, t.off+frameHeaderSize); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return Record{}, false, nil // body still being written
-		}
-		return Record{}, false, fmt.Errorf("wal: tail read: %w", err)
-	}
-	if crc32.Checksum(body, crcTable) != wantCRC {
-		// Could be a frame mid-write whose header happens to be complete;
-		// a *completed* bad frame would also fail recovery, so report it.
-		return Record{}, false, fmt.Errorf("%w: checksum mismatch at offset %d", ErrFrameCorrupt, t.off)
-	}
-	rec, err = decodeFrameBody(body)
-	if err != nil {
-		return Record{}, false, err
-	}
-	t.off += frameHeaderSize + int64(length)
-	return rec, true, nil
-}
-
-// Offset returns the file offset of the next unread frame.
-func (t *TailReader) Offset() int64 { return t.off }
-
-// Close releases the underlying file handle.
-func (t *TailReader) Close() error { return t.f.Close() }

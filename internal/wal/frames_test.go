@@ -97,63 +97,3 @@ func TestFrameReaderCorruption(t *testing.T) {
 		}
 	}
 }
-
-// TestTailReaderFollowsLiveLog: a TailReader attached to a WAL another
-// handle is appending to sees exactly the appended records, reports
-// not-yet-available at the live end, and detects a Reset truncation.
-func TestTailReaderFollowsLiveLog(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.wal")
-	w, err := Open(path, Options{Sync: SyncNone})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	tr, err := OpenTail(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-
-	if _, ok, err := tr.Next(); err != nil || ok {
-		t.Fatalf("empty log: ok=%v err=%v, want not-available", ok, err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := w.Append(uint64(i+1), testBatch(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		rec, ok, err := tr.Next()
-		if err != nil || !ok {
-			t.Fatalf("record %d: ok=%v err=%v", i, ok, err)
-		}
-		if rec.Seq != uint64(i+1) {
-			t.Fatalf("record %d seq = %d, want %d", i, rec.Seq, i+1)
-		}
-	}
-	if _, ok, err := tr.Next(); err != nil || ok {
-		t.Fatalf("caught up: ok=%v err=%v, want not-available", ok, err)
-	}
-
-	// Truncation under the tail (checkpoint Reset) is detected, not
-	// misread as valid frames.
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := tr.Next(); !errors.Is(err, ErrTailTruncated) {
-		t.Fatalf("after Reset: err = %v, want ErrTailTruncated", err)
-	}
-}
-
-// TestOpenTailRejectsNonWAL: a file without the magic is refused.
-func TestOpenTailRejectsNonWAL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "junk")
-	if err := os.WriteFile(path, []byte("definitely not a wal"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := OpenTail(path); !errors.Is(err, ErrNotWAL) {
-		t.Fatalf("err = %v, want ErrNotWAL", err)
-	}
-}

@@ -382,10 +382,6 @@ func (w *WAL) markDamaged(good int64) {
 	w.damaged, w.good, w.lastFrame = true, good, 0
 }
 
-// Damaged reports whether the log has refused to accept appends since a
-// failed write or fsync and needs Repair.
-func (w *WAL) Damaged() bool { return w.damaged }
-
 // Repair truncates a damaged log back to its last consistent length and
 // re-syncs, after which appends are accepted again. Repairing an
 // undamaged log is a no-op. If the truncate, seek, or fsync itself

@@ -277,7 +277,7 @@ func TestShortWriteDamagesAndRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Damaged() {
+	if w.damaged {
 		t.Fatal("fresh log reports damage")
 	}
 
@@ -285,7 +285,7 @@ func TestShortWriteDamagesAndRepairs(t *testing.T) {
 	if err := w.Append(2, testBatches()[3]); !errors.Is(err, faultio.ErrInjected) {
 		t.Fatalf("torn append: %v", err)
 	}
-	if !w.Damaged() {
+	if !w.damaged {
 		t.Fatal("torn append did not damage the log")
 	}
 	// Damaged log fails fast without touching the file.
@@ -296,7 +296,7 @@ func TestShortWriteDamagesAndRepairs(t *testing.T) {
 	if err := w.Repair(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Damaged() {
+	if w.damaged {
 		t.Fatal("still damaged after Repair")
 	}
 	if err := w.Append(2, testBatches()[3]); err != nil {
@@ -336,7 +336,7 @@ func TestFsyncFailureRollsBackAppend(t *testing.T) {
 	if err := w.Append(2, testBatches()[1]); !errors.Is(err, faultio.ErrInjected) {
 		t.Fatalf("append with failing fsync: %v", err)
 	}
-	if !w.Damaged() {
+	if !w.damaged {
 		t.Fatal("failed fsync did not damage the log")
 	}
 	fsync.FailEveryKth(0, nil)
@@ -378,7 +378,7 @@ func TestRepairWhileFsyncStillFailing(t *testing.T) {
 	if err := w.Repair(); !errors.Is(err, faultio.ErrInjected) {
 		t.Fatalf("Repair under persistent fault: %v", err)
 	}
-	if !w.Damaged() {
+	if !w.damaged {
 		t.Fatal("failed Repair cleared the damage flag")
 	}
 	fsync.FailEveryKth(0, nil)
@@ -423,7 +423,7 @@ func TestResetClearsDamage(t *testing.T) {
 	if err := w.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Damaged() {
+	if w.damaged {
 		t.Fatal("Reset left the log damaged")
 	}
 	if err := w.Append(2, testBatches()[1]); err != nil {
