@@ -5,7 +5,7 @@ FUZZTIME ?= 30s
 COVER_FLOOR_core  = 70
 COVER_FLOOR_serve = 70
 
-.PHONY: build test check check-race race vet fmt bench fuzz cover chaos overload flight shard replica failover
+.PHONY: build test check check-race race vet fmt bench fuzz cover chaos flight shard replica failover
 
 build:
 	$(GO) build ./...
@@ -46,9 +46,9 @@ check: fmt vet build race
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/graph/
 
-# The six per-feature suites below (chaos, shard, overload, flight,
-# replica, failover) all take SUITE_FLAGS; CI passes SUITE_FLAGS=-short
-# to shrink the soaks and streams.
+# The five per-feature suites below (chaos, shard, flight, replica,
+# failover) all take SUITE_FLAGS; CI passes SUITE_FLAGS=-short to shrink
+# the soaks and streams.
 
 # chaos runs the self-healing soak under the race detector: hundreds of
 # randomized batches through a durable server while fsync failures, torn
@@ -70,21 +70,12 @@ shard:
 	$(GO) test -race -run 'TestShardEquivalence|TestShardSoak|TestServingContract' -v $(SUITE_FLAGS) .
 	$(GO) test -race ./internal/partition/
 
-# overload runs the admission-control soak under the race detector: an
-# open-loop producer bursts far past the apply loop's throughput and the
-# test asserts bounded p99 queue wait, retryable sheds with RetryAfter
-# hints, the coalescing governor widening then narrowing the batch cap,
-# a Healthy -> Overloaded -> Healthy round-trip, and BSP equivalence
-# over the admitted batches.
-overload:
-	$(GO) test -race -run TestOverloadSoak -v $(SUITE_FLAGS) .
-
 # flight runs the flight-recorder smoke under the race detector: the
 # end-to-end acceptance test (deterministic coalescing, a scripted fsync
 # failure forcing a Degraded dump, /debug/flight filtered by trace), the
 # trace-merge property test (every accepted submission's trace ID lands
-# in exactly one applied trace set, under governor-cap changes, sheds and
-# quarantine), the ring torture tests twenty times over (a roomy ring and
+# in exactly one applied trace set, at coalescing caps from 1 to
+# unbounded and through quarantine), the ring torture tests twenty times over (a roomy ring and
 # a two-slot ring where every write laps another; with the ring behind a
 # mutex they cannot flake), and the <5% recorder apply-latency overhead
 # check.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	graphbolt "repro"
+	"repro/internal/core/difftest"
 	"repro/internal/faultio"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -233,18 +234,18 @@ func TestChaosSoak(t *testing.T) {
 	valuesClose(t, eng2.Values(), finalSnap.Values, 1e-9, "recovered vs live")
 }
 
-// valuesClose compares two value slices within eps; tolerances cover
-// parallel reduction reordering (1e-9) or accumulated float drift
-// across execution modes (1e-6) — a leaked poison batch or lost journal
-// record shifts values by far more.
+// valuesClose compares two value slices within absolute tolerance eps
+// (difftest.Approx); tolerances cover parallel reduction reordering
+// (1e-9) or accumulated float drift across execution modes (1e-6) — a
+// leaked poison batch or lost journal record shifts values by far more.
 func valuesClose(t *testing.T, got, want []float64, eps float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d values vs %d", label, len(got), len(want))
 	}
 	for v := range got {
-		if d := math.Abs(got[v] - want[v]); d > eps || d != d {
-			t.Fatalf("%s: vertex %d: %v vs %v (|Δ|=%g > %g)", label, v, got[v], want[v], d, eps)
+		if !difftest.Approx(got[v], want[v], 0, eps) {
+			t.Fatalf("%s: vertex %d: %v vs %v (|Δ|=%g > %g)", label, v, got[v], want[v], math.Abs(got[v]-want[v]), eps)
 		}
 	}
 }

@@ -38,25 +38,14 @@
 //
 //	graphbolt -graph base.el -stream stream.el -serve -retain 16 -query-cache 1048576
 //
-// With -admission, -serve mode enables deadline-aware admission control
-// and the adaptive coalescing governor: submissions the backlog cannot
-// absorb within -slo are shed with a retry hint (the CLI's submit loop
-// honors it, backing off and resubmitting), the coalesced batch cap
-// floats between -batch-floor and -batch-ceil with observed load, and
-// overload episodes surface as "overloaded" on /healthz and in
-// graphbolt_admission_* metrics:
-//
-//	graphbolt -graph base.el -stream stream.el -serve -admission -slo 200ms
-//
 // With -flight, every batch gets a trace ID at submission and the
 // flight recorder keeps the last -flight-depth lifecycle events
-// (admission, queueing, coalescing, journaling with fsync latency,
-// apply, publication) in a lock-free ring. The ring is dumped to the
-// log on any transition to degraded/failed and whenever a batch's
-// end-to-end latency exceeds the admission SLO, and is served as JSON
+// (submission, queueing, coalescing, journaling with fsync latency,
+// apply, publication) in a mutex-guarded ring. The ring is dumped to
+// the log on any transition to degraded/failed, and is served as JSON
 // at /debug/flight (filter with ?trace=ID, ?kind=NAME, ?dump=last):
 //
-//	graphbolt -graph base.el -stream stream.el -serve -admission -flight
+//	graphbolt -graph base.el -stream stream.el -serve -flight
 //
 // With -api-addr, -serve mode exposes the HTTP/JSON query API —
 // /v1/snapshot, /v1/snapshot/{gen}, /v1/topk, /v1/value/{vertex},
@@ -137,11 +126,7 @@ func main() {
 		retain      = flag.Int("retain", 1, "published generations kept addressable for point-in-time reads (SnapshotAt)")
 		queryCache  = flag.Int64("query-cache", 0, "per-generation query cache budget in bytes for -serve mode (0 = off)")
 		applyDl     = flag.Duration("apply-deadline", 0, "watchdog deadline per apply call in -serve mode (0 = off); exceeding it logs and raises graphbolt_serve_stuck_applies")
-		admitMode   = flag.Bool("admission", false, "enable deadline-aware admission control and the adaptive coalescing governor in -serve mode")
-		slo         = flag.Duration("slo", 0, "admission SLO: bound on a submission's estimated queue wait (0 = default 500ms; with -admission)")
-		batchFloor  = flag.Int("batch-floor", 0, "adaptive coalescing cap floor in edges (0 = default 256; with -admission)")
-		batchCeil   = flag.Int("batch-ceil", 0, "adaptive coalescing cap ceiling in edges (0 = default 65536; with -admission)")
-		flightOn    = flag.Bool("flight", false, "enable the batch-lifecycle flight recorder: trace IDs on every batch, /debug/flight, dumps on degrade and slow batches")
+		flightOn    = flag.Bool("flight", false, "enable the batch-lifecycle flight recorder: trace IDs on every batch, /debug/flight, dumps on degrade")
 		flightDepth = flag.Int("flight-depth", 0, "flight recorder ring capacity in events (0 = default 4096; with -flight)")
 		apiAddr     = flag.String("api-addr", "", "serve the HTTP/JSON query API (/v1/snapshot, /v1/topk, /v1/value, /v1/diff) on this address; with -serve -wal-dir also the replication stream at /v1/wal")
 		follow      = flag.String("follow", "", "run as a read replica tailing this leader URL's /v1/wal stream (e.g. http://leader:8080); refuses writes, serves the query API on -api-addr")
@@ -383,13 +368,6 @@ func main() {
 		if *apiAddr != "" {
 			sc.api = &queryProxy
 		}
-		if *admitMode {
-			sc.admission = &graphbolt.AdmissionOptions{
-				SLO:        *slo,
-				FloorEdges: *batchFloor,
-				CeilEdges:  *batchCeil,
-			}
-		}
 		if err := run.serve(sc, batches); err != nil {
 			fatal("serve: %v", err)
 		}
@@ -489,7 +467,6 @@ type serveConfig struct {
 	queueDepth    int
 	cacheBytes    int64
 	applyDeadline time.Duration
-	admission     *graphbolt.AdmissionOptions // nil unless -admission
 	metrics       *obs.Registry
 	logger        *slog.Logger
 	health        *atomic.Pointer[health.Tracker]
@@ -575,7 +552,6 @@ func serveBatches[V, A any](eng *core.Engine[V, A], d *durable.Engine[V, A], sc 
 		QueueDepth:      sc.queueDepth,
 		QueryCacheBytes: sc.cacheBytes,
 		ApplyDeadline:   sc.applyDeadline,
-		Admission:       sc.admission,
 		Logger:          logger,
 		Flight:          sc.flight,
 		// Resuming an interrupted stream relies on journal seq == stream
@@ -654,19 +630,17 @@ func serveBatches[V, A any](eng *core.Engine[V, A], d *durable.Engine[V, A], sc 
 
 	ctx := context.Background()
 	start := time.Now()
-	var sheds int64
 	for i := range batches {
-		// A retryable refusal (admission shed, full queue under Reject) is
-		// the server asking this producer to slow down: honor the hint and
-		// resubmit the same batch — order is preserved because this loop is
-		// the only producer.
+		// A retryable refusal (full queue under Reject) is the server
+		// asking this producer to slow down: honor the hint and resubmit
+		// the same batch — order is preserved because this loop is the
+		// only producer.
 		for {
 			_, err := srv.Submit(ctx, batches[i])
 			if err == nil {
 				break
 			}
 			if after, ok := graphbolt.RetryAfter(err); ok {
-				sheds++
 				logger.Info("submission shed, backing off",
 					"batch", i+1, "retry_after", after, "err", err)
 				time.Sleep(after)
@@ -700,14 +674,6 @@ func serveBatches[V, A any](eng *core.Engine[V, A], d *durable.Engine[V, A], sc 
 		"retained_newest", newest,
 		"cache_entries", srv.Cache().Len(),
 		"cache_bytes", srv.Cache().Bytes())
-	if ctl := srv.Admission(); ctl != nil {
-		logger.Info("admission summary",
-			"decisions", ctl.Decisions(),
-			"shed", ctl.Shed(),
-			"producer_backoffs", sheds,
-			"final_batch_cap", ctl.Cap(),
-			"throughput_edges_per_sec", int64(ctl.Rate()))
-	}
 	if srv.Shards() > 1 {
 		for _, si := range srv.ShardInfos() {
 			logger.Info("shard summary",

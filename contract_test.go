@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -30,6 +31,7 @@ func TestServingContract(t *testing.T) {
 		{"WaitReturnsFirstAtLeast", contractWaitReturnsFirstAtLeast},
 		{"PoisonQuarantinedOnce", contractPoisonQuarantinedOnce},
 		{"TerminalFailureOutranksClosed", contractTerminalFailureOutranksClosed},
+		{"QueueFullRetryPreservesOrder", contractQueueFullRetryPreservesOrder},
 	}
 	for _, c := range contracts {
 		for _, shards := range []int{1, 2} {
@@ -298,4 +300,110 @@ func contractTerminalFailureOutranksClosed(t *testing.T, shards int) {
 	if err == nil || errors.Is(err, graphbolt.ErrServerClosed) || err.Error() != terminal.Error() {
 		t.Fatalf("post-Close Submit = %v, want the terminal failure to outrank ErrServerClosed", err)
 	}
+}
+
+// heldRank is PageRank whose Compute parks while hold holds an open
+// channel, so a test can keep the first apply in flight until it has
+// seen the queue refuse a submission.
+type heldRank struct {
+	*algorithms.PageRank
+	hold atomic.Pointer[chan struct{}]
+}
+
+func (p *heldRank) Compute(v core.VertexID, agg float64) float64 {
+	if h := p.hold.Load(); h != nil {
+		<-*h
+	}
+	return p.PageRank.Compute(v, agg)
+}
+
+// Under SubmitReject the bounded queue is the only backpressure: a full
+// queue refuses with ErrQueueFull carrying a positive RetryAfter, and a
+// producer that sleeps the hint and resubmits — the CLI's loop — loses
+// and reorders nothing: the final state equals a from-scratch run over
+// the whole stream.
+func contractQueueFullRetryPreservesOrder(t *testing.T, shards int) {
+	const n = 30
+	assign, pools := roundRobinAssign(n, 2)
+	rng := rand.New(rand.NewSource(11))
+	mirror := shardMirror{n: n, edges: closedEdges(rng, pools, 60)}
+	g, err := graphbolt.BuildGraph(n, append([]graphbolt.Edge(nil), mirror.edges...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog := &heldRank{PageRank: graphbolt.NewPageRank()}
+	eng, err := graphbolt.NewEngine[float64, float64](g, prog, graphbolt.Options{MaxIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := graphbolt.NewServer(eng, graphbolt.ServerOptions{
+		Shards: shards, ShardAssign: assign,
+		QueueDepth: 1, Policy: graphbolt.SubmitReject,
+	})
+	ctx := context.Background()
+	defer srv.Close(ctx)
+
+	// The first apply parks until the producer has been refused once, so
+	// at least one refusal is certain rather than a matter of timing.
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	defer release()
+	prog.hold.Store(&hold)
+
+	batches := make([]graphbolt.Batch, 12)
+	for i := range batches {
+		batches[i] = randomClosedBatch(rng, mirror, pools)
+		mirror = mirror.apply(batches[i])
+	}
+	var tickets []*graphbolt.SubmitTicket
+	refusals := 0
+	for _, b := range batches {
+		for {
+			tk, err := srv.Submit(ctx, b)
+			if err == nil {
+				tickets = append(tickets, tk)
+				break
+			}
+			after, ok := graphbolt.RetryAfter(err)
+			if !errors.Is(err, graphbolt.ErrQueueFull) || !ok || after <= 0 {
+				t.Fatalf("Submit = %v (RetryAfter %v, %v), want ErrQueueFull with a positive hint", err, after, ok)
+			}
+			refusals++
+			release()
+			time.Sleep(after)
+		}
+	}
+	if refusals == 0 {
+		t.Fatal("a one-slot queue behind a parked apply never refused")
+	}
+
+	var prev uint64
+	for i, tk := range tickets {
+		ap, err := tk.Wait(ctx)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		if ap.Seq < prev {
+			t.Fatalf("batch %d applied at seq %d, after a later-submitted batch's %d", i, ap.Seq, prev)
+		}
+		prev = ap.Seq
+	}
+	snap, err := srv.Sync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refG, err := graphbolt.BuildGraph(mirror.n, append([]graphbolt.Edge(nil), mirror.edges...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Graph.NumEdges() != refG.NumEdges() {
+		t.Fatalf("served graph has %d edges, the stream %d", snap.Graph.NumEdges(), refG.NumEdges())
+	}
+	fresh, err := graphbolt.NewEngine[float64, float64](refG, graphbolt.NewPageRank(),
+		graphbolt.Options{Mode: graphbolt.ModeReset, MaxIterations: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh.Run()
+	valuesClose(t, snap.Values, fresh.Values(), 1e-6, "served vs from-scratch")
 }

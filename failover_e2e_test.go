@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -13,6 +12,7 @@ import (
 
 	graphbolt "repro"
 	"repro/internal/backoff"
+	"repro/internal/core/difftest"
 	"repro/internal/health"
 	"repro/internal/obs"
 )
@@ -109,7 +109,7 @@ func compareAckedGenerations[A any](t *testing.T, leader *graphbolt.Engine[float
 			t.Fatalf("gen %d: %d leader values, %d follower values", g, len(ls.Values), len(fs.Values))
 		}
 		for v := range ls.Values {
-			if math.Abs(ls.Values[v]-fs.Values[v]) > 1e-7 {
+			if !difftest.Approx(ls.Values[v], fs.Values[v], 0, 1e-7) {
 				t.Fatalf("gen %d vertex %d: leader %v, follower %v", g, v, ls.Values[v], fs.Values[v])
 			}
 		}

@@ -62,7 +62,8 @@ import (
 	"repro/internal/wal"
 )
 
-// Graph re-exports the immutable CSR+CSC snapshot type.
+// Graph re-exports the immutable graph snapshot type: out- and
+// in-adjacency as copy-on-write pages, so Apply shares untouched pages.
 type Graph = graph.Graph
 
 // Edge is a directed weighted edge.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 	"repro/internal/faultio"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -22,8 +23,7 @@ func valuesMatch(t *testing.T, got, want []float64, eps float64, label string) {
 		t.Fatalf("%s: length %d vs %d", label, len(got), len(want))
 	}
 	for v := range got {
-		// a == b first: covers the +Inf distances of unreachable SSSP vertices.
-		if got[v] != want[v] && math.Abs(got[v]-want[v]) > eps {
+		if !difftest.Approx(got[v], want[v], 0, eps) {
 			t.Fatalf("%s: vertex %d: got %v want %v", label, v, got[v], want[v])
 		}
 	}

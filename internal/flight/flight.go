@@ -16,10 +16,10 @@
 // flight recorder, not a log — it preserves the most recent window
 // (sized by Options.Depth) so that when something goes wrong the lead-up
 // is still there. Dump snapshots that window and emits it to slog; the
-// serve layer triggers dumps on Degraded/Failed/Overloaded health
-// transitions and on slow batches (end-to-end latency above the
-// admission SLO), and Handler serves the live ring and the last dump
-// over HTTP (/debug/flight), filterable by trace ID and event kind.
+// serve layer triggers dumps on Degraded/Failed health transitions and
+// on slow batches (end-to-end latency above ServerOptions.SlowBatch),
+// and Handler serves the live ring and the last dump over HTTP
+// (/debug/flight), filterable by trace ID and event kind.
 //
 // Concurrency design: the ring is a []Event and a write cursor behind
 // one mutex. Record stores one struct under it and Snapshot copies the
@@ -50,15 +50,12 @@ import (
 type Kind uint8
 
 const (
-	// KindAdmitted: a batch passed admission (or admission is off) and is
-	// headed for the queue. A = edge weight.
+	// KindAdmitted: a batch entered Submit and is headed for the queue.
+	// A = edge weight.
 	KindAdmitted Kind = iota + 1
-	// KindShed: admission control refused the batch before the queue.
-	// A = edge weight, B = suggested RetryAfter in nanoseconds.
-	KindShed
-	// KindRejected: a post-admission Submit refusal — full queue under
-	// the Reject policy, closed/degraded/failed loop, or a cancelled
-	// context while blocked. A = edge weight.
+	// KindRejected: a Submit refusal — full queue under the Reject
+	// policy, closed/degraded/failed loop, or a cancelled context while
+	// blocked. A = edge weight.
 	KindRejected
 	// KindEnqueued: the batch entered the mutation queue. A = queue depth
 	// after the enqueue.
@@ -110,7 +107,6 @@ const (
 
 var kindNames = [...]string{
 	KindAdmitted:      "admitted",
-	KindShed:          "shed",
 	KindRejected:      "rejected",
 	KindEnqueued:      "enqueued",
 	KindCoalesced:     "coalesced",
@@ -178,8 +174,6 @@ func (e Event) Note() string {
 	switch e.Kind {
 	case KindAdmitted:
 		return fmt.Sprintf("weight=%d", e.A)
-	case KindShed:
-		return fmt.Sprintf("weight=%d retry_after=%v", e.A, time.Duration(e.B))
 	case KindRejected:
 		return fmt.Sprintf("weight=%d", e.A)
 	case KindEnqueued:
@@ -527,8 +521,7 @@ func (r *Recorder) Dump(reason string, focus uint64) *Dump {
 
 // TryDump is Dump throttled by Options.MinDumpGap: it returns nil
 // (capturing nothing) when a dump was taken too recently. Automatic
-// triggers (slow batches, overload flapping) use it so dump storms
-// cannot flood the log.
+// triggers (slow batches) use it so dump storms cannot flood the log.
 func (r *Recorder) TryDump(reason string, focus uint64) *Dump {
 	return r.dump(reason, focus, false)
 }

@@ -166,7 +166,7 @@ func TestSnapshotConsistentMidWrite(t *testing.T) {
 						default:
 						}
 						tag := int64(w)<<32 | i
-						r.Record(Kind(1+i%16), uint64(tag), tag, tag)
+						r.Record(Kind(1+i%int64(KindPhase)), uint64(tag), tag, tag)
 						i++
 					}
 				}(w)
@@ -344,7 +344,7 @@ func TestEventCounterMetric(t *testing.T) {
 	reg := obs.NewRegistry()
 	r := New(Options{Depth: 8, Logger: discard(), Metrics: reg})
 	r.Record(KindAdmitted, 1, 0, 0)
-	r.Record(KindShed, 2, 0, 0)
+	r.Record(KindRejected, 2, 0, 0)
 	if got := reg.Counter(MetricEvents, "").Value(); got != 2 {
 		t.Fatalf("events counter = %d", got)
 	}

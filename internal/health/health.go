@@ -1,9 +1,9 @@
 // Package health tracks a serving process's operational state as a
-// tiny state machine — Healthy, Degraded, Failed, Overloaded — with
-// the cause and time of the last transition. The serve layer drives it
-// (journal faults degrade, terminal faults fail, successful recovery
-// heals, admission shedding marks overload); operators read it through
-// the graphbolt_health_state gauge and the /healthz endpoint.
+// tiny state machine — Healthy, Degraded, Failed — with the cause and
+// time of the last transition. The serve layer drives it (journal
+// faults degrade, terminal faults fail, successful recovery heals);
+// operators read it through the graphbolt_health_state gauge and the
+// /healthz endpoint.
 //
 // A nil *Tracker is valid and inert, mirroring the obs conventions:
 // components hold an unconditional handle and pay one nil check when
@@ -32,12 +32,6 @@ const (
 	// Failed: the engine's in-memory state is no longer trustworthy;
 	// the serve loop has latched and the process should be replaced.
 	Failed
-	// Overloaded: reads and writes both still serve, but admission
-	// control is shedding excess load before the queue; shed submits
-	// fail fast with a retry hint. Distinct from Degraded — writes are
-	// throttled, not disabled — and it clears on its own once the
-	// backlog drains.
-	Overloaded
 )
 
 // String returns the lowercase state name used in logs, metrics help
@@ -50,8 +44,6 @@ func (s State) String() string {
 		return "degraded"
 	case Failed:
 		return "failed"
-	case Overloaded:
-		return "overloaded"
 	}
 	return "unknown"
 }
@@ -65,9 +57,9 @@ const (
 // RegisterMetrics registers the health metrics in r (idempotent,
 // nil-safe) and returns the state gauge so a tracker can publish into
 // it. The gauge holds the numeric State (0 healthy, 1 degraded,
-// 2 failed, 3 overloaded).
+// 2 failed).
 func RegisterMetrics(r *obs.Registry) (*obs.Gauge, *obs.Counter) {
-	g := r.Gauge(MetricState, "current health state: 0 healthy, 1 degraded, 2 failed, 3 overloaded")
+	g := r.Gauge(MetricState, "current health state: 0 healthy, 1 degraded, 2 failed")
 	c := r.Counter(MetricTransitions, "total health state transitions")
 	return g, c
 }
@@ -163,44 +155,10 @@ func (t *Tracker) Set(s State, cause error) {
 	}
 }
 
-// Transition moves the tracker from exactly `from` to `to` with the
-// given cause, reporting whether the move happened. It is the guarded
-// variant of Set for subsystems that own only a slice of the state
-// machine: the admission controller flips Healthy↔Overloaded through
-// it without ever stomping a Degraded or Failed state latched by the
-// recovery supervisor. Hooks, the transitions counter, Since and the
-// gauge fire exactly as for a Set that changes state.
-func (t *Tracker) Transition(from, to State, cause error) bool {
-	if t == nil {
-		return false
-	}
-	t.mu.Lock()
-	if State(t.state.Load()) != from || from == to {
-		t.mu.Unlock()
-		return false
-	}
-	t.cause = cause
-	if to == Healthy {
-		t.cause = nil
-	}
-	t.state.Store(int32(to))
-	t.since = time.Now()
-	t.gauge.Set(float64(to))
-	t.transitions.Inc()
-	hooks := append([]func(from, to State, cause error){}, t.hooks...)
-	t.mu.Unlock()
-	for _, fn := range hooks {
-		fn(from, to, cause)
-	}
-	return true
-}
-
 // Handler returns an HTTP handler for /healthz. It answers 200 with a
-// JSON body while the engine serves reads (Healthy, Degraded or
-// Overloaded — an overloaded replica still serves both reads and
-// admitted writes) and 503 once Failed, so load balancers keep a
-// throttled or degraded replica in rotation for queries but evict a
-// failed one.
+// JSON body while the engine serves reads (Healthy or Degraded) and
+// 503 once Failed, so load balancers keep a degraded replica in
+// rotation for queries but evict a failed one.
 func Handler(t *Tracker) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		info := t.Info()

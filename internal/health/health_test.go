@@ -11,7 +11,7 @@ import (
 )
 
 func TestStateString(t *testing.T) {
-	cases := map[State]string{Healthy: "healthy", Degraded: "degraded", Failed: "failed", Overloaded: "overloaded", State(42): "unknown"}
+	cases := map[State]string{Healthy: "healthy", Degraded: "degraded", Failed: "failed", State(42): "unknown"}
 	for s, want := range cases {
 		if got := s.String(); got != want {
 			t.Fatalf("State(%d).String() = %q, want %q", s, got, want)
@@ -113,83 +113,9 @@ func TestHandlerStatusCodes(t *testing.T) {
 	if code, body := get(); code != 200 || body["state"] != "degraded" || body["cause"] == "" {
 		t.Fatalf("degraded: code=%d body=%v", code, body)
 	}
-	tr.Set(Overloaded, errors.New("admission shedding"))
-	if code, body := get(); code != 200 || body["state"] != "overloaded" || body["cause"] == "" {
-		t.Fatalf("overloaded: code=%d body=%v", code, body)
-	}
 	tr.Set(Failed, errors.New("apply panicked"))
 	if code, body := get(); code != 503 || body["state"] != "failed" {
 		t.Fatalf("failed: code=%d body=%v", code, body)
-	}
-}
-
-// TestTransitionGuarded: Transition only moves the machine when the
-// current state matches `from`, so the admission controller's
-// Healthy↔Overloaded flips can never stomp Degraded or Failed.
-func TestTransitionGuarded(t *testing.T) {
-	r := obs.NewRegistry()
-	tr := NewTracker(r)
-	var mu sync.Mutex
-	var tos []State
-	tr.OnTransition(func(from, to State, cause error) {
-		mu.Lock()
-		tos = append(tos, to)
-		mu.Unlock()
-	})
-
-	cause := errors.New("queue backlog beyond SLO")
-	if !tr.Transition(Healthy, Overloaded, cause) {
-		t.Fatal("Healthy→Overloaded refused")
-	}
-	if info := tr.Info(); info.State != Overloaded || !errors.Is(info.Cause, cause) {
-		t.Fatalf("after overload: %+v", info)
-	}
-	// Wrong `from`: no move, no hook.
-	if tr.Transition(Healthy, Overloaded, cause) {
-		t.Fatal("Transition moved from a mismatched state")
-	}
-	// Self-transition: refused even when `from` matches.
-	if tr.Transition(Overloaded, Overloaded, cause) {
-		t.Fatal("self-transition accepted")
-	}
-	if !tr.Transition(Overloaded, Healthy, nil) {
-		t.Fatal("Overloaded→Healthy refused")
-	}
-	if info := tr.Info(); info.State != Healthy || info.Cause != nil {
-		t.Fatalf("after exit: %+v", info)
-	}
-
-	// A degraded episode owns the state: the controller's exit attempt
-	// must not touch it.
-	tr.Set(Degraded, errors.New("journal fault"))
-	if tr.Transition(Overloaded, Healthy, nil) {
-		t.Fatal("Transition stomped Degraded")
-	}
-	if tr.State() != Degraded {
-		t.Fatalf("state = %v, want Degraded", tr.State())
-	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	want := []State{Overloaded, Healthy, Degraded}
-	if len(tos) != len(want) {
-		t.Fatalf("hooks fired for %v, want %v", tos, want)
-	}
-	for i := range want {
-		if tos[i] != want[i] {
-			t.Fatalf("hook %d fired for %v, want %v", i, tos[i], want[i])
-		}
-	}
-	if c := r.Snapshot().Counters[MetricTransitions]; c != 3 {
-		t.Fatalf("%s = %d, want 3", MetricTransitions, c)
-	}
-}
-
-// TestNilTrackerTransition: guarded moves are nil-safe no-ops.
-func TestNilTrackerTransition(t *testing.T) {
-	var tr *Tracker
-	if tr.Transition(Healthy, Overloaded, nil) {
-		t.Fatal("nil tracker reported a transition")
 	}
 }
 

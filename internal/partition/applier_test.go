@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 	"repro/internal/durable"
 	"repro/internal/faultio"
 	"repro/internal/graph"
@@ -73,7 +74,7 @@ func checkAgainstScratch(t *testing.T, snap *core.ResultSnapshot[float64], base 
 		t.Fatalf("%d merged values, %d from scratch", len(snap.Values), len(want))
 	}
 	for v := range want {
-		if math.Abs(snap.Values[v]-want[v]) > 1e-9 {
+		if !difftest.Approx(snap.Values[v], want[v], 0, 1e-9) {
 			t.Fatalf("vertex %d: merged %v, from scratch %v", v, snap.Values[v], want[v])
 		}
 	}

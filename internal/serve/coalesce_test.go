@@ -1,13 +1,12 @@
 package serve_test
 
 import (
-	"math"
+	"fmt"
 	"testing"
-	"time"
 
-	"repro/internal/admission"
 	"repro/internal/algorithms"
 	"repro/internal/core"
+	"repro/internal/core/difftest"
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/serve"
@@ -20,8 +19,7 @@ func valuesMatch(t *testing.T, got, want []float64, eps float64, label string) {
 		t.Fatalf("%s: length %d vs %d", label, len(got), len(want))
 	}
 	for v := range got {
-		// a == b first: covers the +Inf distances of unreachable SSSP vertices.
-		if got[v] != want[v] && math.Abs(got[v]-want[v]) > eps {
+		if !difftest.Approx(got[v], want[v], 0, eps) {
 			t.Fatalf("%s: vertex %d: got %v want %v", label, v, got[v], want[v])
 		}
 	}
@@ -48,9 +46,10 @@ func (g *gatedEngine) ApplyBatch(b graph.Batch) (core.Stats, error) {
 // checkCoalescingEquivalence is the serving counterpart of the durable
 // package's recovery-equivalence harness: streaming the batches through
 // the apply loop — whatever subset of them the loop decides to coalesce
-// — must end with the same values as applying every batch individually.
-// It returns the number of apply calls the loop made.
-func checkCoalescingEquivalence(t *testing.T, batches []graph.Batch, newEngine func() *core.Engine[float64, float64], eps float64) uint64 {
+// under the capEdges merge cap — must end with the same values as
+// applying every batch individually. It returns the number of apply
+// calls the loop made.
+func checkCoalescingEquivalence(t *testing.T, batches []graph.Batch, newEngine func() *core.Engine[float64, float64], capEdges int, eps float64) uint64 {
 	t.Helper()
 	want := newEngine()
 	want.Run()
@@ -65,7 +64,7 @@ func checkCoalescingEquivalence(t *testing.T, batches []graph.Batch, newEngine f
 	ga := &gatedEngine{inner: got, entered: make(chan struct{}, 1), gate: make(chan struct{})}
 	l := serve.NewLoop(ga, serve.Options{
 		QueueDepth:    len(batches) + 1,
-		MaxBatchEdges: 1 << 20,
+		MaxBatchEdges: capEdges,
 	})
 	if _, err := l.Submit(nil, batches[0]); err != nil {
 		t.Fatal(err)
@@ -103,7 +102,7 @@ func TestCoalescingEquivalencePageRank(t *testing.T) {
 		}
 		return e
 	}
-	seq := checkCoalescingEquivalence(t, s.Batches, newEngine, 1e-6)
+	seq := checkCoalescingEquivalence(t, s.Batches, newEngine, 1<<20, 1e-6)
 	if seq >= uint64(len(s.Batches)) {
 		t.Fatalf("loop made %d applies for %d batches: nothing coalesced", seq, len(s.Batches))
 	}
@@ -122,37 +121,14 @@ func TestCoalescingEquivalenceSSSP(t *testing.T) {
 		}
 		return e
 	}
-	checkCoalescingEquivalence(t, s.Batches, newEngine, 1e-9)
-}
-
-// capCycler wraps an engine and resets the loop's coalescing cap to the
-// next value in a fixed cycle after every apply call, so consecutive
-// merge runs are cut at different sizes — including a cap of 1, smaller
-// than any batch, which disables merging for that run entirely. It runs
-// only on the apply goroutine; the loop reference is set before the
-// first Submit.
-type capCycler struct {
-	inner serve.Applier
-	loop  *serve.Loop
-	caps  []int
-	i     int
-}
-
-func (c *capCycler) ApplyBatch(b graph.Batch) (core.Stats, error) {
-	st, err := c.inner.ApplyBatch(b)
-	c.loop.SetMaxBatchEdges(c.caps[c.i%len(c.caps)])
-	c.i++
-	return st, err
+	checkCoalescingEquivalence(t, s.Batches, newEngine, 1<<20, 1e-9)
 }
 
 // TestCoalescingEquivalenceChangingCap: the BSP-equivalence guarantee
 // must be insensitive to WHERE the cap slices the queue into merge
-// runs. The cap cycles through extremes between applies — exactly what
-// the adaptive governor does under load — and the final values must
-// still match sequential application. Runs once against the static-cap
-// path (SetMaxBatchEdges on the atomic) and once with an admission
-// controller, where the cap lives in the governor and keeps floating
-// between the cycler's resets.
+// runs. The same stream runs under caps from 1 — smaller than any
+// batch, so nothing merges — to effectively unbounded, and every run
+// must match sequential application.
 func TestCoalescingEquivalenceChangingCap(t *testing.T) {
 	edges := gen.RMAT(53, 120, 900, gen.WeightUniform)
 	s, err := stream.FromEdges(120, edges, stream.Config{BatchSize: 40, DeleteFraction: 0.3, Seed: 12})
@@ -166,55 +142,14 @@ func TestCoalescingEquivalenceChangingCap(t *testing.T) {
 		}
 		return e
 	}
-	want := newEngine()
-	want.Run()
-	for _, b := range s.Batches {
-		if _, err := want.ApplyBatch(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	cases := []struct {
-		name string
-		adm  *admission.Config
-	}{
-		{"static-cap", nil},
-		// SLO and rate chosen so admission never sheds: this case is
-		// about the governor owning the cap, not about load shedding.
-		{"governor-cap", &admission.Config{FloorEdges: 1, CeilEdges: 1 << 20, SLO: time.Hour, InitialRate: 1e12}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			got := newEngine()
-			got.Run()
-			ga := &gatedEngine{inner: got, entered: make(chan struct{}, 1), gate: make(chan struct{})}
-			cc := &capCycler{inner: ga, caps: []int{1, 80, 1 << 20, 160}}
-			l := serve.NewLoop(cc, serve.Options{
-				QueueDepth:    len(s.Batches) + 1,
-				MaxBatchEdges: 1 << 20,
-				Admission:     tc.adm,
-			})
-			cc.loop = l
-			if _, err := l.Submit(nil, s.Batches[0]); err != nil {
-				t.Fatal(err)
+	for _, c := range []int{1, 3, 80, 1 << 20} {
+		t.Run(fmt.Sprintf("cap=%d", c), func(t *testing.T) {
+			seq := checkCoalescingEquivalence(t, s.Batches, newEngine, c, 1e-6)
+			if c == 1 && seq != uint64(len(s.Batches)) {
+				t.Fatalf("cap 1 made %d applies for %d batches: something merged", seq, len(s.Batches))
 			}
-			<-ga.entered // loop is inside apply #1; the rest will queue up
-			for _, b := range s.Batches[1:] {
-				if _, err := l.Submit(nil, b); err != nil {
-					t.Fatal(err)
-				}
-			}
-			close(ga.gate)
-			if err := l.Close(nil); err != nil {
-				t.Fatal(err)
-			}
-			valuesMatch(t, got.Values(), want.Values(), 1e-6, "changing-cap equivalence")
-			if g, w := got.Graph().NumEdges(), want.Graph().NumEdges(); g != w {
-				t.Fatalf("changing-cap graph has %d edges, sequential has %d", g, w)
-			}
-			if seq := l.Seq(); seq >= uint64(len(s.Batches)) || seq < 2 {
-				t.Fatalf("loop made %d applies for %d batches: cap cycle produced no variation",
-					seq, len(s.Batches))
+			if c == 1<<20 && seq >= uint64(len(s.Batches)) {
+				t.Fatalf("uncapped loop made %d applies for %d batches: nothing coalesced", seq, len(s.Batches))
 			}
 		})
 	}
@@ -236,7 +171,7 @@ func TestCoalescingEquivalenceAddOnly(t *testing.T) {
 		}
 		return e
 	}
-	if seq := checkCoalescingEquivalence(t, s.Batches, newEngine, 1e-6); seq != 2 {
+	if seq := checkCoalescingEquivalence(t, s.Batches, newEngine, 1<<20, 1e-6); seq != 2 {
 		t.Fatalf("loop made %d applies, want 2 (first batch alone, all-compatible rest merged)", seq)
 	}
 }

@@ -59,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/flight"
@@ -119,32 +118,23 @@ var (
 	// being repaired. Reads stay available; the submission can be
 	// retried once recovery completes.
 	ErrDegraded = errors.New("serve: engine degraded, writes disabled")
-	// ErrOverloaded reports a Submit shed by admission control: the
-	// estimated time-to-apply for the current backlog cannot meet the
-	// configured SLO or the caller's context deadline, so the request
-	// fails fast instead of blocking into a doomed wait. Like
-	// ErrQueueFull it is returned wrapped in a *RetryableError whose
-	// RetryAfter says when an equally sized submission is expected to
-	// fit; match with errors.Is(err, ErrOverloaded).
-	ErrOverloaded = errors.New("serve: overloaded, admission refused")
 )
 
-// DefaultRetryAfter is the backoff hint attached to retryable refusals
-// when no admission controller is present to estimate a better one.
+// DefaultRetryAfter is the backoff hint attached to retryable refusals.
 const DefaultRetryAfter = 25 * time.Millisecond
 
-// RetryableError is the shared shape of load-induced refusals
-// (ErrQueueFull, ErrOverloaded): a sentinel for errors.Is plus a
-// client backoff hint. Both conditions are transient by construction —
-// the queue drains, the backlog shrinks — so clients handle them
-// uniformly: back off RetryAfter, then resubmit.
+// RetryableError is the shape of transient Submit refusals: a sentinel
+// for errors.Is plus a client backoff hint. The loop's one such refusal
+// is ErrQueueFull under the Reject policy — the queue drains — so
+// clients back off RetryAfter, then resubmit.
 type RetryableError struct {
-	// Sentinel is ErrQueueFull or ErrOverloaded.
+	// Sentinel is ErrQueueFull (a read replica refuses writes with its
+	// own sentinel in the same shape).
 	Sentinel error
 	// After is the suggested backoff before resubmitting. Always
 	// positive.
 	After time.Duration
-	// Detail optionally elaborates the refusal (estimated wait, SLO).
+	// Detail optionally elaborates the refusal.
 	Detail string
 }
 
@@ -188,23 +178,8 @@ type Options struct {
 	// MaxBatchEdges caps the total edge count (Add+Del) of a coalesced
 	// batch; merging stops at the cap. A single submitted batch larger
 	// than the cap is still applied whole — batches are never split.
-	// Default DefaultMaxBatchEdges. With Admission set this is only the
-	// starting point: the governor floats the effective cap between the
-	// configured floor and ceiling. SetMaxBatchEdges adjusts it at
-	// runtime either way.
+	// Default DefaultMaxBatchEdges.
 	MaxBatchEdges int
-
-	// Admission, when non-nil, enables deadline-aware admission control
-	// and the adaptive coalescing governor: Submit estimates the
-	// time-to-apply for the current backlog and sheds with ErrOverloaded
-	// (wrapped in a *RetryableError) when the configured SLO or the
-	// caller's context deadline cannot be met, and the coalescing cap
-	// floats with observed load. The config's zero fields take the
-	// admission package defaults; its Metrics and InitialCap fall back
-	// to this Options' Metrics and MaxBatchEdges. Overload episodes are
-	// published to Health as the Overloaded state, without ever
-	// overriding Degraded or Failed.
-	Admission *admission.Config
 
 	// DisableCoalescing applies every submitted batch individually.
 	DisableCoalescing bool
@@ -252,22 +227,20 @@ type Options struct {
 	OnApply func(Applied)
 
 	// Flight, when non-nil, records every batch's lifecycle — admitted,
-	// shed, enqueued, coalesced, validated, quarantined, applied,
+	// rejected, enqueued, coalesced, validated, quarantined, applied,
 	// published — into the flight ring, completes a BatchTrace with a
-	// per-phase latency breakdown at publication, and dumps the ring on
-	// transitions to Degraded/Failed (forced) or Overloaded (throttled)
-	// when Health is also set. Trace IDs are assigned at Submit whether
-	// or not a recorder is present; without one they are still returned
-	// on tickets but nothing is recorded.
+	// per-phase latency breakdown at publication, and forces a dump on
+	// transitions to Degraded/Failed when Health is also set. Trace IDs
+	// are assigned at Submit whether or not a recorder is present;
+	// without one they are still returned on tickets but nothing is
+	// recorded.
 	Flight *flight.Recorder
 
-	// SlowBatch is the end-to-end latency (head-batch enqueue to
-	// publication) above which a successful apply is captured as a slow
-	// batch: the recorder takes a throttled dump focused on the batch's
-	// trace and a warning naming the trace ID is logged. Zero defaults
-	// to the admission SLO when Admission is set (the latency the
-	// controller is already promising), otherwise slow-batch capture is
-	// off; negative disables it explicitly. Ignored without Flight.
+	// SlowBatch, when positive, is the end-to-end latency (head-batch
+	// enqueue to publication) above which a successful apply is captured
+	// as a slow batch: the recorder takes a throttled dump focused on the
+	// batch's trace and a warning naming the trace ID is logged. Zero or
+	// negative leaves slow-batch capture off. Ignored without Flight.
 	SlowBatch time.Duration
 }
 
@@ -378,12 +351,9 @@ type Loop struct {
 	applier Applier
 	opts    Options
 	met     loopMetrics
-	ctl     *admission.Controller // nil unless Options.Admission is set
-	capEdge atomic.Int64          // effective coalescing cap without a controller
 
-	rec        *flight.Recorder // nil-safe; nil records nothing
-	traceSeq   atomic.Uint64    // trace IDs are loop-owned, 1-based
-	slowThresh time.Duration    // e2e latency above which a batch is slow; 0 = off
+	rec      *flight.Recorder // nil-safe; nil records nothing
+	traceSeq atomic.Uint64    // trace IDs are loop-owned, 1-based
 
 	mu         sync.Mutex
 	cond       *sync.Cond
@@ -414,55 +384,15 @@ func NewLoop(a Applier, opts Options) *Loop {
 		closeCh: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	l.capEdge.Store(int64(opts.MaxBatchEdges))
-	if opts.Admission != nil {
-		cfg := *opts.Admission
-		if cfg.Metrics == nil {
-			cfg.Metrics = opts.Metrics
-		}
-		if cfg.InitialCap <= 0 {
-			cfg.InitialCap = opts.MaxBatchEdges
-		}
-		// Overload episodes surface through the health tracker, guarded
-		// so they never override a Degraded or Failed state owned by the
-		// recovery supervisor; the user's hook still sees every flip.
-		userHook := cfg.OnStateChange
-		tracker, logger := opts.Health, opts.logger()
-		cfg.OnStateChange = func(overloaded bool, cause error) {
-			if overloaded {
-				if tracker.Transition(health.Healthy, health.Overloaded, cause) {
-					logger.Warn("graphbolt: entering overloaded state", "cause", cause)
-				}
-			} else if tracker.Transition(health.Overloaded, health.Healthy, nil) {
-				logger.Info("graphbolt: backlog drained, leaving overloaded state")
-			}
-			if userHook != nil {
-				userHook(overloaded, cause)
-			}
-		}
-		l.ctl = admission.New(cfg)
-	}
-	switch {
-	case opts.SlowBatch > 0:
-		l.slowThresh = opts.SlowBatch
-	case opts.SlowBatch == 0 && l.ctl != nil:
-		// The admission SLO is the latency the controller already
-		// promises; exceeding it end-to-end is by definition slow.
-		l.slowThresh = l.ctl.SLO()
-	}
 	if l.rec != nil && opts.Health != nil {
 		// The recorder is the black box: every health transition lands in
 		// the event stream, and the degraded/failed ones — the moments a
-		// postmortem needs the lead-up for — force a dump. Overload flips
-		// can flap under bursty load, so those dumps are throttled.
+		// postmortem needs the lead-up for — force a dump.
 		rec := l.rec
 		opts.Health.OnTransition(func(from, to health.State, cause error) {
 			rec.Record(flight.KindHealth, rec.ActiveTrace(), int64(from), int64(to))
-			switch to {
-			case health.Degraded, health.Failed:
+			if to == health.Degraded || to == health.Failed {
 				rec.Dump("health transition "+from.String()+"→"+to.String(), rec.ActiveTrace())
-			case health.Overloaded:
-				rec.TryDump("health transition "+from.String()+"→overloaded", 0)
 			}
 		})
 	}
@@ -474,38 +404,9 @@ func NewLoop(a Applier, opts Options) *Loop {
 // Flight returns the loop's flight recorder, nil when recording is off.
 func (l *Loop) Flight() *flight.Recorder { return l.rec }
 
-// Admission returns the loop's admission controller, nil when admission
-// control is off. The nil controller is inert and safe to call.
-func (l *Loop) Admission() *admission.Controller { return l.ctl }
-
-// MaxBatchEdges returns the current effective coalescing cap: the
-// governor's floating cap when admission is enabled, the static cap
-// otherwise.
-func (l *Loop) MaxBatchEdges() int {
-	if l.ctl != nil {
-		return l.ctl.Cap()
-	}
-	return int(l.capEdge.Load())
-}
-
-// SetMaxBatchEdges adjusts the coalescing cap at runtime. With
-// admission enabled it resets the governor's cap (clamped into its
-// floor/ceiling band), from where the governor keeps floating it; a
-// non-positive n is ignored. Batches already merged are unaffected.
-func (l *Loop) SetMaxBatchEdges(n int) {
-	if n <= 0 {
-		return
-	}
-	if l.ctl != nil {
-		l.ctl.SetCap(n)
-		return
-	}
-	l.capEdge.Store(int64(n))
-}
-
-// batchWeight is the admission-control weight of a batch: its total
-// edge count, floored at 1 so empty batches still cost a queue slot's
-// worth of accounting.
+// batchWeight is a batch's total edge count, floored at 1 so empty
+// batches still register; the admitted and rejected flight events
+// carry it.
 func batchWeight(b graph.Batch) int {
 	if n := len(b.Add) + len(b.Del); n > 0 {
 		return n
@@ -521,11 +422,6 @@ func batchWeight(b graph.Batch) int {
 // apply goroutine: a malformed batch resolves its ticket with the
 // validation error and is quarantined rather than failing the loop.
 //
-// With admission control enabled (Options.Admission), Submit first
-// estimates the time-to-apply for the current backlog and sheds with a
-// *RetryableError wrapping ErrOverloaded — before touching the queue —
-// when the SLO or ctx's deadline cannot be met.
-//
 // A nil ctx means no deadline; an already-cancelled ctx returns its
 // error without enqueuing under either policy. Submitting after Close
 // returns ErrClosed; in degraded mode, ErrDegraded; after a terminal
@@ -538,58 +434,27 @@ func (l *Loop) Submit(ctx context.Context, b graph.Batch) (*Ticket, error) {
 		}
 	}
 	w := batchWeight(b)
-	admitted := false
-	if l.ctl != nil {
-		// Refusals that outrank overload — closed, degraded, terminal —
-		// are checked first so shedding never masks them.
-		l.mu.Lock()
-		err := l.submitErrLocked()
-		l.mu.Unlock()
-		if err != nil {
-			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
-			return nil, err
-		}
-		var deadline time.Time
-		if ctx != nil {
-			deadline, _ = ctx.Deadline()
-		}
-		dec := l.ctl.Admit(w, deadline)
-		if !dec.Admitted {
-			l.rec.Record(flight.KindShed, tr, int64(w), int64(dec.RetryAfter))
-			return nil, &RetryableError{
-				Sentinel: ErrOverloaded,
-				After:    dec.RetryAfter,
-				Detail: fmt.Sprintf("trace %d: estimated wait %v against SLO %v",
-					tr, dec.EstimatedWait.Round(time.Millisecond), l.ctl.SLO()),
-			}
-		}
-		admitted = true
-	}
 	l.rec.Record(flight.KindAdmitted, tr, int64(w), 0)
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.opts.Policy == Reject {
 		if err := l.submitErrLocked(); err != nil {
-			l.cancelAdmit(admitted, w)
 			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
 			return nil, err
 		}
 		if len(l.q) >= l.opts.QueueDepth {
 			l.met.rejected.Inc()
-			l.cancelAdmit(admitted, w)
 			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
-			return nil, l.queueFullErr()
+			return nil, &RetryableError{Sentinel: ErrQueueFull, After: DefaultRetryAfter}
 		}
 	} else {
 		if err := l.awaitLocked(ctx, func() bool {
 			return l.submitErrLocked() != nil || len(l.q) < l.opts.QueueDepth
 		}); err != nil {
-			l.cancelAdmit(admitted, w)
 			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
 			return nil, err
 		}
 		if err := l.submitErrLocked(); err != nil {
-			l.cancelAdmit(admitted, w)
 			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
 			return nil, err
 		}
@@ -602,28 +467,6 @@ func (l *Loop) Submit(ctx context.Context, b graph.Batch) (*Ticket, error) {
 	l.rec.Record(flight.KindEnqueued, tr, int64(len(l.q)), 0)
 	l.cond.Broadcast()
 	return t, nil
-}
-
-// cancelAdmit returns weight charged by a successful Admit whose
-// enqueue then failed. The controller's lock is a leaf, so calling it
-// under l.mu is safe.
-func (l *Loop) cancelAdmit(admitted bool, w int) {
-	if admitted {
-		l.ctl.Cancel(w)
-	}
-}
-
-// queueFullErr builds the wrapped ErrQueueFull refusal. The backoff
-// hint is the admission controller's backlog drain estimate scaled to
-// one queue slot when available, DefaultRetryAfter otherwise.
-func (l *Loop) queueFullErr() error {
-	after := DefaultRetryAfter
-	if l.ctl != nil && l.opts.QueueDepth > 0 {
-		if per := l.ctl.EstimatedWait() / time.Duration(l.opts.QueueDepth); per > 0 {
-			after = per
-		}
-	}
-	return &RetryableError{Sentinel: ErrQueueFull, After: after}
 }
 
 // submitErrLocked returns why new submissions are refused, or nil.
@@ -781,7 +624,6 @@ func (l *Loop) run() {
 			l.cond.Broadcast()
 			l.mu.Unlock()
 			for _, p := range failQ {
-				l.ctl.Cancel(batchWeight(p.b))
 				bt := flight.BatchTrace{
 					ID: p.trace, Traces: []uint64{p.trace}, Batches: 1,
 					EnqueuedAt: p.enqueued, CompletedAt: time.Now(),
@@ -812,7 +654,6 @@ func (l *Loop) run() {
 			l.mu.Unlock()
 			l.opts.logger().Warn("graphbolt: batch quarantined",
 				"submission", p.seq, "trace", p.trace, "error", verr)
-			l.ctl.Cancel(batchWeight(p.b))
 			l.rec.Record(flight.KindQuarantined, p.trace, int64(p.seq), 0)
 			bt := flight.BatchTrace{
 				ID: p.trace, Traces: []uint64{p.trace}, Batches: 1,
@@ -827,7 +668,7 @@ func (l *Loop) run() {
 		l.rec.Record(flight.KindValidated, headTrace, int64(vDur),
 			int64(len(l.q[0].b.Add)+len(l.q[0].b.Del)))
 		coalesceStart := time.Now()
-		batch, tickets, traces, waits, weight := l.popLocked()
+		batch, tickets, traces, waits := l.popLocked()
 		coalesceDur := time.Since(coalesceStart)
 		l.inflight = true
 		l.met.depth.Set(float64(len(l.q)))
@@ -874,16 +715,6 @@ func (l *Loop) run() {
 		l.cond.Broadcast()
 		l.mu.Unlock()
 
-		// Feed the controller outside l.mu: its state-change callback runs
-		// health hooks that may call back into the loop. A successful
-		// apply both releases the backlog weight and contributes a
-		// throughput sample; failures just release the weight.
-		if err == nil {
-			l.ctl.ApplyComplete(weight, took)
-		} else {
-			l.ctl.Cancel(weight)
-		}
-
 		// Complete the batch's lifecycle record: the phase breakdown plus
 		// the merged trace set, published under the head ID and every
 		// coalesced sibling's ID. Apply excludes the journal time the
@@ -918,12 +749,12 @@ func (l *Loop) run() {
 		}
 		l.rec.CompleteTrace(bt)
 		res.Trace = bt
-		if err == nil && l.slowThresh > 0 && l.rec != nil {
-			if e2e := completedAt.Sub(headEnqueued); e2e > l.slowThresh {
-				l.rec.SlowBatch(headTrace, e2e, l.slowThresh)
+		if slow := l.opts.SlowBatch; err == nil && slow > 0 && l.rec != nil {
+			if e2e := completedAt.Sub(headEnqueued); e2e > slow {
+				l.rec.SlowBatch(headTrace, e2e, slow)
 				l.opts.logger().Warn("graphbolt: slow batch",
 					"trace", headTrace, "seq", attempt, "e2e", e2e,
-					"threshold", l.slowThresh, "batches", len(tickets),
+					"threshold", slow, "batches", len(tickets),
 					"queue_wait", bt.Phases.QueueWait, "journal", journal,
 					"apply", applyPhase)
 			}
@@ -1051,16 +882,14 @@ func (l *Loop) supervise(rec Recoverer, cause error) bool {
 type edgeKey struct{ from, to graph.VertexID }
 
 // popLocked dequeues the next batch and, unless coalescing is disabled,
-// merges compatible successors up to the size cap — read through
-// MaxBatchEdges, so the governor's floating cap takes effect on the
-// very next merge run. It returns the batch to apply, the tickets it
-// covers, the covered trace IDs (head first), each batch's time in
-// queue, and the total admission weight of the merged batches. Every
-// folded sibling gets a coalesced event naming the absorbing head
-// trace. The head batch has been validated by the caller; a candidate
-// that fails validation ends the merge run so it reaches the head of
-// the queue — and the quarantine — on its own. l.mu must be held.
-func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration, int) {
+// merges compatible successors up to Options.MaxBatchEdges. It returns
+// the batch to apply, the tickets it covers, the covered trace IDs
+// (head first) and each batch's time in queue. Every folded sibling
+// gets a coalesced event naming the absorbing head trace. The head
+// batch has been validated by the caller; a candidate that fails
+// validation ends the merge run so it reaches the head of the queue —
+// and the quarantine — on its own. l.mu must be held.
+func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration) {
 	now := time.Now()
 	first := l.q[0]
 	l.q[0] = pending{}
@@ -1069,18 +898,16 @@ func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration, i
 	tickets := []*Ticket{first.t}
 	traces := []uint64{first.trace}
 	waits := []time.Duration{now.Sub(first.enqueued)}
-	weight := batchWeight(acc)
 	if l.opts.DisableCoalescing {
-		return acc, tickets, traces, waits, weight
+		return acc, tickets, traces, waits
 	}
 
-	capEdges := l.MaxBatchEdges()
 	size := len(acc.Add) + len(acc.Del)
 	var addKeys map[edgeKey]struct{}
 	merged := false
 	for len(l.q) > 0 {
 		nb := l.q[0].b
-		if size+len(nb.Add)+len(nb.Del) > capEdges {
+		if size+len(nb.Add)+len(nb.Del) > l.opts.MaxBatchEdges {
 			break
 		}
 		if nb.Validate() != nil {
@@ -1110,7 +937,6 @@ func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration, i
 			addKeys[edgeKey{e.From, e.To}] = struct{}{}
 		}
 		size += len(nb.Add) + len(nb.Del)
-		weight += batchWeight(nb)
 		tickets = append(tickets, l.q[0].t)
 		traces = append(traces, l.q[0].trace)
 		waits = append(waits, now.Sub(l.q[0].enqueued))
@@ -1118,7 +944,7 @@ func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration, i
 		l.q[0] = pending{}
 		l.q = l.q[1:]
 	}
-	return acc, tickets, traces, waits, weight
+	return acc, tickets, traces, waits
 }
 
 // delHitsPendingAdd reports whether any deletion targets an edge key the

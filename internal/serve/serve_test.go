@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/serve"
 )
@@ -198,6 +199,69 @@ func TestRejectPolicyFailsFastWhenFull(t *testing.T) {
 	close(s.gate)
 	if err := l.Close(nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueFullIsRetryable: the Reject policy's queue-full refusal is
+// a *RetryableError carrying a positive backoff hint.
+func TestQueueFullIsRetryable(t *testing.T) {
+	s := newStubApplier()
+	l := serve.NewLoop(s, serve.Options{QueueDepth: 1, Policy: serve.Reject})
+	defer func() { close(s.gate); l.Close(nil) }()
+
+	queueFirstBatch(t, l, s, addBatch(edge(0, 1)))
+	if _, err := l.Submit(nil, addBatch(edge(0, 2))); err != nil {
+		t.Fatalf("submit into free slot refused: %v", err)
+	}
+	_, err := l.Submit(nil, addBatch(edge(0, 3)))
+	if !errors.Is(err, serve.ErrQueueFull) {
+		t.Fatalf("err = %v, want ErrQueueFull", err)
+	}
+	after, ok := serve.RetryAfter(err)
+	if !ok || after <= 0 {
+		t.Fatalf("RetryAfter = %v, %v; want positive hint", after, ok)
+	}
+}
+
+// TestSlowBatchCapture: with a positive SlowBatch threshold, an apply
+// whose end-to-end latency exceeds it is counted and dumped with the
+// head batch's trace as focus; a zero threshold captures nothing.
+func TestSlowBatchCapture(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		slow time.Duration
+		want uint64
+	}{
+		{"threshold-1ms", time.Millisecond, 1},
+		{"off", 0, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newStubApplier()
+			rec := flight.New(flight.Options{Logger: discardLogger()})
+			l := serve.NewLoop(s, serve.Options{Flight: rec, SlowBatch: tc.slow, Logger: discardLogger()})
+			tk := queueFirstBatch(t, l, s, addBatch(edge(0, 1)))
+			time.Sleep(5 * time.Millisecond) // the apply is held ≥ 5ms, past the 1ms threshold
+			close(s.gate)
+			if _, err := tk.Wait(nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(nil); err != nil {
+				t.Fatal(err)
+			}
+			if got := rec.SlowBatches(); got != tc.want {
+				t.Fatalf("SlowBatches() = %d, want %d", got, tc.want)
+			}
+			d := rec.LastDump()
+			if tc.want == 0 {
+				if d != nil {
+					t.Fatalf("capture off, but a dump was taken: %+v", d)
+				}
+				return
+			}
+			if d == nil || d.Focus != tk.Trace() {
+				t.Fatalf("slow-batch dump = %+v, want focus on head trace %d", d, tk.Trace())
+			}
+		})
 	}
 }
 

@@ -3,6 +3,7 @@ package serve_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"slices"
 	"strings"
@@ -11,7 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/flight"
 	"repro/internal/graph"
@@ -65,74 +65,56 @@ func discardLogger() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
 // TestTraceMergeProperty checks the trace-coverage invariant end to end:
 // every accepted submission's trace ID appears in exactly one resolved
-// apply's merged-trace set — no omissions, no duplicates — while the
-// governor cap changes mid-stream, admission sheds part of the offered
-// load, and a poison batch detours through quarantine. Shed submissions
-// must appear in no applied set at all.
+// apply's merged-trace set — no omissions, no duplicates — across
+// coalescing caps from 1 (nothing merges) to unbounded, while a poison
+// batch detours through quarantine.
 func TestTraceMergeProperty(t *testing.T) {
+	for _, c := range []int{1, 3, 80, 1 << 20} {
+		t.Run(fmt.Sprintf("cap=%d", c), func(t *testing.T) { checkTraceMerge(t, c) })
+	}
+}
+
+func checkTraceMerge(t *testing.T, capEdges int) {
 	p := newPermitApplier()
 	rec := flight.New(flight.Options{
 		Depth: 1 << 14, TraceDepth: 4096,
 		MinDumpGap: time.Hour, Logger: discardLogger(),
 	})
 	l := serve.NewLoop(p, serve.Options{
-		QueueDepth: 64,
-		// Deterministic shed thresholds while gated: assumed throughput
-		// 1000 edges/s, 10ms SLO, 0.8 headroom → an 8-edge budget.
-		Admission: &admission.Config{
-			SLO: 10 * time.Millisecond, InitialRate: 1000,
-			FloorEdges: 1, CeilEdges: 1 << 16,
-		},
-		Flight:    rec,
-		SlowBatch: -1, // slow-batch capture has its own tests; keep this one quiet
-		Logger:    discardLogger(),
+		QueueDepth:    64,
+		MaxBatchEdges: capEdges,
+		Flight:        rec,
+		Logger:        discardLogger(),
 	})
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	var tickets []*serve.Ticket
 	seen := map[uint64]bool{}
-	accept := func(tk *serve.Ticket, err error) bool {
+	submit := func(b graph.Batch) *serve.Ticket {
 		t.Helper()
+		tk, err := l.Submit(nil, b)
 		if err != nil {
-			if !errors.Is(err, serve.ErrOverloaded) {
-				t.Fatalf("submit refused with non-shed error: %v", err)
-			}
-			return false
+			t.Fatalf("submit refused: %v", err)
 		}
 		if seen[tk.Trace()] {
 			t.Fatalf("trace ID %d assigned twice", tk.Trace())
 		}
 		seen[tk.Trace()] = true
 		tickets = append(tickets, tk)
-		return true
+		return tk
 	}
 
-	// Wave 1: gate the applier, let the queue build behind the head while
-	// the governor cap cycles, until admission sheds part of the load.
-	caps := []int{1, 3, 1 << 10}
-	tk, err := l.Submit(nil, addBatch(edge(0, 1)))
-	if !accept(tk, err) {
-		t.Fatal("first submission shed on an empty queue")
-	}
+	// Wave 1: gate the applier and let the queue build behind the head.
+	submit(addBatch(edge(0, 1)))
 	select {
 	case <-p.entered:
 	case <-ctx.Done():
 		t.Fatal("apply loop never picked up the head batch")
 	}
-	shed := 0
-	for i := 0; i < 50 && shed < 2; i++ {
-		l.SetMaxBatchEdges(caps[i%len(caps)])
-		tk, err := l.Submit(nil, addBatch(edge(1, graph.VertexID(2+i))))
-		if !accept(tk, err) {
-			shed++
-		}
+	for i := 0; i < 50; i++ {
+		submit(addBatch(edge(1, graph.VertexID(2+i))))
 	}
-	if shed < 2 {
-		t.Fatalf("only %d sheds in 50 gated submissions; admission never tripped", shed)
-	}
-
-	// Drain wave 1 and let the controller recover.
 	p.release()
 	if err := l.Sync(ctx); err != nil {
 		t.Fatalf("drain after wave 1: %v", err)
@@ -140,11 +122,7 @@ func TestTraceMergeProperty(t *testing.T) {
 
 	// Quarantine: with the queue empty the poison batch is the head at
 	// dequeue, so it is validated and quarantined deterministically.
-	poison := graph.Batch{Add: []graph.Edge{{From: 0, To: graph.MaxVertexID + 1, Weight: 1}}}
-	ptk, err := l.Submit(nil, poison)
-	if !accept(ptk, err) {
-		t.Fatal("poison submission shed")
-	}
+	ptk := submit(graph.Batch{Add: []graph.Edge{{From: 0, To: graph.MaxVertexID + 1, Weight: 1}}})
 	// A ticket delivers exactly one Applied; remember it for the collect
 	// loop below instead of waiting twice.
 	resolved := map[*serve.Ticket]serve.Applied{}
@@ -154,21 +132,16 @@ func TestTraceMergeProperty(t *testing.T) {
 	}
 	resolved[ptk] = pa
 
-	// Wave 2: re-gate and coalesce a second burst under a different cap.
+	// Wave 2: re-gate and coalesce a second burst.
 	p.gate()
-	tk, err = l.Submit(nil, addBatch(edge(7, 8)))
-	if !accept(tk, err) {
-		t.Fatal("wave-2 head shed on a drained queue")
-	}
+	submit(addBatch(edge(7, 8)))
 	select {
 	case <-p.entered:
 	case <-ctx.Done():
 		t.Fatal("apply loop never picked up the wave-2 head")
 	}
-	l.SetMaxBatchEdges(2)
 	for i := 0; i < 5; i++ {
-		tk, err := l.Submit(nil, addBatch(edge(8, graph.VertexID(10+i))))
-		accept(tk, err)
+		submit(addBatch(edge(8, graph.VertexID(10+i))))
 	}
 	p.release()
 	if err := l.Close(ctx); err != nil {
@@ -226,17 +199,14 @@ func TestTraceMergeProperty(t *testing.T) {
 	}
 
 	// Cross-check against the flight ring: every accepted trace has an
-	// enqueue event, shed traces have none and appear in no applied set,
-	// and each coalesced sibling points at the apply that absorbed it.
+	// enqueue event, and each coalesced sibling points at the apply that
+	// absorbed it.
 	enq := map[uint64]bool{}
-	shedIDs := map[uint64]bool{}
 	coalescedInto := map[uint64]uint64{}
 	for _, e := range rec.Snapshot() {
 		switch e.Kind {
 		case flight.KindEnqueued:
 			enq[e.Trace] = true
-		case flight.KindShed:
-			shedIDs[e.Trace] = true
 		case flight.KindCoalesced:
 			if head, dup := coalescedInto[e.Trace]; dup {
 				t.Errorf("trace %d coalesced twice (into %d and %d)", e.Trace, head, e.A)
@@ -250,17 +220,6 @@ func TestTraceMergeProperty(t *testing.T) {
 	for _, tk := range tickets {
 		if !enq[tk.Trace()] {
 			t.Errorf("accepted trace %d has no enqueue event", tk.Trace())
-		}
-	}
-	if len(shedIDs) != shed {
-		t.Errorf("%d shed events for %d observed sheds", len(shedIDs), shed)
-	}
-	for id := range shedIDs {
-		if count[id] != 0 {
-			t.Errorf("shed trace %d appears in an applied trace set", id)
-		}
-		if enq[id] {
-			t.Errorf("shed trace %d was also enqueued", id)
 		}
 	}
 	for sib, head := range coalescedInto {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/flight"
@@ -25,8 +24,6 @@ import (
 // exposition endpoint; adding one should be a deliberate edit here.
 var (
 	goldenCounters = []string{
-		"graphbolt_admission_decisions_total",
-		"graphbolt_admission_shed_total",
 		"graphbolt_checkpoints_total",
 		"graphbolt_engine_batches_total",
 		"graphbolt_engine_edge_computations_total",
@@ -76,10 +73,6 @@ var (
 		"graphbolt_wal_truncated_bytes_total",
 	}
 	goldenGauges = []string{
-		"graphbolt_admission_backlog_edges",
-		"graphbolt_admission_batch_cap_edges",
-		"graphbolt_admission_estimated_wait_seconds",
-		"graphbolt_admission_throughput_edges_per_second",
 		"graphbolt_engine_retained_generations",
 		"graphbolt_engine_snapshot_generation",
 		"graphbolt_engine_tracked_snapshot_bytes",
@@ -114,7 +107,6 @@ var (
 // performs — and diffs the resulting names against the golden lists.
 func TestRegisteredMetricNamesGolden(t *testing.T) {
 	reg := obs.NewRegistry()
-	admission.RegisterMetrics(reg)
 	core.RegisterMetrics(reg)
 	wal.RegisterMetrics(reg)
 	durable.RegisterMetrics(reg)

@@ -3,7 +3,6 @@ package graphbolt
 import (
 	"net/http"
 
-	"repro/internal/admission"
 	"repro/internal/core"
 	"repro/internal/durable"
 	"repro/internal/flight"
@@ -56,7 +55,6 @@ func EnableMetrics() *MetricsRegistry {
 	serve.RegisterMetrics(reg)
 	qcache.RegisterMetrics(reg)
 	health.RegisterMetrics(reg)
-	admission.RegisterMetrics(reg)
 	flight.RegisterMetrics(reg)
 	partition.RegisterMetrics(reg)
 	replica.RegisterMetrics(reg)

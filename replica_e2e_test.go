@@ -6,7 +6,6 @@ import (
 	"errors"
 	"io"
 	"log/slog"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,6 +14,7 @@ import (
 
 	graphbolt "repro"
 	"repro/internal/backoff"
+	"repro/internal/core/difftest"
 	"repro/internal/faultio"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -83,7 +83,7 @@ func compareGenerations[A any](t *testing.T, leader *graphbolt.Engine[float64, A
 			t.Fatalf("gen %d: %d leader values, %d follower values", g, len(ls.Values), len(fs.Values))
 		}
 		for v := range ls.Values {
-			if math.Abs(ls.Values[v]-fs.Values[v]) > 1e-7 {
+			if !difftest.Approx(ls.Values[v], fs.Values[v], 0, 1e-7) {
 				t.Fatalf("gen %d vertex %d: leader %v, follower %v", g, v, ls.Values[v], fs.Values[v])
 			}
 		}

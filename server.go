@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/backoff"
 	"repro/internal/core"
 	"repro/internal/flight"
@@ -52,16 +51,10 @@ var (
 	// faulted and recovery is being retried in the background. Reads
 	// keep working; resubmit after the server returns to HealthHealthy.
 	ErrDegraded = serve.ErrDegraded
-	// ErrOverloaded reports a Submit shed by admission control
-	// (ServerOptions.Admission): the estimated time-to-apply for the
-	// current backlog cannot meet the SLO or the caller's deadline. Like
-	// ErrQueueFull it arrives wrapped in a *RetryableError whose
-	// RetryAfter says when to resubmit.
-	ErrOverloaded = serve.ErrOverloaded
 )
 
-// RetryableError is the shared shape of load-induced Submit refusals
-// (ErrQueueFull, ErrOverloaded): a sentinel for errors.Is plus a
+// RetryableError is the shape of a load-induced Submit refusal
+// (ErrQueueFull under SubmitReject): a sentinel for errors.Is plus a
 // suggested client backoff. See RetryAfter.
 type RetryableError = serve.RetryableError
 
@@ -74,16 +67,6 @@ type RetryableError = serve.RetryableError
 //	}
 func RetryAfter(err error) (time.Duration, bool) { return serve.RetryAfter(err) }
 
-// AdmissionOptions configures deadline-aware admission control and the
-// adaptive coalescing governor; set it on ServerOptions.Admission. The
-// zero value of every field takes the documented default.
-type AdmissionOptions = admission.Config
-
-// AdmissionController exposes the live admission state — throughput
-// estimate, backlog, adaptive batch cap, shed counts; obtain a
-// server's via Server.Admission.
-type AdmissionController = admission.Controller
-
 // HealthState is the server's coarse operating state.
 type HealthState = health.State
 
@@ -95,10 +78,6 @@ const (
 	HealthDegraded = health.Degraded
 	// HealthFailed: the apply loop died; engine state is undefined.
 	HealthFailed = health.Failed
-	// HealthOverloaded: reads and admitted writes both still serving,
-	// but admission control is shedding excess load with ErrOverloaded.
-	// Clears on its own once the backlog drains.
-	HealthOverloaded = health.Overloaded
 )
 
 // HealthInfo is a point-in-time health report: state, cause (nil when
@@ -126,15 +105,16 @@ type Applied = serve.Applied
 // Trace method returns the flight trace ID assigned at Submit.
 type SubmitTicket = serve.Ticket
 
-// FlightRecorder is the engine's black box: a lock-free, fixed-capacity
-// ring of batch-lifecycle events (admitted/shed, enqueued, coalesced,
-// validated, journaled with fsync latency, applied, published,
-// quarantined, health transitions, repair attempts), each stamped with
-// a trace ID born at Submit. Build one with NewFlightRecorder, set it
-// on ServerOptions.Flight (and DurableOptions.Flight for journal and
-// fsync events), and mount its Handler at /debug/flight. The ring is
-// dumped to the log on transitions to Degraded/Failed and on slow
-// batches. A nil *FlightRecorder is valid and inert.
+// FlightRecorder is the engine's black box: a fixed-capacity ring,
+// behind one mutex, of batch-lifecycle events (admitted/rejected,
+// enqueued, coalesced, validated, journaled with fsync latency,
+// applied, published, quarantined, health transitions, repair
+// attempts), each stamped with a trace ID born at Submit. Build one
+// with NewFlightRecorder, set it on ServerOptions.Flight (and
+// DurableOptions.Flight for journal and fsync events), and mount its
+// Handler at /debug/flight. The ring is dumped to the log on
+// transitions to Degraded/Failed and on slow batches. A nil
+// *FlightRecorder is valid and inert.
 type FlightRecorder = flight.Recorder
 
 // FlightOptions configures a FlightRecorder (ring depth, retained trace
@@ -168,17 +148,8 @@ type ServerOptions struct {
 	// Default serve.DefaultQueueDepth (64).
 	QueueDepth int
 	// MaxBatchEdges caps the edge count of a coalesced batch. Default
-	// serve.DefaultMaxBatchEdges (4096). With Admission set this only
-	// seeds the adaptive cap, which then floats with observed load.
+	// serve.DefaultMaxBatchEdges (4096).
 	MaxBatchEdges int
-	// Admission, when non-nil, enables deadline-aware admission control:
-	// Submit sheds with ErrOverloaded (wrapped in a *RetryableError)
-	// when the estimated time-to-apply for the backlog cannot meet the
-	// configured SLO or the submission's context deadline, the
-	// coalescing cap adapts to load, and overload episodes surface as
-	// HealthOverloaded. &AdmissionOptions{} enables it with defaults
-	// (500ms SLO).
-	Admission *AdmissionOptions
 	// DisableCoalescing applies every submitted batch individually.
 	DisableCoalescing bool
 	// Policy selects SubmitBlock (default) or SubmitReject.
@@ -221,11 +192,10 @@ type ServerOptions struct {
 	// journal and fsync events land in the same ring. Trace IDs are
 	// assigned whether or not a recorder is set.
 	Flight *FlightRecorder
-	// SlowBatch is the end-to-end latency (enqueue to publication) above
-	// which a batch is captured as slow: a throttled flight dump focused
-	// on its trace plus a warning naming the trace ID. Zero defaults to
-	// the admission SLO when Admission is set, otherwise off; negative
-	// disables explicitly. Ignored without Flight.
+	// SlowBatch, when positive, is the end-to-end latency (enqueue to
+	// publication) above which a batch is captured as slow: a throttled
+	// flight dump focused on its trace plus a warning naming the trace
+	// ID. Zero or negative leaves capture off. Ignored without Flight.
 	SlowBatch time.Duration
 	// Shards, when > 1, partitions the apply step: the graph is split by
 	// destination-vertex ownership into Shards subgraphs, each with its
@@ -234,7 +204,7 @@ type ServerOptions struct {
 	// cross-shard generation barrier) and published as one merged
 	// snapshot. Snapshot/SnapshotAt/Diff/Wait keep their exact semantics
 	// over the merged view for partition-closed streams. Everything else
-	// — queue, coalescing, admission, poison quarantine, degraded mode,
+	// — queue, coalescing, backpressure, poison quarantine, degraded mode,
 	// terminal failures — is the one ingest loop's, server-wide. 0 and 1
 	// mean a single engine.
 	Shards int
@@ -348,7 +318,6 @@ func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Ap
 	s.loop = serve.NewLoop(a, serve.Options{
 		QueueDepth:        opts.QueueDepth,
 		MaxBatchEdges:     opts.MaxBatchEdges,
-		Admission:         opts.Admission,
 		DisableCoalescing: opts.DisableCoalescing,
 		Policy:            opts.Policy,
 		Metrics:           reg,
@@ -543,21 +512,6 @@ func (s *Server[V, A]) Sync(ctx context.Context) (*ResultSnapshot[V], error) {
 // apply loop.
 func (s *Server[V, A]) QueueDepth() int { return s.loop.Depth() }
 
-// Admission returns the server's admission controller, nil unless
-// ServerOptions.Admission was set. The nil controller is inert and
-// safe to call.
-func (s *Server[V, A]) Admission() *AdmissionController { return s.loop.Admission() }
-
-// MaxBatchEdges returns the current effective coalescing cap: the
-// admission governor's floating cap when admission is on, the
-// configured static cap otherwise.
-func (s *Server[V, A]) MaxBatchEdges() int { return s.loop.MaxBatchEdges() }
-
-// SetMaxBatchEdges adjusts the coalescing cap at runtime (clamped into
-// the admission floor/ceiling band when admission is on; non-positive
-// values are ignored).
-func (s *Server[V, A]) SetMaxBatchEdges(n int) { s.loop.SetMaxBatchEdges(n) }
-
 // Flight returns the server's flight recorder, nil unless
 // ServerOptions.Flight was set. The nil recorder is inert and safe to
 // call.
@@ -595,15 +549,13 @@ func (s *Server[V, A]) Err() error { return s.loop.Err() }
 
 // Health returns the server's health tracker. Its State method reports
 // HealthHealthy, HealthDegraded (reads serving, writes failing fast
-// while recovery retries), HealthOverloaded (admission shedding excess
-// load) or HealthFailed (terminal); OnTransition registers hooks for
-// state changes.
+// while recovery retries) or HealthFailed (terminal); OnTransition
+// registers hooks for state changes.
 func (s *Server[V, A]) Health() *HealthTracker { return s.health }
 
 // HealthHandler returns an http.Handler serving the server's health as
-// JSON ({"state","cause","since"}); it answers 200 while Healthy,
-// Degraded or Overloaded and 503 once Failed, so it suits both
-// liveness and, via the
+// JSON ({"state","cause","since"}); it answers 200 while Healthy or
+// Degraded and 503 once Failed, so it suits both liveness and, via the
 // body, readiness checks. Mount it alongside the metrics mux:
 //
 //	mux := obs.HandlerWith(reg, map[string]http.Handler{

@@ -2,7 +2,6 @@ package graphbolt_test
 
 import (
 	"context"
-	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -11,14 +10,8 @@ import (
 	"time"
 
 	graphbolt "repro"
+	"repro/internal/core/difftest"
 )
-
-func close64(a, b, eps float64) bool {
-	if math.IsNaN(a) || math.IsNaN(b) {
-		return false
-	}
-	return math.Abs(a-b) <= eps
-}
 
 // valuesChecksum folds a value slice into a single float64 so a reader
 // can fingerprint a snapshot at observation time and the test can prove
@@ -184,7 +177,7 @@ func TestServerConcurrentReadersStress(t *testing.T) {
 		fresh.Run()
 		want := fresh.Values()
 		for v := range want {
-			if !close64(o.snap.Values[v], want[v], eps) {
+			if !difftest.Approx(o.snap.Values[v], want[v], 0, eps) {
 				t.Fatalf("gen %d: vertex %d: served %v, from-scratch %v",
 					g, v, o.snap.Values[v], want[v])
 			}
@@ -325,7 +318,7 @@ func TestDurableServer(t *testing.T) {
 		t.Fatalf("recovered %d values, want %d", len(rec), len(snap.Values))
 	}
 	for v := range rec {
-		if !close64(rec[v], snap.Values[v], 1e-9) {
+		if !difftest.Approx(rec[v], snap.Values[v], 0, 1e-9) {
 			t.Fatalf("vertex %d: recovered %v, served %v", v, rec[v], snap.Values[v])
 		}
 	}
