@@ -11,14 +11,37 @@ import (
 // (§3.3), the hybrid continuation (§4.2) and the Naive baseline perform
 // is one of the four kernels below — pullEdges, pushEdges, foldEdges,
 // markOut — plus computeVertices for ∮; their callers only choose the
-// vertex set, the value accessor, the degrees and the sink. The two
-// kernels that update a shared aggregate (pushEdges, foldEdges) are the
-// only users of the stripe locks, and pushEdges is the one place ⋃△ is
-// issued as a delta or as a retract+propagate pair; both keep the locked
-// body in the loop because a call per edge is measurable (+10 % on the
+// vertex set, the value accessor, the degrees and the sink.
+//
+// Every aggregate has exactly one writer per call, so no kernel takes a
+// lock: pullEdges and the dense direction of pushEdges give each worker
+// its own targets, and foldEdges and the sparse direction of pushEdges run
+// on the calling goroutine. Each target takes its contributions in
+// ascending source order — sources are visited in ascending order, and
+// adjacency lists are sorted by (neighbour, weight) in both directions —
+// so every value is a function of the update stream alone, whichever
+// direction a call takes and however many workers run it.
+// Both directions of pushEdges, and foldEdges, write the edge body out
+// in their loops because a call per edge is measurable (+10 % on the
 // PageRank initial run).
 // runLigra shares none of this on purpose: it is the independent
 // from-scratch baseline the tests cross-check against.
+
+// denseShare is Ligra's direction rule: a ⋃△ call whose sources plus
+// their out-edges exceed |E|/denseShare pulls instead of pushing (when
+// there is more than one worker, see dense).
+const denseShare = 20
+
+// direction pins pushEdges' traversal. The zero value, the only one the
+// engine ever sets, lets denseShare decide; the package's tests force
+// each side to check that both give the same result.
+type direction int8
+
+const (
+	dirAuto direction = iota
+	dirSparse
+	dirDense
+)
 
 // vertexSet is a kernel's iteration domain: every vertex of the graph or
 // an explicit list. "All" is a flag rather than a nil list because an
@@ -51,27 +74,42 @@ func (s vertexSet) len() int {
 // always marked in e.sc.touched, which the caller clears per level.
 type sink[A any] struct {
 	agg []A
-	// first, when non-nil, supplies agg[t] the first time a push reaches
+	// first, when non-nil, supplies agg[t] the first time a kernel reaches
 	// t since touched was cleared (refinement starts a target's work
-	// aggregate from its old aggregate at the level). It runs under t's
-	// stripe lock and only once per target, off the per-edge path.
+	// aggregate from its old aggregate at the level).
 	first func(t VertexID) A
 	work  *parallel.Counter
 }
 
-// edgeOp is one of §3.3's incremental aggregation operators.
+// start marks t touched and seeds its aggregate from first. Kernels call
+// it once per target, when touched does not have t yet, from t's only
+// writer.
+func (to sink[A]) start(touched *bitset.Bitset, t VertexID) {
+	touched.Set(t)
+	if to.first != nil {
+		to.agg[t] = to.first(t)
+	}
+}
+
+// edgeOp is foldEdges' operator.
 type edgeOp int
 
 const (
-	opPropagate edgeOp = iota // ⊎: fold in the new value's contribution
-	opRetract                 // ⋃-: take out the old value's contribution
-	opDelta                   // ⋃△: move the contribution from old to new
+	opPropagate edgeOp = iota // ⊎: fold in the value's contribution
+	opRetract                 // ⋃-: take out the value's contribution
 )
 
+// srcChange is one ⋃△ source as the dense direction reads it: its
+// contribution moves from (oldV, oldDeg) to (newV, newDeg).
+type srcChange[V any] struct {
+	oldV, newV     V
+	oldDeg, newDeg int
+}
+
 // pullEdges re-aggregates every target from scratch over its whole
-// in-neighbourhood — the re-evaluation strategy for non-decomposable
-// aggregations (§3.3), lock-free because each target has one writer.
-// Targets with in-edges are marked touched.
+// in-neighbourhood: level 1 of every run, and the re-evaluation strategy
+// for non-decomposable aggregations (§3.3). Targets with in-edges are
+// marked touched.
 func (e *Engine[V, A]) pullEdges(targets vertexSet, valAt func(VertexID) V, to sink[A]) {
 	touched := e.sc.touched
 	parallel.ForWorker(targets.len(), 64, func(worker, lo, hi int) {
@@ -97,66 +135,127 @@ func (e *Engine[V, A]) pullEdges(targets vertexSet, valAt func(VertexID) V, to s
 	})
 }
 
-// pushEdges applies op over every out-edge of every source: opPropagate
-// for level 1's full contributions, opDelta for the transitive impact of
-// sources whose value or out-degree changed. at returns the source's old
-// and new value and its old out-degree; the new one is the length of the
-// list being walked.
-func (e *Engine[V, A]) pushEdges(op edgeOp, sources vertexSet, grain int, at func(u VertexID) (oldV, newV V, oldDeg int), to sink[A]) {
+// pushEdges applies ⋃△ over every out-edge of every source — the
+// transitive impact of sources whose value or out-degree changed. at
+// returns a source's old and new value and its old out-degree; the new
+// one is its out-degree in e.g. sources must be ascending and distinct.
+// A small call pushes along out-edges on the calling goroutine; one whose
+// sources and out-edges exceed |E|/denseShare, with more than one worker
+// to run it, is pullDelta.
+func (e *Engine[V, A]) pushEdges(sources []VertexID, at func(u VertexID) (oldV, newV V, oldDeg int), to sink[A]) {
+	if len(sources) == 0 {
+		return
+	}
+	if e.dense(sources) {
+		e.pullDelta(sources, at, to)
+		return
+	}
 	touched := e.sc.touched
-	parallel.ForWorker(sources.len(), grain, func(worker, lo, hi int) {
+	var cnt int64
+	for _, u := range sources {
+		ts, ws := e.g.OutNeighbors(u)
+		oldV, newV, oldDeg := at(u)
+		for i, t := range ts {
+			if !touched.Get(t) {
+				to.start(touched, t)
+			}
+			agg := &to.agg[t]
+			if e.delta != nil {
+				e.delta.PropagateDelta(agg, oldV, newV, u, t, ws[i], oldDeg, len(ts))
+				cnt++
+			} else {
+				e.p.Retract(agg, oldV, u, t, ws[i], oldDeg)
+				e.p.Propagate(agg, newV, u, t, ws[i], len(ts))
+				cnt += 2
+			}
+		}
+	}
+	to.work.Add(0, cnt)
+}
+
+// dense reports whether a ⋃△ call over sources should pull. With one
+// worker it never should: the pull exists to split targets across
+// workers, and on its own it scans all |E| in-edges where the push walks
+// only the sources' out-edges.
+func (e *Engine[V, A]) dense(sources []VertexID) bool {
+	switch e.dir {
+	case dirSparse:
+		return false
+	case dirDense:
+		return true
+	}
+	if parallel.Workers() == 1 {
+		return false
+	}
+	work := int64(len(sources))
+	for _, u := range sources {
+		work += int64(e.g.OutDegree(u))
+	}
+	return work*denseShare > e.g.NumEdges()
+}
+
+// pullDelta is pushEdges' dense direction. Each source's change is
+// computed once into scratch; then each worker walks the in-edges of its
+// own targets and applies the ones whose source is in the call. The
+// edge visits, the targets touched and the work counted are pushEdges'.
+func (e *Engine[V, A]) pullDelta(sources []VertexID, at func(u VertexID) (oldV, newV V, oldDeg int), to sink[A]) {
+	in, src, touched := e.sc.srcIn, e.sc.src, e.sc.touched
+	in.ClearAll()
+	parallel.For(len(sources), func(k int) {
+		u := sources[k]
+		c := &src[u]
+		c.oldV, c.newV, c.oldDeg = at(u)
+		c.newDeg = e.g.OutDegree(u)
+		in.Set(u)
+	})
+	// A chunk of 512 targets owns whole 64-byte lines of touched, so the
+	// workers' first-touch marks never contend for a cache line.
+	parallel.ForWorker(e.g.NumVertices(), 512, func(worker, lo, hi int) {
 		var cnt int64
-		for k := lo; k < hi; k++ {
-			u := sources.at(k)
-			ts, ws := e.g.OutNeighbors(u)
-			oldV, newV, oldDeg := at(u)
-			for i, t := range ts {
-				agg := &to.agg[t]
-				e.locks.Lock(t)
-				if touched.Set(t) && to.first != nil {
-					*agg = to.first(t)
+		for v := lo; v < hi; v++ {
+			t := VertexID(v)
+			us, ws := e.g.InNeighbors(t)
+			for i, u := range us {
+				if !in.Get(u) {
+					continue
 				}
-				switch {
-				case op == opPropagate:
-					e.p.Propagate(agg, newV, u, t, ws[i], len(ts))
+				if !touched.Get(t) {
+					to.start(touched, t)
+				}
+				c, agg := &src[u], &to.agg[t]
+				if e.delta != nil {
+					e.delta.PropagateDelta(agg, c.oldV, c.newV, u, t, ws[i], c.oldDeg, c.newDeg)
 					cnt++
-				case e.delta != nil:
-					e.delta.PropagateDelta(agg, oldV, newV, u, t, ws[i], oldDeg, len(ts))
-					cnt++
-				default:
-					e.p.Retract(agg, oldV, u, t, ws[i], oldDeg)
-					e.p.Propagate(agg, newV, u, t, ws[i], len(ts))
+				} else {
+					e.p.Retract(agg, c.oldV, u, t, ws[i], c.oldDeg)
+					e.p.Propagate(agg, c.newV, u, t, ws[i], c.newDeg)
 					cnt += 2
 				}
-				e.locks.Unlock(t)
 			}
 		}
 		to.work.Add(worker, cnt)
 	})
 }
 
-// foldEdges applies op (⊎ or ⋃-) once per listed edge — the direct impact
-// of a batch's added and deleted edges. degIn is the snapshot whose
-// out-degree the contribution is normalized by.
+// foldEdges applies op (⊎ or ⋃-) once per listed edge, in list order on
+// the calling goroutine — the direct impact of a batch's added and
+// deleted edges. degIn is the snapshot whose out-degree the contribution
+// is normalized by.
 func (e *Engine[V, A]) foldEdges(op edgeOp, edges []graph.Edge, valAt func(VertexID) V, degIn *graph.Graph, to sink[A]) {
 	touched := e.sc.touched
-	parallel.ForWorker(len(edges), 64, func(worker, lo, hi int) {
-		for _, ed := range edges[lo:hi] {
-			v, deg := valAt(ed.From), outDegree(degIn, ed.From)
-			agg := &to.agg[ed.To]
-			e.locks.Lock(ed.To)
-			if touched.Set(ed.To) && to.first != nil {
-				*agg = to.first(ed.To)
-			}
-			if op == opPropagate {
-				e.p.Propagate(agg, v, ed.From, ed.To, ed.Weight, deg)
-			} else {
-				e.p.Retract(agg, v, ed.From, ed.To, ed.Weight, deg)
-			}
-			e.locks.Unlock(ed.To)
+	for _, ed := range edges {
+		v, deg := valAt(ed.From), outDegree(degIn, ed.From)
+		if !touched.Get(ed.To) {
+			to.start(touched, ed.To)
 		}
-		to.work.Add(worker, int64(hi-lo))
-	})
+		agg := &to.agg[ed.To]
+		if op == opPropagate {
+			e.p.Propagate(agg, v, ed.From, ed.To, ed.Weight, deg)
+		} else {
+			e.p.Retract(agg, v, ed.From, ed.To, ed.Weight, deg)
+		}
+	}
+	to.work.Add(0, int64(len(edges)))
 }
 
 // markOut adds the out-neighbours of sources to into.

@@ -34,9 +34,9 @@ type Engine[V, A any] struct {
 	agg  []A // running aggregates д_level
 	hist *deps.Store[A]
 
-	locks *parallel.StripedLocks
 	sc    scratch[V, A]
-	level int // completed BSP levels
+	dir   direction // pushEdges' traversal; dirAuto outside tests
+	level int       // completed BSP levels
 	ran   bool
 
 	// snap is the atomically published read view: an immutable
@@ -69,15 +69,21 @@ type scratch[V, A any] struct {
 	touchedAny                 *bitset.Bitset // union of touched across refined levels
 
 	touched *bitset.Bitset // targets updated at the current level
-	seen    *bitset.Bitset // deduplication within one level
+	seen    *bitset.Bitset // out-neighbours of a pull level's frontier
 	// fronts are the changed sets: refine builds each level's in one and
 	// the hybrid seed in the other; runDelta alternates between them.
 	fronts [2]*bitset.Bitset
+
+	// pushEdges' dense direction (push programs only): the call's sources
+	// and each one's change.
+	srcIn *bitset.Bitset
+	src   []srcChange[V] // valid where srcIn
 }
 
 // size makes the scratch hold n vertices, with headroom so a stream that
-// adds vertices batch after batch reallocates O(log) times.
-func (s *scratch[V, A]) size(n int) {
+// adds vertices batch after batch reallocates O(log) times. push sizes the
+// dense ⋃△ scratch too, which pull programs never use.
+func (s *scratch[V, A]) size(n int, push bool) {
 	if n <= s.n {
 		return
 	}
@@ -93,6 +99,10 @@ func (s *scratch[V, A]) size(n int) {
 		touched:        bitset.New(n),
 		seen:           bitset.New(n),
 		fronts:         [2]*bitset.Bitset{bitset.New(n), bitset.New(n)},
+	}
+	if push {
+		s.srcIn = bitset.New(n)
+		s.src = make([]srcChange[V], n)
 	}
 }
 
@@ -117,12 +127,11 @@ func NewEngine[V, A any](g *graph.Graph, p Program[V, A], opts Options) (*Engine
 	}
 	opts = opts.withDefaults()
 	e := &Engine[V, A]{
-		p:     p,
-		pull:  isPull(p),
-		deg:   usesOutDegree(p),
-		opts:  opts,
-		g:     g,
-		locks: parallel.NewStripedLocks(),
+		p:    p,
+		pull: isPull(p),
+		deg:  usesOutDegree(p),
+		opts: opts,
+		g:    g,
 	}
 	if d, ok := any(p).(DeltaProgram[V, A]); ok && opts.Mode != ModeGraphBoltRP {
 		e.delta = d
@@ -260,7 +269,7 @@ func (e *Engine[V, A]) resetState() {
 	} else {
 		e.hist = nil
 	}
-	e.sc.size(n)
+	e.sc.size(n, !e.pull)
 	e.level = 0
 }
 
@@ -277,7 +286,7 @@ func (e *Engine[V, A]) resetHistory() {
 // grow extends engine state and scratch to n vertices (mutations can add
 // vertices).
 func (e *Engine[V, A]) grow(n int) {
-	e.sc.size(n)
+	e.sc.size(n, !e.pull)
 	for v := len(e.vals); v < n; v++ {
 		e.vals = append(e.vals, e.p.InitValue(VertexID(v)))
 		e.old = append(e.old, e.p.InitValue(VertexID(v)))
@@ -327,7 +336,8 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *bitset.Bitset, maxLevel int
 		touched.ClearAll()
 
 		switch {
-		case e.pull && first:
+		case first:
+			// Level 1: every vertex aggregates its whole in-neighbourhood.
 			e.pullEdges(all, e.current(), to)
 		case e.pull:
 			// Only out-neighbours of the frontier can see a new input set.
@@ -335,11 +345,8 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *bitset.Bitset, maxLevel int
 			seen.ClearAll()
 			e.markOut(front.Members(nil), seen)
 			e.pullEdges(listOf(seen.Members(nil)), e.current(), to)
-		case first:
-			// Level 1: full contributions from every vertex.
-			e.pushEdges(opPropagate, all, 64, change, to)
 		default:
-			e.pushEdges(opDelta, listOf(front.Members(nil)), 16, change, to)
+			e.pushEdges(front.Members(nil), change, to)
 		}
 
 		// Compute phase: level 1 computes every vertex (c_1 = ∮(д_1)

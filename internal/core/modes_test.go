@@ -103,8 +103,7 @@ func TestRepeatedRunRestarts(t *testing.T) {
 	e2, _ := core.NewEngine[float64, float64](g, algorithms.NewPageRank(), core.Options{MaxIterations: 6})
 	e2.Run()
 	// A second engine over the ORIGINAL graph reproduces the first run.
-	// Parallel float sums are order-sensitive in the last bits.
-	scalarsMatch(t, e2.Values(), first, 1e-12, "determinism across engines")
+	scalarsMatch(t, e2.Values(), first, 0, "determinism across engines")
 }
 
 func TestToleranceApproximateRegime(t *testing.T) {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/parallel"
 )
@@ -173,8 +172,8 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			// (b) Transitive impact (⋃△): sources whose value (or
 			// out-degree) changed update their contribution over every
 			// out-edge of the new graph.
-			sources := mergeSources(sc.seen, changedPrev, degChanged)
-			e.pushEdges(opDelta, listOf(sources), 16, func(u VertexID) (V, V, int) {
+			sources := mergeSources(changedPrev, degChanged)
+			e.pushEdges(sources, func(u VertexID) (V, V, int) {
 				return oldValAt(u), newValAt(u), outDegree(oldG, u)
 			}, to)
 		}
@@ -307,28 +306,28 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	return st
 }
 
-// mergeSources deduplicates the union of two vertex lists, using seen as
-// scratch.
-func mergeSources(seen *bitset.Bitset, a, b []VertexID) []VertexID {
+// mergeSources returns the ascending union of two ascending vertex lists,
+// the order pushEdges needs its sources in.
+func mergeSources(a, b []VertexID) []VertexID {
 	if len(b) == 0 {
 		return a
 	}
 	if len(a) == 0 {
 		return b
 	}
-	seen.ClearAll()
 	out := make([]VertexID, 0, len(a)+len(b))
-	for _, v := range a {
-		if seen.Set(v) {
-			out = append(out, v)
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			out, a = append(out, a[0]), a[1:]
+		case b[0] < a[0]:
+			out, b = append(out, b[0]), b[1:]
+		default:
+			out, a, b = append(out, a[0]), a[1:], b[1:]
 		}
 	}
-	for _, v := range b {
-		if seen.Set(v) {
-			out = append(out, v)
-		}
-	}
-	return out
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // mutatedSources returns the distinct sources of the batch's added and
@@ -384,7 +383,7 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 		// Added edges carry the new out-degree, deleted ones the old.
 		e.foldEdges(opPropagate, res.Added, e.current(), newG, to)
 		e.foldEdges(opRetract, res.Deleted, e.current(), oldG, to)
-		e.pushEdges(opDelta, listOf(e.degreeChanged(oldG, newG, res)), 16, func(u VertexID) (V, V, int) {
+		e.pushEdges(e.degreeChanged(oldG, newG, res), func(u VertexID) (V, V, int) {
 			return e.vals[u], e.vals[u], outDegree(oldG, u)
 		}, to)
 	}

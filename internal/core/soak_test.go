@@ -1,8 +1,10 @@
 package core_test
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/algorithms"
@@ -140,8 +142,8 @@ func TestStatsAccumulate(t *testing.T) {
 }
 
 // TestRefinementUnderConcurrency re-runs the PR oracle with GOMAXPROCS
-// inflated so the engine's worker-spawning and striped-locking paths
-// execute even on single-CPU machines.
+// inflated so the engine's worker-spawning paths execute even on
+// single-CPU machines.
 func TestRefinementUnderConcurrency(t *testing.T) {
 	prev := runtime.GOMAXPROCS(8)
 	defer runtime.GOMAXPROCS(prev)
@@ -177,44 +179,83 @@ func TestRefinementUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestSameStreamTwiceIsBitIdentical runs one stream through two engines
-// on one processor: with no scheduling left, every value must come out
-// bit for bit the same. PageRank sums floats, so this holds only while
-// the order sources push in is a function of the batch (sorted touched
-// sources), never of map iteration.
+// TestSameStreamTwiceIsBitIdentical runs one stream through engines at
+// GOMAXPROCS 1, 2, 4 and 8: every published value must come out bit for
+// bit the same. PageRank sums floats and Belief Propagation multiplies
+// them, so this holds only while each target takes its contributions in
+// an order fixed by the stream (ascending sources), never by how workers
+// claim chunks. 4 000 vertices, so the kernels' loops really split.
 func TestSameStreamTwiceIsBitIdentical(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
-	edges := gen.RMAT(96, 400, 5000, gen.WeightUniform)
-	s, err := stream.FromEdges(400, edges, stream.Config{BatchSize: 60, DeleteFraction: 0.3, Seed: 8})
+	const n = 4000
+	s, err := stream.FromEdges(n, gen.RMAT(96, n, 40000, gen.WeightUniform), stream.Config{BatchSize: 200, DeleteFraction: 0.3, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []core.Mode{core.ModeGraphBolt, core.ModeNaive} {
-		run := func() [][]float64 {
-			eng, err := core.NewEngine[float64, float64](s.Base, algorithms.NewPageRank(),
-				core.Options{Mode: mode, MaxIterations: 10, Horizon: 6})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eng.Run()
-			var perBatch [][]float64
-			for _, b := range s.Batches[:12] {
-				if _, err := eng.ApplyBatch(b); err != nil {
-					t.Fatal(err)
-				}
-				perBatch = append(perBatch, eng.CopyValues())
-			}
-			return perBatch
+	for _, mode := range []core.Mode{core.ModeGraphBolt, core.ModeGraphBoltRP, core.ModeReset, core.ModeNaive} {
+		sameAcrossProcs[float64, float64](t, s, "PageRank", algorithms.NewPageRank(), mode, scalar)
+	}
+	sameAcrossProcs[[]float64, []float64](t, s, "BeliefProp", algorithms.NewBeliefProp(3), core.ModeGraphBolt, vector)
+}
+
+// sameAcrossProcs streams s at each GOMAXPROCS setting and requires the
+// same bits as at one processor.
+func sameAcrossProcs[V, A any](t *testing.T, s *stream.Stream, name string, p core.Program[V, A], mode core.Mode, flat func(V) []float64) {
+	t.Helper()
+	var want [][]V
+	for _, procs := range []int{1, 2, 4, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		got, _ := streamValues(t, s, 6, p, mode, nil)
+		runtime.GOMAXPROCS(prev)
+		if want == nil {
+			want = got
+			continue
 		}
-		first, second := run(), run()
-		for bi := range first {
-			for v := range first[bi] {
-				if math.Float64bits(first[bi][v]) != math.Float64bits(second[bi][v]) {
-					t.Fatalf("%v: batch %d vertex %d: %v in one run, %v in the other",
-						mode, bi, v, first[bi][v], second[bi][v])
-				}
+		requireSameBits(t, fmt.Sprintf("%s %v, GOMAXPROCS %d vs 1", name, mode, procs), want, got, flat)
+	}
+}
+
+// streamValues runs s's base and its first batches through a fresh engine
+// and returns the values published after Run and after each batch (step
+// 0 is the initial run), with each call's Stats, Duration zeroed. setup,
+// when non-nil, adjusts the engine before Run.
+func streamValues[V, A any](t *testing.T, s *stream.Stream, batches int, p core.Program[V, A], mode core.Mode, setup func(*core.Engine[V, A])) ([][]V, []core.Stats) {
+	t.Helper()
+	eng, err := core.NewEngine[V, A](s.Base, p, core.Options{Mode: mode, MaxIterations: 10, Horizon: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if setup != nil {
+		setup(eng)
+	}
+	st := eng.Run()
+	vals, stats := [][]V{eng.Values()}, []core.Stats{st}
+	for _, b := range s.Batches[:batches] {
+		if st, err = eng.ApplyBatch(b); err != nil {
+			t.Fatal(err)
+		}
+		vals, stats = append(vals, eng.Values()), append(stats, st)
+	}
+	for i := range stats {
+		stats[i].Duration = 0
+	}
+	return vals, stats
+}
+
+func scalar(x float64) []float64   { return []float64{x} }
+func vector(x []float64) []float64 { return x }
+
+// requireSameBits fails unless two runs published the same values, bit
+// for bit, at every step.
+func requireSameBits[V any](t *testing.T, label string, want, got [][]V, flat func(V) []float64) {
+	t.Helper()
+	for step := range want {
+		if len(got[step]) != len(want[step]) {
+			t.Fatalf("%s: step %d: %d values vs %d", label, step, len(got[step]), len(want[step]))
+		}
+		for v := range want[step] {
+			a, b := flat(want[step][v]), flat(got[step][v])
+			if !slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }) {
+				t.Fatalf("%s: step %d vertex %d: %v vs %v", label, step, v, a, b)
 			}
 		}
 	}

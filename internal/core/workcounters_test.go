@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -40,14 +39,12 @@ func workCounterLines[V, A any](t *testing.T, s *stream.Stream, name string, p c
 // TestGoldenWorkCounters pins the work counters EXPERIMENTS.md's Fig. 6
 // and Table 7 ratios are built from: one fixed stream, every incremental
 // mode, a delta program (PageRank), a retract+propagate program (Belief
-// Propagation) and a pull program (SSSP). One processor, so float sums —
-// and with them every Changed decision — are a function of the stream
-// alone. A traversal change that is supposed to do the same work must
-// leave testdata/work_counters.golden untouched.
+// Propagation) and a pull program (SSSP). Float sums — and with them
+// every Changed decision — are a function of the stream alone at any
+// GOMAXPROCS (TestSameStreamTwiceIsBitIdentical). A traversal change that
+// is supposed to do the same work must leave testdata/work_counters.golden
+// untouched.
 func TestGoldenWorkCounters(t *testing.T) {
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-
 	edges := gen.RMAT(96, 400, 5000, gen.WeightUniform)
 	s, err := stream.FromEdges(400, edges, stream.Config{BatchSize: 60, DeleteFraction: 0.3, Seed: 8})
 	if err != nil {

@@ -86,8 +86,12 @@ func (s *Store[A]) Append(v uint32, level int, agg A) {
 	}
 	h := s.hist[v]
 	if level <= len(h) {
-		// Overwrite (refinement): account the delta in footprint.
-		s.heapBytes.Add(int64(s.bytes(agg)) - int64(s.bytes(h[level-1])))
+		// Overwrite (refinement): account the delta in footprint. Skip
+		// the shared counter when the size is unchanged, the common case:
+		// under parallel refinement its cache line is contended.
+		if d := int64(s.bytes(agg)) - int64(s.bytes(h[level-1])); d != 0 {
+			s.heapBytes.Add(d)
+		}
 		h[level-1] = s.clone(agg)
 		return
 	}

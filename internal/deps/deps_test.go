@@ -119,6 +119,39 @@ func TestHeapBytesAccounting(t *testing.T) {
 	}
 }
 
+// TestHeapBytesExactThroughResizingOverwrites: overwrites that grow,
+// shrink and keep an aggregate's size leave HeapBytes equal to the sum
+// over what the store holds.
+func TestHeapBytesExactThroughResizingOverwrites(t *testing.T) {
+	size := func(a []float64) int { return 24 + 8*len(a) }
+	s := New[[]float64](2, 10,
+		func(a []float64) []float64 { return append([]float64(nil), a...) },
+		size,
+		func() []float64 { return nil },
+	)
+	base := s.HeapBytes()
+	s.Append(0, 1, make([]float64, 2))
+	s.Append(0, 3, make([]float64, 3)) // gap-fills level 2 with a copy of level 1
+	s.Append(1, 1, make([]float64, 1))
+	for _, w := range []struct {
+		v     uint32
+		level int
+		n     int
+	}{{0, 1, 5}, {0, 2, 0}, {0, 2, 0}, {1, 1, 4}, {0, 3, 3}, {1, 1, 1}, {0, 1, 2}} {
+		s.Append(w.v, w.level, make([]float64, w.n))
+		want := int64(0)
+		for v := uint32(0); v < 2; v++ {
+			for lv := 1; lv <= s.Last(v); lv++ {
+				a, _ := s.Lookup(v, lv)
+				want += int64(size(a))
+			}
+		}
+		if got := s.HeapBytes() - base; got != want {
+			t.Fatalf("after overwriting vertex %d level %d with %d entries: HeapBytes %d, want %d", w.v, w.level, w.n, got, want)
+		}
+	}
+}
+
 func TestSliceAggregatesAreCloned(t *testing.T) {
 	s := New[[]float64](1, 10,
 		func(a []float64) []float64 { return append([]float64(nil), a...) },

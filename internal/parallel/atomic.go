@@ -1,29 +1,6 @@
 package parallel
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
-// lockStripes must be a power of two.
-const lockStripes = 4096
-
-// StripedLocks provides per-vertex mutual exclusion without a mutex per
-// vertex: vertex v maps to stripe v & (stripes-1). Aggregation types that
-// are not a single machine word (label vectors, matrix pairs) are updated
-// under the owning stripe's lock.
-type StripedLocks struct {
-	mu [lockStripes]sync.Mutex
-}
-
-// NewStripedLocks returns a ready-to-use striped lock set.
-func NewStripedLocks() *StripedLocks { return &StripedLocks{} }
-
-// Lock acquires the stripe owning key.
-func (s *StripedLocks) Lock(key uint32) { s.mu[key&(lockStripes-1)].Lock() }
-
-// Unlock releases the stripe owning key.
-func (s *StripedLocks) Unlock(key uint32) { s.mu[key&(lockStripes-1)].Unlock() }
+import "sync/atomic"
 
 // Counter is a padded per-worker counter set merged on read. It avoids the
 // cache-line ping-pong a single atomic counter would suffer during edge

@@ -1,11 +1,11 @@
 // Package parallel provides the shared-memory parallel execution
 // primitives used throughout the GraphBolt engine: grained parallel-for
-// loops, striped locks for per-vertex aggregate updates, and per-worker
-// counters.
+// loops with panic capture, and per-worker counters.
 //
 // The primitives intentionally mirror what a Ligra-style runtime needs:
 // flat fork-join loops over vertex and edge ranges, with no allocation on
-// the steady-state path.
+// the steady-state path. There are no locks here: the engine's kernels
+// give every aggregate one writer per loop (see internal/core/edgemap.go).
 package parallel
 
 import (

@@ -17,15 +17,3 @@ func BenchmarkForWorkerSum(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkStripedLock(b *testing.B) {
-	locks := NewStripedLocks()
-	b.RunParallel(func(pb *testing.PB) {
-		k := uint32(0)
-		for pb.Next() {
-			locks.Lock(k)
-			locks.Unlock(k)
-			k += 7
-		}
-	})
-}

@@ -78,22 +78,6 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestStripedLocksExclusion(t *testing.T) {
-	locks := NewStripedLocks()
-	counts := make([]int, 64)
-	For(64_000, func(i int) {
-		k := uint32(i % 64)
-		locks.Lock(k)
-		counts[k]++
-		locks.Unlock(k)
-	})
-	for k, c := range counts {
-		if c != 1000 {
-			t.Fatalf("slot %d count = %d, want 1000", k, c)
-		}
-	}
-}
-
 // withProcs runs fn under an inflated GOMAXPROCS so the worker-spawning
 // paths execute even on single-CPU machines (concurrency without
 // parallelism still schedules all goroutines).
