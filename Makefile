@@ -16,8 +16,11 @@ test:
 vet:
 	$(GO) vet ./...
 
+# The second line checks the engine's one-writer-per-word rule with more
+# workers than the host may have CPUs.
 race:
 	$(GO) test -race -shuffle=on ./internal/...
+	$(GO) test -race -cpu 2,4,8 -run 'BitIdentical|DirectionsAgree|GoldenWorkCounters|ForVertices' ./internal/core
 
 # check-race runs the whole module under the race detector, including
 # the root-package serving stress test (concurrent readers vs the

@@ -1,17 +1,18 @@
-// Package bitset implements a fixed-capacity bitset with atomic set
-// operations. It is the engine's vertex-set type: the changed sets that
-// drive selective scheduling, the touched/seen marks of a level, and the
-// seed of hybrid execution (§4.2 of the paper).
+// Package bitset implements a fixed-capacity bitset. It is the engine's
+// vertex-set type: the changed sets that drive selective scheduling, the
+// touched/seen marks of a level, and the seed of hybrid execution (§4.2
+// of the paper).
+//
+// Set and Get are plain loads and stores. The rule that makes them safe
+// from parallel loops is one writer per word: while any goroutine may
+// write a word, no other goroutine reads or writes it. The engine keeps
+// it by giving each worker whole 512-key blocks (8 words, one 64-byte
+// line), so every key a worker sets lies in a block only it touches.
 package bitset
 
-import (
-	"math/bits"
-	"sync/atomic"
-)
+import "math/bits"
 
-// Bitset is a fixed-capacity set of uint32 keys. Set/Get are safe for
-// concurrent use; ClearAll, Or and the scans are not (call them between
-// parallel phases, as the engine does).
+// Bitset is a fixed-capacity set of uint32 keys.
 type Bitset struct {
 	words []uint64
 	n     int
@@ -25,25 +26,28 @@ func New(n int) *Bitset {
 // Len returns the capacity n the set was created with.
 func (b *Bitset) Len() int { return b.n }
 
-// Set atomically sets bit i and reports whether it was previously clear.
+// Set sets bit i and reports whether it was previously clear.
 func (b *Bitset) Set(i uint32) bool {
 	w := &b.words[i>>6]
 	mask := uint64(1) << (i & 63)
-	for {
-		old := atomic.LoadUint64(w)
-		if old&mask != 0 {
-			return false
-		}
-		if atomic.CompareAndSwapUint64(w, old, old|mask) {
-			return true
-		}
+	if *w&mask != 0 {
+		return false
 	}
+	*w |= mask
+	return true
 }
 
-// Get atomically reports whether bit i is set.
+// Get reports whether bit i is set.
 func (b *Bitset) Get(i uint32) bool {
-	return atomic.LoadUint64(&b.words[i>>6])&(uint64(1)<<(i&63)) != 0
+	return b.words[i>>6]&(uint64(1)<<(i&63)) != 0
 }
+
+// Words returns the number of 64-bit words backing the set; word i holds
+// keys [64i, 64i+64).
+func (b *Bitset) Words() int { return len(b.words) }
+
+// Word returns word i: bit k of it is key 64i+k.
+func (b *Bitset) Word(i int) uint64 { return b.words[i] }
 
 // ClearAll zeroes the whole set.
 func (b *Bitset) ClearAll() {
@@ -71,8 +75,7 @@ func (b *Bitset) Members(dst []uint32) []uint32 {
 	return dst
 }
 
-// Or merges other into b (b |= other). Capacities must match. Not safe
-// concurrently with writers.
+// Or merges other into b (b |= other). Capacities must match.
 func (b *Bitset) Or(other *Bitset) {
 	for i := range b.words {
 		b.words[i] |= other.words[i]

@@ -1,11 +1,11 @@
 package bitset
 
 import (
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/parallel"
 )
 
 func TestSetGetClear(t *testing.T) {
@@ -48,21 +48,25 @@ func TestCountAndMembers(t *testing.T) {
 	}
 }
 
-func TestConcurrentSetExactlyOneWinner(t *testing.T) {
-	b := New(64)
-	wins := parallel.NewCounter()
-	parallel.ForWorker(10_000, 16, func(worker, start, end int) {
-		for i := start; i < end; i++ {
-			if b.Set(uint32(i % 64)) {
-				wins.Add(worker, 1)
-			}
-		}
-	})
-	if got := wins.Sum(); got != 64 {
-		t.Fatalf("winners = %d, want 64", got)
+// TestWordsSpellMembers walks the set word by word, the way the engine's
+// vertex loops do, and must meet exactly Members.
+func TestWordsSpellMembers(t *testing.T) {
+	b := New(1000)
+	keys := []uint32{0, 1, 63, 64, 65, 127, 128, 511, 512, 999}
+	for _, k := range keys {
+		b.Set(k)
 	}
-	if b.Count() != 64 {
-		t.Fatalf("Count = %d, want 64", b.Count())
+	if got, want := b.Words(), (1000+63)/64; got != want {
+		t.Fatalf("Words = %d, want %d", got, want)
+	}
+	var walked []uint32
+	for i := 0; i < b.Words(); i++ {
+		for w := b.Word(i); w != 0; w &= w - 1 {
+			walked = append(walked, uint32(i*64+bits.TrailingZeros64(w)))
+		}
+	}
+	if !slices.Equal(walked, b.Members(nil)) || !slices.Equal(walked, keys) {
+		t.Fatalf("word walk %v, Members %v, want %v", walked, b.Members(nil), keys)
 	}
 }
 

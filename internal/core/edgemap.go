@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/bitset"
 	"repro/internal/graph"
 	"repro/internal/parallel"
@@ -13,10 +15,14 @@ import (
 // markOut — plus computeVertices for ∮; their callers only choose the
 // vertex set, the value accessor, the degrees and the sink.
 //
-// Every aggregate has exactly one writer per call, so no kernel takes a
-// lock: pullEdges and the dense direction of pushEdges give each worker
-// its own targets, and foldEdges and the sparse direction of pushEdges run
-// on the calling goroutine. Each target takes its contributions in
+// One writer per word: forVertices is the only parallel vertex loop, and
+// it hands each worker whole 512-vertex blocks. Every per-vertex array
+// and bitset a loop body writes is indexed by the body's own vertex, so
+// each aggregate, and each word of each bitset, has one writer per loop.
+// That is why no kernel takes a lock and bitset.Set is a plain store.
+// pullEdges and the dense direction of pushEdges give each worker its
+// own targets; foldEdges, markOut and the sparse direction of pushEdges
+// run on the calling goroutine. Each target takes its contributions in
 // ascending source order — sources are visited in ascending order, and
 // adjacency lists are sorted by (neighbour, weight) in both directions —
 // so every value is a function of the update stream alone, whichever
@@ -32,6 +38,12 @@ import (
 // there is more than one worker, see dense).
 const denseShare = 20
 
+// blockVerts is the unit forVertices hands a worker: 512 vertices are 8
+// bitset words, one 64-byte line. It is also the sequential cutoff: a
+// set with fewer members runs inline on the caller, because waking
+// workers costs more than walking it.
+const blockVerts = 512
+
 // direction pins pushEdges' traversal. The zero value, the only one the
 // engine ever sets, lets denseShare decide; the package's tests force
 // each side to check that both give the same result.
@@ -43,30 +55,60 @@ const (
 	dirDense
 )
 
-// vertexSet is a kernel's iteration domain: every vertex of the graph or
-// an explicit list. "All" is a flag rather than a nil list because an
-// empty bitset's Members(nil) is nil too, and that must mean no work.
+// vertexSet is a vertex loop's domain: every vertex of the graph, or the
+// members of a bitset.
 type vertexSet struct {
-	all  bool
-	n    int        // the vertex count, when all
-	list []VertexID // the members, otherwise
+	n   int            // the vertex count, when set is nil
+	set *bitset.Bitset // the members, otherwise
 }
 
-func allVertices(n int) vertexSet    { return vertexSet{all: true, n: n} }
-func listOf(vs []VertexID) vertexSet { return vertexSet{list: vs} }
+func allVertices(n int) vertexSet          { return vertexSet{n: n} }
+func membersOf(b *bitset.Bitset) vertexSet { return vertexSet{set: b} }
 
-func (s vertexSet) at(k int) VertexID {
-	if s.all {
-		return VertexID(k)
+// forVertices runs body(worker, v) for every v of vs and adds what the
+// bodies return to work (when non-nil), once per chunk. Each worker
+// claims whole blocks of blockVerts vertices and walks a block in
+// ascending order, so a body may write any per-vertex bitset at its own
+// v. A set with fewer than blockVerts members runs inline.
+func forVertices(vs vertexSet, body func(worker int, v VertexID) int64, work *parallel.Counter) {
+	if vs.set == nil {
+		parallel.ForWorker(vs.n, blockVerts, func(worker, lo, hi int) {
+			var cnt int64
+			for v := lo; v < hi; v++ {
+				cnt += body(worker, VertexID(v))
+			}
+			if work != nil {
+				work.Add(worker, cnt)
+			}
+		})
+		return
 	}
-	return s.list[k]
+	set := vs.set
+	words, grain := set.Words(), blockVerts/64
+	if set.Count() < blockVerts {
+		grain = words
+	}
+	parallel.ForWorker(words, grain, func(worker, lo, hi int) {
+		var cnt int64
+		for i := lo; i < hi; i++ {
+			for w := set.Word(i); w != 0; w &= w - 1 {
+				cnt += body(worker, VertexID(i*64+bits.TrailingZeros64(w)))
+			}
+		}
+		if work != nil {
+			work.Add(worker, cnt)
+		}
+	})
 }
 
-func (s vertexSet) len() int {
-	if s.all {
-		return s.n
+// eachMember calls f for every member of b in ascending order, on the
+// calling goroutine.
+func eachMember(b *bitset.Bitset, f func(VertexID)) {
+	for i := 0; i < b.Words(); i++ {
+		for w := b.Word(i); w != 0; w &= w - 1 {
+			f(VertexID(i*64 + bits.TrailingZeros64(w)))
+		}
 	}
-	return len(s.list)
 }
 
 // sink is where a kernel leaves its results: the aggregates it updates
@@ -112,38 +154,33 @@ type srcChange[V any] struct {
 // marked touched.
 func (e *Engine[V, A]) pullEdges(targets vertexSet, valAt func(VertexID) V, to sink[A]) {
 	touched := e.sc.touched
-	parallel.ForWorker(targets.len(), 64, func(worker, lo, hi int) {
-		var cnt int64
-		for k := lo; k < hi; k++ {
-			v := targets.at(k)
-			na := e.p.IdentityAgg()
-			us, ws := e.g.InNeighbors(v)
-			for i, u := range us {
-				deg := 0
-				if e.deg {
-					deg = e.g.OutDegree(u)
-				}
-				e.p.Propagate(&na, valAt(u), u, v, ws[i], deg)
+	forVertices(targets, func(_ int, v VertexID) int64 {
+		na := e.p.IdentityAgg()
+		us, ws := e.g.InNeighbors(v)
+		for i, u := range us {
+			deg := 0
+			if e.deg {
+				deg = e.g.OutDegree(u)
 			}
-			cnt += int64(len(us))
-			to.agg[v] = na
-			if len(us) > 0 {
-				touched.Set(v)
-			}
+			e.p.Propagate(&na, valAt(u), u, v, ws[i], deg)
 		}
-		to.work.Add(worker, cnt)
-	})
+		to.agg[v] = na
+		if len(us) > 0 {
+			touched.Set(v)
+		}
+		return int64(len(us))
+	}, to.work)
 }
 
 // pushEdges applies ⋃△ over every out-edge of every source — the
 // transitive impact of sources whose value or out-degree changed. at
 // returns a source's old and new value and its old out-degree; the new
-// one is its out-degree in e.g. sources must be ascending and distinct.
-// A small call pushes along out-edges on the calling goroutine; one whose
-// sources and out-edges exceed |E|/denseShare, with more than one worker
-// to run it, is pullDelta.
-func (e *Engine[V, A]) pushEdges(sources []VertexID, at func(u VertexID) (oldV, newV V, oldDeg int), to sink[A]) {
-	if len(sources) == 0 {
+// one is its out-degree in e.g. A small call pushes along out-edges on
+// the calling goroutine, sources in ascending order; one whose sources
+// and out-edges exceed |E|/denseShare, with more than one worker to run
+// it, is pullDelta.
+func (e *Engine[V, A]) pushEdges(sources *bitset.Bitset, at func(u VertexID) (oldV, newV V, oldDeg int), to sink[A]) {
+	if sources.Count() == 0 {
 		return
 	}
 	if e.dense(sources) {
@@ -152,7 +189,7 @@ func (e *Engine[V, A]) pushEdges(sources []VertexID, at func(u VertexID) (oldV, 
 	}
 	touched := e.sc.touched
 	var cnt int64
-	for _, u := range sources {
+	eachMember(sources, func(u VertexID) {
 		ts, ws := e.g.OutNeighbors(u)
 		oldV, newV, oldDeg := at(u)
 		for i, t := range ts {
@@ -169,7 +206,7 @@ func (e *Engine[V, A]) pushEdges(sources []VertexID, at func(u VertexID) (oldV, 
 				cnt += 2
 			}
 		}
-	}
+	})
 	to.work.Add(0, cnt)
 }
 
@@ -177,7 +214,7 @@ func (e *Engine[V, A]) pushEdges(sources []VertexID, at func(u VertexID) (oldV, 
 // worker it never should: the pull exists to split targets across
 // workers, and on its own it scans all |E| in-edges where the push walks
 // only the sources' out-edges.
-func (e *Engine[V, A]) dense(sources []VertexID) bool {
+func (e *Engine[V, A]) dense(sources *bitset.Bitset) bool {
 	switch e.dir {
 	case dirSparse:
 		return false
@@ -187,54 +224,45 @@ func (e *Engine[V, A]) dense(sources []VertexID) bool {
 	if parallel.Workers() == 1 {
 		return false
 	}
-	work := int64(len(sources))
-	for _, u := range sources {
-		work += int64(e.g.OutDegree(u))
-	}
+	var work int64
+	eachMember(sources, func(u VertexID) { work += 1 + int64(e.g.OutDegree(u)) })
 	return work*denseShare > e.g.NumEdges()
 }
 
 // pullDelta is pushEdges' dense direction. Each source's change is
 // computed once into scratch; then each worker walks the in-edges of its
-// own targets and applies the ones whose source is in the call. The
-// edge visits, the targets touched and the work counted are pushEdges'.
-func (e *Engine[V, A]) pullDelta(sources []VertexID, at func(u VertexID) (oldV, newV V, oldDeg int), to sink[A]) {
-	in, src, touched := e.sc.srcIn, e.sc.src, e.sc.touched
-	in.ClearAll()
-	parallel.For(len(sources), func(k int) {
-		u := sources[k]
+// own targets and applies the ones whose source is in sources. The edge
+// visits, the targets touched and the work counted are pushEdges'.
+func (e *Engine[V, A]) pullDelta(sources *bitset.Bitset, at func(u VertexID) (oldV, newV V, oldDeg int), to sink[A]) {
+	src, touched := e.sc.src, e.sc.touched
+	forVertices(membersOf(sources), func(_ int, u VertexID) int64 {
 		c := &src[u]
 		c.oldV, c.newV, c.oldDeg = at(u)
 		c.newDeg = e.g.OutDegree(u)
-		in.Set(u)
-	})
-	// A chunk of 512 targets owns whole 64-byte lines of touched, so the
-	// workers' first-touch marks never contend for a cache line.
-	parallel.ForWorker(e.g.NumVertices(), 512, func(worker, lo, hi int) {
+		return 0
+	}, nil)
+	forVertices(allVertices(e.g.NumVertices()), func(_ int, t VertexID) int64 {
 		var cnt int64
-		for v := lo; v < hi; v++ {
-			t := VertexID(v)
-			us, ws := e.g.InNeighbors(t)
-			for i, u := range us {
-				if !in.Get(u) {
-					continue
-				}
-				if !touched.Get(t) {
-					to.start(touched, t)
-				}
-				c, agg := &src[u], &to.agg[t]
-				if e.delta != nil {
-					e.delta.PropagateDelta(agg, c.oldV, c.newV, u, t, ws[i], c.oldDeg, c.newDeg)
-					cnt++
-				} else {
-					e.p.Retract(agg, c.oldV, u, t, ws[i], c.oldDeg)
-					e.p.Propagate(agg, c.newV, u, t, ws[i], c.newDeg)
-					cnt += 2
-				}
+		us, ws := e.g.InNeighbors(t)
+		for i, u := range us {
+			if !sources.Get(u) {
+				continue
+			}
+			if !touched.Get(t) {
+				to.start(touched, t)
+			}
+			c, agg := &src[u], &to.agg[t]
+			if e.delta != nil {
+				e.delta.PropagateDelta(agg, c.oldV, c.newV, u, t, ws[i], c.oldDeg, c.newDeg)
+				cnt++
+			} else {
+				e.p.Retract(agg, c.oldV, u, t, ws[i], c.oldDeg)
+				e.p.Propagate(agg, c.newV, u, t, ws[i], c.newDeg)
+				cnt += 2
 			}
 		}
-		to.work.Add(worker, cnt)
-	})
+		return cnt
+	}, to.work)
 }
 
 // foldEdges applies op (⊎ or ⋃-) once per listed edge, in list order on
@@ -258,14 +286,15 @@ func (e *Engine[V, A]) foldEdges(op edgeOp, edges []graph.Edge, valAt func(Verte
 	to.work.Add(0, int64(len(edges)))
 }
 
-// markOut adds the out-neighbours of sources to into.
-func (e *Engine[V, A]) markOut(sources []VertexID, into *bitset.Bitset) {
-	for _, u := range sources {
+// markOut adds the out-neighbours of sources to into, on the calling
+// goroutine.
+func (e *Engine[V, A]) markOut(sources, into *bitset.Bitset) {
+	eachMember(sources, func(u VertexID) {
 		ts, _ := e.g.OutNeighbors(u)
 		for _, t := range ts {
 			into.Set(t)
 		}
-	}
+	})
 }
 
 // markTargets adds the targets of a batch's added and deleted edges to
@@ -297,21 +326,18 @@ func outDegree(g *graph.Graph, u VertexID) int {
 // the set; a vertex whose value changed keeps the previous one in e.old
 // and joins next. In tracking modes the aggregate of a touched vertex is
 // recorded as its dependency at the level.
-func (e *Engine[V, A]) computeVertices(vs vertexSet, grain, level int, next *bitset.Bitset, work *parallel.Counter) {
+func (e *Engine[V, A]) computeVertices(vs vertexSet, level int, next *bitset.Bitset, work *parallel.Counter) {
 	track, touched := e.tracking(), e.sc.touched
-	parallel.ForWorker(vs.len(), grain, func(worker, lo, hi int) {
-		for k := lo; k < hi; k++ {
-			v := vs.at(k)
-			nv := e.p.Compute(v, e.agg[v])
-			if track && touched.Get(v) {
-				e.hist.Append(v, level, e.agg[v])
-			}
-			if e.p.Changed(e.vals[v], nv) {
-				e.old[v] = e.vals[v]
-				e.vals[v] = nv
-				next.Set(v)
-			}
+	forVertices(vs, func(_ int, v VertexID) int64 {
+		nv := e.p.Compute(v, e.agg[v])
+		if track && touched.Get(v) {
+			e.hist.Append(v, level, e.agg[v])
 		}
-		work.Add(worker, int64(hi-lo))
-	})
+		if e.p.Changed(e.vals[v], nv) {
+			e.old[v] = e.vals[v]
+			e.vals[v] = nv
+			next.Set(v)
+		}
+		return 1
+	}, work)
 }

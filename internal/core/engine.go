@@ -63,21 +63,23 @@ type scratch[V, A any] struct {
 
 	// refine: rolling stash of old values at the previous level and the
 	// work aggregates of the current one.
-	oldStash, nextOldStash     []V // valid where stashValid / nextStashValid
-	stashValid, nextStashValid *bitset.Bitset
-	aggWork                    []A            // valid where touched
-	touchedAny                 *bitset.Bitset // union of touched across refined levels
+	oldStash, nextOldStash []V            // valid where prevTouched / touched
+	aggWork                []A            // valid where touched
+	touchedAny             *bitset.Bitset // union of touched across refined levels
 
 	touched *bitset.Bitset // targets updated at the current level
-	seen    *bitset.Bitset // out-neighbours of a pull level's frontier
-	// fronts are the changed sets: refine builds each level's in one and
-	// the hybrid seed in the other; runDelta alternates between them.
+	// prevTouched is refine's touched of the previous level: the two swap
+	// at the end of each level.
+	prevTouched *bitset.Bitset
+	seen        *bitset.Bitset // out-neighbours of a pull level's frontier
+	// fronts are the changed sets: refine builds each level's sources and
+	// changed set in them, then the hybrid seed; runDelta alternates
+	// between them.
 	fronts [2]*bitset.Bitset
 
-	// pushEdges' dense direction (push programs only): the call's sources
-	// and each one's change.
-	srcIn *bitset.Bitset
-	src   []srcChange[V] // valid where srcIn
+	// pushEdges' dense direction (push programs only): each source's
+	// change, valid where the call's source set has the source.
+	src []srcChange[V]
 }
 
 // size makes the scratch hold n vertices, with headroom so a stream that
@@ -89,19 +91,17 @@ func (s *scratch[V, A]) size(n int, push bool) {
 	}
 	n += n / 4
 	*s = scratch[V, A]{
-		n:              n,
-		oldStash:       make([]V, n),
-		nextOldStash:   make([]V, n),
-		stashValid:     bitset.New(n),
-		nextStashValid: bitset.New(n),
-		aggWork:        make([]A, n),
-		touchedAny:     bitset.New(n),
-		touched:        bitset.New(n),
-		seen:           bitset.New(n),
-		fronts:         [2]*bitset.Bitset{bitset.New(n), bitset.New(n)},
+		n:            n,
+		oldStash:     make([]V, n),
+		nextOldStash: make([]V, n),
+		aggWork:      make([]A, n),
+		touchedAny:   bitset.New(n),
+		touched:      bitset.New(n),
+		prevTouched:  bitset.New(n),
+		seen:         bitset.New(n),
+		fronts:       [2]*bitset.Bitset{bitset.New(n), bitset.New(n)},
 	}
 	if push {
-		s.srcIn = bitset.New(n)
 		s.src = make([]srcChange[V], n)
 	}
 }
@@ -343,19 +343,19 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *bitset.Bitset, maxLevel int
 			// Only out-neighbours of the frontier can see a new input set.
 			seen := e.sc.seen
 			seen.ClearAll()
-			e.markOut(front.Members(nil), seen)
-			e.pullEdges(listOf(seen.Members(nil)), e.current(), to)
+			e.markOut(front, seen)
+			e.pullEdges(membersOf(seen), e.current(), to)
 		default:
-			e.pushEdges(front.Members(nil), change, to)
+			e.pushEdges(front, change, to)
 		}
 
 		// Compute phase: level 1 computes every vertex (c_1 = ∮(д_1)
 		// differs from c_0 in general); later levels only touched ones.
 		next := e.sc.otherFront(front)
 		if first {
-			e.computeVertices(all, 256, level, next, vertWork)
+			e.computeVertices(all, level, next, vertWork)
 		} else {
-			e.computeVertices(listOf(touched.Members(nil)), 64, level, next, vertWork)
+			e.computeVertices(membersOf(touched), level, next, vertWork)
 		}
 		if e.tracking() && e.opts.DisableVerticalPruning {
 			e.snapshotAll(level)

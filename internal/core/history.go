@@ -176,6 +176,7 @@ func diffSnapshots[V, A any](p Program[V, A], fs, ts *ResultSnapshot[V], from, t
 		return p.InitValue(VertexID(v))
 	}
 	changed := bitset.New(n)
+	// For's DefaultGrain chunks are whole 512-vertex blocks: one writer per word of changed.
 	parallel.For(n, func(v int) {
 		if p.Changed(valueAt(fs.Values, v), valueAt(ts.Values, v)) {
 			changed.Set(VertexID(v))

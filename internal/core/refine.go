@@ -104,12 +104,12 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	degChanged := e.degreeChanged(oldG, newG, res)
 
 	// Rolling stash of OLD values at the previous level for vertices
-	// whose history entry there was overwritten. New values never need
+	// whose history entry there was overwritten — exactly that level's
+	// touched set, kept in sc.prevTouched. New values never need
 	// stashing: post-refinement history IS the new run.
 	sc := &e.sc
 	oldStash, nextOldStash := sc.oldStash, sc.nextOldStash
-	stashValid, nextStashValid := sc.stashValid, sc.nextStashValid
-	stashValid.ClearAll()
+	sc.prevTouched.ClearAll()
 
 	// pending maps extended vertices to their original stabilized tail
 	// aggregate; it is read-only during parallel phases and mutated only
@@ -117,19 +117,21 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	pending := make(map[VertexID]A)
 
 	aggWork := sc.aggWork
-	var changedPrev []VertexID    // old-vs-new value changed at level i-1
 	workers := parallel.Workers() // for per-worker extension collectors
 
-	touched := sc.touched       // targets updated at the current level
 	touchedAny := sc.touchedAny // union across levels, for the hand-off
 	touchedAny.ClearAll()
-	changedF := sc.fronts[0]
+	// sources enters level i holding the vertices whose old and new values
+	// differ at level i-1; the level adds degChanged to it.
+	sources := sc.fronts[0]
+	sources.ClearAll()
 	to := sink[A]{agg: aggWork, work: edgeWork}
 
 	for i := 1; i <= H; i++ {
 		j := i - 1
+		touched, prevTouched := sc.touched, sc.prevTouched
 		oldValAt := func(u VertexID) V {
-			if stashValid.Get(u) {
+			if prevTouched.Get(u) {
 				return oldStash[u]
 			}
 			return e.valueAt(u, j)
@@ -149,15 +151,17 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			return a
 		}
 
+		for _, u := range degChanged {
+			sources.Set(u)
+		}
 		touched.ClearAll()
 		if e.pull {
 			// Non-decomposable: every target the batch or a changed source
 			// reaches re-aggregates its whole in-neighbourhood of the new
 			// graph from new source values.
 			markTargets(res, touched)
-			e.markOut(changedPrev, touched)
-			e.markOut(degChanged, touched)
-			e.pullEdges(listOf(touched.Members(nil)), newValAt, to)
+			e.markOut(sources, touched)
+			e.pullEdges(membersOf(touched), newValAt, to)
 		} else {
 			// The work aggregate of a target starts from its old aggregate
 			// at this level.
@@ -172,7 +176,6 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			// (b) Transitive impact (⋃△): sources whose value (or
 			// out-degree) changed update their contribution over every
 			// out-edge of the new graph.
-			sources := mergeSources(changedPrev, degChanged)
 			e.pushEdges(sources, func(u VertexID) (V, V, int) {
 				return oldValAt(u), newValAt(u), outDegree(oldG, u)
 			}, to)
@@ -180,34 +183,28 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 
 		// Compute phase: derive old and new values at this level, store
 		// the refined aggregate, and build the next changed set.
-		members := touched.Members(nil)
-		nextStashValid.ClearAll()
-		changedF.ClearAll()
+		changed := sc.otherFront(sources)
 		extensions := make([][]tailFix[A], workers)
-		parallel.ForWorker(len(members), 64, func(worker, s, t2 int) {
-			for k := s; k < t2; k++ {
-				v := members[k]
-				oldAgg := oldAggAt(v)
-				// Refining at or past the final stored entry destroys the
-				// stabilized tail that lookups beyond it rely on: remember
-				// it so oldAggAt keeps answering correctly and so it can
-				// be restored once the vertex goes untouched again.
-				touchesTail := e.hist.Last(v) <= i
-				_, hadPending := pending[v]
-				oldVal := e.p.Compute(v, oldAgg)
-				newVal := e.p.Compute(v, aggWork[v])
-				e.hist.Append(v, i, aggWork[v])
-				nextOldStash[v] = oldVal
-				nextStashValid.Set(v)
-				if touchesTail && !hadPending {
-					extensions[worker] = append(extensions[worker], tailFix[A]{v, e.p.CloneAgg(oldAgg)})
-				}
-				if e.p.Changed(oldVal, newVal) {
-					changedF.Set(v)
-				}
+		forVertices(membersOf(touched), func(worker int, v VertexID) int64 {
+			oldAgg := oldAggAt(v)
+			// Refining at or past the final stored entry destroys the
+			// stabilized tail that lookups beyond it rely on: remember it
+			// so oldAggAt keeps answering correctly and so it can be
+			// restored once the vertex goes untouched again.
+			touchesTail := e.hist.Last(v) <= i
+			_, hadPending := pending[v]
+			oldVal := e.p.Compute(v, oldAgg)
+			newVal := e.p.Compute(v, aggWork[v])
+			e.hist.Append(v, i, aggWork[v])
+			nextOldStash[v] = oldVal
+			if touchesTail && !hadPending {
+				extensions[worker] = append(extensions[worker], tailFix[A]{v, e.p.CloneAgg(oldAgg)})
 			}
-			vertWork.Add(worker, int64(t2-s))
-		})
+			if e.p.Changed(oldVal, newVal) {
+				changed.Set(v)
+			}
+			return 1
+		}, vertWork)
 
 		// Tail restores: extended vertices left untouched at this level
 		// revert to their stabilized aggregate from here on; write that
@@ -224,10 +221,10 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			}
 		}
 
-		changedPrev = changedF.Members(nil)
 		touchedAny.Or(touched)
 		oldStash, nextOldStash = nextOldStash, oldStash
-		stashValid, nextStashValid = nextStashValid, stashValid
+		sc.touched, sc.prevTouched = prevTouched, touched
+		sources = changed
 		st.RefineIterations++
 	}
 
@@ -263,8 +260,10 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		}
 	}
 	if H == L {
-		members := touchedAny.Members(nil)
-		parallel.For(len(members), func(k int) { refresh(int(members[k])) })
+		forVertices(membersOf(touchedAny), func(_ int, v VertexID) int64 {
+			refresh(int(v))
+			return 0
+		}, nil)
 		for v := oldN; v < n; v++ { // vertices added by this batch
 			if !touchedAny.Get(VertexID(v)) {
 				refresh(v)
@@ -274,6 +273,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			// Untouched vertices changed between H-1 and H in the new run
 			// iff they did in the old run; the history frontier tells us
 			// without recomputing values.
+			// For's DefaultGrain chunks are whole 512-vertex blocks: one writer per word of seed.
 			parallel.For(oldN, func(v int) {
 				vid := VertexID(v)
 				if !touchedAny.Get(vid) && e.hist.Last(vid) == H {
@@ -288,6 +288,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	} else {
 		// Horizontal pruning rewound the state to level H < L: every
 		// vertex's value/aggregate must be re-materialized.
+		// For's DefaultGrain chunks are whole 512-vertex blocks: one writer per word of seed.
 		parallel.For(n, func(v int) { refresh(v) })
 	}
 	e.level = H
@@ -304,30 +305,6 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	e.met.refineEdges.Add(refineEdges)
 	e.met.hybridEdges.Add(st2.EdgeComputations)
 	return st
-}
-
-// mergeSources returns the ascending union of two ascending vertex lists,
-// the order pushEdges needs its sources in.
-func mergeSources(a, b []VertexID) []VertexID {
-	if len(b) == 0 {
-		return a
-	}
-	if len(a) == 0 {
-		return b
-	}
-	out := make([]VertexID, 0, len(a)+len(b))
-	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0]:
-			out, a = append(out, a[0]), a[1:]
-		case b[0] < a[0]:
-			out, b = append(out, b[0]), b[1:]
-		default:
-			out, a, b = append(out, a[0]), a[1:], b[1:]
-		}
-	}
-	out = append(out, a...)
-	return append(out, b...)
 }
 
 // mutatedSources returns the distinct sources of the batch's added and
@@ -378,19 +355,24 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 
 	if e.pull {
 		markTargets(res, touched)
-		e.pullEdges(listOf(touched.Members(nil)), e.current(), to)
+		e.pullEdges(membersOf(touched), e.current(), to)
 	} else {
 		// Added edges carry the new out-degree, deleted ones the old.
 		e.foldEdges(opPropagate, res.Added, e.current(), newG, to)
 		e.foldEdges(opRetract, res.Deleted, e.current(), oldG, to)
-		e.pushEdges(e.degreeChanged(oldG, newG, res), func(u VertexID) (V, V, int) {
+		sources := e.sc.fronts[1]
+		sources.ClearAll()
+		for _, u := range e.degreeChanged(oldG, newG, res) {
+			sources.Set(u)
+		}
+		e.pushEdges(sources, func(u VertexID) (V, V, int) {
 			return e.vals[u], e.vals[u], outDegree(oldG, u)
 		}, to)
 	}
 
 	seed := e.sc.fronts[0]
 	seed.ClearAll()
-	e.computeVertices(listOf(touched.Members(nil)), 64, e.level, seed, vertWork)
+	e.computeVertices(membersOf(touched), e.level, seed, vertWork)
 	st := e.runDelta(e.level+1, seed, e.level+e.opts.MaxIterations)
 	st.EdgeComputations += edgeWork.Sum()
 	st.VertexComputations += vertWork.Sum()

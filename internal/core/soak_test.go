@@ -184,7 +184,10 @@ func TestRefinementUnderConcurrency(t *testing.T) {
 // bit the same. PageRank sums floats and Belief Propagation multiplies
 // them, so this holds only while each target takes its contributions in
 // an order fixed by the stream (ascending sources), never by how workers
-// claim chunks. 4 000 vertices, so the kernels' loops really split.
+// claim chunks. 4 000 vertices, so the kernels' loops really split. SSSP
+// and CC are pull programs: on this graph their refined levels reach
+// touched sets of more than 512 vertices, so pullEdges over a member set
+// runs split across workers, each writing touched in its own blocks.
 func TestSameStreamTwiceIsBitIdentical(t *testing.T) {
 	const n = 4000
 	s, err := stream.FromEdges(n, gen.RMAT(96, n, 40000, gen.WeightUniform), stream.Config{BatchSize: 200, DeleteFraction: 0.3, Seed: 8})
@@ -195,6 +198,8 @@ func TestSameStreamTwiceIsBitIdentical(t *testing.T) {
 		sameAcrossProcs[float64, float64](t, s, "PageRank", algorithms.NewPageRank(), mode, scalar)
 	}
 	sameAcrossProcs[[]float64, []float64](t, s, "BeliefProp", algorithms.NewBeliefProp(3), core.ModeGraphBolt, vector)
+	sameAcrossProcs[float64, float64](t, s, "SSSP", algorithms.NewSSSP(0), core.ModeGraphBolt, scalar)
+	sameAcrossProcs[float64, float64](t, s, "CC", algorithms.NewConnectedComponents(), core.ModeGraphBolt, scalar)
 }
 
 // sameAcrossProcs streams s at each GOMAXPROCS setting and requires the

@@ -60,6 +60,28 @@ func TestForWorkerIDsInRange(t *testing.T) {
 	}
 }
 
+// TestForWorkerChunksStartOnGrain: every chunk starts at a multiple of
+// grain and only the last one is short. The engine's one-writer-per-word
+// rule for bitsets rests on this: with a grain of whole words, no two
+// workers ever write the same word.
+func TestForWorkerChunksStartOnGrain(t *testing.T) {
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(t, procs, func() {
+			for _, c := range []struct{ n, grain int }{{24, 8}, {100, 512}, {1500, 512}, {54321, 100}, {100_000, DefaultGrain}} {
+				var bad atomic.Int64
+				ForWorker(c.n, c.grain, func(_, start, end int) {
+					if start%c.grain != 0 || (end != c.n && end-start != c.grain) {
+						bad.Add(1)
+					}
+				})
+				if bad.Load() != 0 {
+					t.Errorf("GOMAXPROCS %d, n=%d grain=%d: %d chunks off the grain", procs, c.n, c.grain, bad.Load())
+				}
+			}
+		})
+	}
+}
+
 func TestForNegativeN(t *testing.T) {
 	called := false
 	For(-5, func(i int) { called = true })
