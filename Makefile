@@ -78,13 +78,14 @@ shard:
 # failure forcing a Degraded dump, /debug/flight filtered by trace), the
 # trace-merge property test (every accepted submission's trace ID lands
 # in exactly one applied trace set, at coalescing caps from 1 to
-# unbounded and through quarantine), the ring torture tests twenty times over (a roomy ring and
+# unbounded and through quarantine), the open_apply report of a blocked
+# apply on /debug/flight, the ring torture tests twenty times over (a roomy ring and
 # a two-slot ring where every write laps another; with the ring behind a
 # mutex they cannot flake), and the <5% recorder apply-latency overhead
 # check.
 flight:
 	$(GO) test -race -run TestFlightRecorder -v $(SUITE_FLAGS) .
-	$(GO) test -race -run 'TestTrace' ./internal/flight/ ./internal/serve/
+	$(GO) test -race -run 'TestTrace|TestFlightHandlerOpenApply' ./internal/flight/ ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestRing|TestSnapshotConsistent' ./internal/flight/
 
 # replica runs the replication suite under the race detector: the

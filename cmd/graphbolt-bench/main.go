@@ -9,16 +9,12 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exps"
-	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 func main() {
@@ -28,7 +24,6 @@ func main() {
 		iterations = flag.Int("iterations", 10, "BSP iterations per run (the paper uses 10)")
 		seed       = flag.Uint64("seed", 42, "generator seed")
 		list       = flag.Bool("list", false, "list experiments and exit")
-		metricsOut = flag.String("metrics-out", "", "write the final metrics snapshot as JSON to this file ('-' = stdout)")
 	)
 	flag.Parse()
 
@@ -37,16 +32,6 @@ func main() {
 			fmt.Printf("%-10s %s\n", e.Name, e.Desc)
 		}
 		return
-	}
-
-	// With -metrics-out, every engine the experiments construct reports
-	// into the process-wide registry; the snapshot is dumped at the end.
-	var reg *obs.Registry
-	if *metricsOut != "" {
-		reg = obs.Default()
-		core.SetDefaultMetrics(reg)
-		core.RegisterMetrics(reg)
-		parallel.SetMetrics(reg)
 	}
 
 	cfg := exps.Config{
@@ -76,26 +61,4 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %v\n", *expName, exps.Names())
 		os.Exit(2)
 	}
-
-	if reg != nil {
-		if err := dumpMetrics(reg, *metricsOut); err != nil {
-			fmt.Fprintf(os.Stderr, "metrics-out: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// dumpMetrics writes the registry snapshot as indented JSON to path
-// ("-" means stdout).
-func dumpMetrics(reg *obs.Registry, path string) error {
-	data, err := json.MarshalIndent(reg.Snapshot(), "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

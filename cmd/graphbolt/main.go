@@ -19,8 +19,7 @@
 // /metrics.json, /healthz (JSON health: 200 while healthy or degraded,
 // 503 once failed), /debug/vars (expvar) and /debug/pprof/* while the
 // stream runs, and every layer (engine, journal, checkpoints, parallel
-// loops) reports into the process-wide registry. In -serve mode,
-// -apply-deadline arms a watchdog that flags applies exceeding it.
+// loops) reports into the one registry the command builds.
 //
 // With -serve, the stream is ingested through the concurrent serving
 // facade instead of the synchronous loop: batches flow through a
@@ -118,14 +117,12 @@ func main() {
 		syncMode    = flag.String("sync", "every", "journal sync policy: every | interval | none (with -wal-dir)")
 		metricsAt   = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. localhost:9090)")
 		logFormat   = flag.String("log-format", "text", "progress log format: text | json")
-		trace       = flag.Bool("trace", false, "log a line per engine phase (run, refine, hybrid, checkpoint, ...)")
 		serveMode   = flag.Bool("serve", false, "ingest the stream through the concurrent serving facade while -readers goroutines query snapshots")
 		readers     = flag.Int("readers", 4, "concurrent snapshot readers in -serve mode")
 		shards      = flag.Int("shards", 1, "fan each batch out over N partition shards, each with its own engine, joined before the merged snapshot publishes (with -serve; incompatible with -wal-dir)")
 		queueDepth  = flag.Int("queue-depth", 0, "ingest queue bound in -serve mode (0 = default)")
 		retain      = flag.Int("retain", 1, "published generations kept addressable for point-in-time reads (SnapshotAt)")
 		queryCache  = flag.Int64("query-cache", 0, "per-generation query cache budget in bytes for -serve mode (0 = off)")
-		applyDl     = flag.Duration("apply-deadline", 0, "watchdog deadline per apply call in -serve mode (0 = off); exceeding it logs and raises graphbolt_serve_stuck_applies")
 		flightOn    = flag.Bool("flight", false, "enable the batch-lifecycle flight recorder: trace IDs on every batch, /debug/flight, dumps on degrade")
 		flightDepth = flag.Int("flight-depth", 0, "flight recorder ring capacity in events (0 = default 4096; with -flight)")
 		apiAddr     = flag.String("api-addr", "", "serve the HTTP/JSON query API (/v1/snapshot, /v1/topk, /v1/value, /v1/diff) on this address; with -serve -wal-dir also the replication stream at /v1/wal")
@@ -167,7 +164,8 @@ func main() {
 	var healthProxy atomic.Pointer[health.Tracker]
 	var reg *obs.Registry
 	if *metricsAt != "" {
-		reg = graphbolt.EnableMetrics()
+		reg = graphbolt.NewMetricsRegistry()
+		graphbolt.RegisterMetrics(reg)
 	}
 	// The recorder is built before the metrics mux so /debug/flight can
 	// serve it from the start; with -flight off the nil recorder is inert
@@ -196,20 +194,6 @@ func main() {
 			}
 		}()
 	}
-	var sinks []obs.Sink
-	if reg != nil {
-		sinks = append(sinks, obs.RegistrySink{R: reg, Prefix: "graphbolt_phase_"})
-	}
-	if *trace {
-		sinks = append(sinks, obs.SlogSink{Logger: logger})
-	}
-	if rec != nil {
-		// Engine phase spans land in the flight ring too, stamped with
-		// whatever trace is on the apply path.
-		sinks = append(sinks, rec)
-	}
-	tracer := obs.NewTracer(sinks...)
-
 	// The replication log is fed by the durable layer's OnRecord hook
 	// (wired below) and served at GET /v1/wal on the -api-addr listener.
 	// It exists only on a durable leader: without a journal there are no
@@ -231,7 +215,7 @@ func main() {
 		if err != nil {
 			fatal("%v", err)
 		}
-		dcfg = &durableConfig{dir: *walDir, every: *ckptEvery, sync: policy, metrics: reg, tracer: tracer, flight: rec, log: logger, rlog: rlog}
+		dcfg = &durableConfig{dir: *walDir, every: *ckptEvery, sync: policy, metrics: reg, flight: rec, log: logger, rlog: rlog}
 	}
 
 	// The -api-addr listener starts before the serving facade exists:
@@ -300,7 +284,7 @@ func main() {
 	if err != nil {
 		fatal("%v", err)
 	}
-	opts := core.Options{Mode: m, MaxIterations: *iterations, Horizon: *horizon, Retain: *retain, Metrics: reg, Tracer: tracer}
+	opts := core.Options{Mode: m, MaxIterations: *iterations, Horizon: *horizon, Retain: *retain, Metrics: reg, Flight: rec}
 
 	if *follow != "" {
 		runFollower(*algo, g, opts, followConfig{
@@ -354,16 +338,15 @@ func main() {
 		// the journal: Close drains the queue and closes the journal, so
 		// run.close is not called on this path.
 		sc := serveConfig{
-			readers:       *readers,
-			shards:        *shards,
-			queueDepth:    *queueDepth,
-			cacheBytes:    *queryCache,
-			applyDeadline: *applyDl,
-			metrics:       reg,
-			logger:        logger,
-			health:        &healthProxy,
-			flight:        rec,
-			replicating:   rlog != nil,
+			readers:     *readers,
+			shards:      *shards,
+			queueDepth:  *queueDepth,
+			cacheBytes:  *queryCache,
+			metrics:     reg,
+			logger:      logger,
+			health:      &healthProxy,
+			flight:      rec,
+			replicating: rlog != nil,
 		}
 		if *apiAddr != "" {
 			sc.api = &queryProxy
@@ -462,20 +445,19 @@ type runner struct {
 // the /healthz proxy the server's tracker is published through; api,
 // when non-nil, receives the query API handler once the server exists.
 type serveConfig struct {
-	readers       int
-	shards        int
-	queueDepth    int
-	cacheBytes    int64
-	applyDeadline time.Duration
-	metrics       *obs.Registry
-	logger        *slog.Logger
-	health        *atomic.Pointer[health.Tracker]
-	flight        *flight.Recorder              // nil unless -flight
-	api           *atomic.Pointer[http.Handler] // nil unless -api-addr
-	replicating   bool                          // a replication log is attached to the journal
+	readers     int
+	shards      int
+	queueDepth  int
+	cacheBytes  int64
+	metrics     *obs.Registry
+	logger      *slog.Logger
+	health      *atomic.Pointer[health.Tracker]
+	flight      *flight.Recorder              // nil unless -flight
+	api         *atomic.Pointer[http.Handler] // nil unless -api-addr
+	replicating bool                          // a replication log is attached to the journal
 }
 
-// durableConfig carries the -wal-dir flag family plus the process-wide
+// durableConfig carries the -wal-dir flag family plus the command's
 // instrumentation hooks. rlog, when non-nil, receives every journaled
 // record (OnRecord) and the checkpoint floor after recovery.
 type durableConfig struct {
@@ -483,7 +465,6 @@ type durableConfig struct {
 	every   int
 	sync    wal.SyncPolicy
 	metrics *obs.Registry
-	tracer  *obs.Tracer
 	flight  *flight.Recorder
 	log     *slog.Logger
 	rlog    *graphbolt.ReplicationLog
@@ -512,7 +493,6 @@ func wire[V, A any](eng *core.Engine[V, A], cfg *durableConfig) (func() (core.St
 			CheckpointEvery: cfg.every,
 			WAL:             wal.Options{Sync: cfg.sync},
 			Metrics:         cfg.metrics,
-			Tracer:          cfg.tracer,
 			Flight:          cfg.flight,
 			OnRecord:        onRecord,
 		})
@@ -551,7 +531,6 @@ func serveBatches[V, A any](eng *core.Engine[V, A], d *durable.Engine[V, A], sc 
 		Shards:          sc.shards,
 		QueueDepth:      sc.queueDepth,
 		QueryCacheBytes: sc.cacheBytes,
-		ApplyDeadline:   sc.applyDeadline,
 		Logger:          logger,
 		Flight:          sc.flight,
 		// Resuming an interrupted stream relies on journal seq == stream
@@ -786,7 +765,6 @@ func follow[A any](eng *core.Engine[float64, A], fc followConfig, valueName stri
 			CheckpointEvery: fc.durable.every,
 			WAL:             wal.Options{Sync: fc.durable.sync},
 			Metrics:         fc.durable.metrics,
-			Tracer:          fc.durable.tracer,
 			Flight:          fc.durable.flight,
 		})
 		if derr != nil {

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -28,7 +29,10 @@ import (
 //     durations sum within tolerance of the observed end-to-end latency;
 //   - the Degraded transition forces a flight dump focused on (and
 //     containing) the failing batch's trace;
-//   - /debug/flight serves the same events, filterable by trace ID.
+//   - /debug/flight serves the same events, filterable by trace ID;
+//   - the recorder, passed as Options.Flight and DurableOptions.Flight,
+//     is the one place engine and durable phases are timed: recovery
+//     under trace 0, apply_batch and refine under the applied batch's.
 func TestFlightRecorderE2E(t *testing.T) {
 	const nVerts = 64
 	edges := gen.RMAT(11, nVerts, 1500, gen.WeightUniform)
@@ -40,16 +44,15 @@ func TestFlightRecorderE2E(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := graphbolt.NewEngine[float64, float64](strm.Base, graphbolt.NewPageRank(),
-		graphbolt.Options{MaxIterations: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	rec := graphbolt.NewFlightRecorder(graphbolt.FlightOptions{
 		Depth: 1 << 12, TraceDepth: 256,
 		Logger: slog.New(slog.DiscardHandler),
 	})
+	eng, err := graphbolt.NewEngine[float64, float64](strm.Base, graphbolt.NewPageRank(),
+		graphbolt.Options{MaxIterations: 4, Flight: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The gate, when armed, blocks the next WAL fsync so batches pile up
 	// behind an in-flight apply and coalesce deterministically.
@@ -179,6 +182,27 @@ func TestFlightRecorderE2E(t *testing.T) {
 	for _, tk := range sibs[1:] {
 		if !kindsFor(tk.Trace())["coalesced"] {
 			t.Fatalf("sibling trace %d has no coalesce event", tk.Trace())
+		}
+	}
+
+	// Phase events: recovery ran before any batch (trace 0); the head
+	// apply's engine phases carry its trace.
+	phasesFor := func(id uint64) map[string]bool {
+		ps := map[string]bool{}
+		for _, e := range rec.Snapshot() {
+			if e.Kind == flight.KindPhase && e.Trace == id {
+				name, _, _ := strings.Cut(e.Note(), " ")
+				ps[strings.TrimPrefix(name, "name=")] = true
+			}
+		}
+		return ps
+	}
+	if !phasesFor(0)["recovery"] {
+		t.Fatalf("no recovery phase event under trace 0; have %v", phasesFor(0))
+	}
+	for _, p := range []string{"apply_batch", "refine"} {
+		if !phasesFor(headID)[p] {
+			t.Fatalf("head trace %d missing %q phase event; has %v", headID, p, phasesFor(headID))
 		}
 	}
 

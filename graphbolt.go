@@ -346,26 +346,13 @@ var (
 type SnapshotDiff[V any] = core.SnapshotDiff[V]
 
 // QueryCache is the per-generation cache memoizing derived reads
-// (top-k, per-vertex lookups, histograms) over immutable snapshots.
+// (top-k, per-vertex lookups) over immutable snapshots.
 // Obtain one from Server.Cache; nil is valid and computes uncached.
 type QueryCache = qcache.Cache
 
 // VertexValue pairs a vertex with its value in some snapshot, as
 // returned by TopK.
 type VertexValue[V any] = qcache.VertexValue[V]
-
-// Histogram is a fixed-bin distribution of a snapshot-derived quantity
-// (vertex values or out-degrees).
-type Histogram = qcache.Histogram
-
-// Re-exported derived-read helpers. Each memoizes its result in the
-// given QueryCache (nil computes uncached), keyed on the snapshot's
-// generation — snapshots are immutable, so hits never go stale.
-var (
-	// ValueHistogram bins a float64 snapshot's values into equal-width
-	// buckets between the observed finite extremes.
-	ValueHistogram = qcache.ValueHistogram
-)
 
 // TopK returns the k highest-valued vertices of the snapshot, ties
 // broken by ascending vertex id, memoized in c.
@@ -377,12 +364,6 @@ func TopK[V cmp.Ordered](c *QueryCache, s *ResultSnapshot[V], k int) []VertexVal
 // the vertex is out of range), memoized in c.
 func VertexValueAt[V any](c *QueryCache, s *ResultSnapshot[V], v VertexID) (V, bool) {
 	return qcache.Value(c, s, v)
-}
-
-// DegreeHistogram bins the snapshot graph's out-degrees into log2
-// buckets, memoized in c.
-func DegreeHistogram[V any](c *QueryCache, s *ResultSnapshot[V]) *Histogram {
-	return qcache.DegreeHistogram(c, s)
 }
 
 // Stream re-exports mutation-stream construction.

@@ -139,11 +139,7 @@ func NewEngine[V, A any](g *graph.Graph, p Program[V, A], opts Options) (*Engine
 	if opts.Retain > 1 {
 		e.ring = NewHistoryRing[V](opts.Retain)
 	}
-	reg := opts.Metrics
-	if reg == nil {
-		reg = defaultMetrics.Load()
-	}
-	e.met = newEngineMetrics(reg)
+	e.met = newEngineMetrics(opts.Metrics)
 	return e, nil
 }
 
@@ -218,7 +214,6 @@ func (e *Engine[V, A]) tracking() bool {
 // Run executes the initial computation from scratch (also used by the
 // restart modes after a mutation). Subsequent calls restart.
 func (e *Engine[V, A]) Run() Stats {
-	sp := e.opts.Tracer.StartPhase("run")
 	start := time.Now()
 	var st Stats
 	e.resetState()
@@ -234,7 +229,7 @@ func (e *Engine[V, A]) Run() Stats {
 	e.met.observeRun(st)
 	e.refreshTrackingMetrics()
 	e.publish()
-	sp.End()
+	e.opts.Flight.Phase("run", start, time.Since(start))
 	return st
 }
 

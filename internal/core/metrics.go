@@ -1,22 +1,6 @@
 package core
 
-import (
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
-
-// defaultMetrics is the process-wide registry used by engines whose
-// Options.Metrics is nil. Off (nil) by default.
-var defaultMetrics atomic.Pointer[obs.Registry]
-
-// SetDefaultMetrics installs a registry that every subsequently
-// constructed engine instruments into when its own Options.Metrics is
-// nil. Pass nil to turn default instrumentation back off. Engines
-// resolve the registry once, at construction.
-func SetDefaultMetrics(r *obs.Registry) {
-	defaultMetrics.Store(r)
-}
+import "repro/internal/obs"
 
 // engineMetrics holds the engine's metric handles. The zero value (all
 // nil handles) is the instrumentation-off state: every method of every

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/obs"
 )
 
@@ -108,14 +109,14 @@ type Options struct {
 
 	// Metrics, when non-nil, receives engine instrumentation (run/batch
 	// counters, refine-vs-hybrid edge computations, tracked-snapshot
-	// gauges, duration histograms). Nil falls back to the registry
-	// installed with SetDefaultMetrics; both nil means instrumentation
-	// is off and costs only nil checks. Not part of checkpointed state.
+	// gauges, duration histograms). Nil means instrumentation is off and
+	// costs only nil checks. Not part of checkpointed state.
 	Metrics *obs.Registry
 
-	// Tracer, when non-nil, receives phase spans ("run", "refine",
-	// "hybrid", ...). Not part of checkpointed state.
-	Tracer *obs.Tracer
+	// Flight, when non-nil, receives the engine's phase events ("run",
+	// "apply_batch", "refine", "hybrid") as KindPhase entries stamped
+	// with the batch on the apply path. Not part of checkpointed state.
+	Flight *flight.Recorder
 }
 
 func (o Options) withDefaults() Options {

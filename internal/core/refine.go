@@ -27,7 +27,6 @@ func (e *Engine[V, A]) ApplyBatch(b graph.Batch) (Stats, error) {
 	}
 	var st Stats
 	err := parallel.Catch(func() {
-		sp := e.opts.Tracer.StartPhase("apply_batch")
 		start := time.Now()
 		oldG := e.g
 		newG, res := oldG.Apply(b)
@@ -38,7 +37,7 @@ func (e *Engine[V, A]) ApplyBatch(b graph.Batch) (Stats, error) {
 			e.g = newG
 			st = e.Run()
 			// Run already recorded its own duration/stats/metrics.
-			sp.End()
+			e.opts.Flight.Phase("apply_batch", start, time.Since(start))
 			return
 		case e.opts.Mode == ModeLigra || e.opts.Mode == ModeReset:
 			e.g = newG
@@ -59,7 +58,7 @@ func (e *Engine[V, A]) ApplyBatch(b graph.Batch) (Stats, error) {
 		e.met.observeBatch(st)
 		e.refreshTrackingMetrics()
 		e.publish()
-		sp.End()
+		e.opts.Flight.Phase("apply_batch", start, time.Since(start))
 	})
 	if err != nil {
 		return Stats{}, fmt.Errorf("core: apply batch: %w", err)
@@ -83,7 +82,7 @@ type tailFix[A any] struct {
 // hybrid execution (§4.2): plain delta-based BSP seeded with the changed
 // sets at the horizon.
 func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) Stats {
-	spRefine := e.opts.Tracer.StartPhase("refine")
+	start := time.Now()
 	var st Stats
 	e.g = newG
 	n := newG.NumVertices()
@@ -293,10 +292,10 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	}
 	e.level = H
 	refineEdges := edgeWork.Sum()
-	spRefine.End()
-	spHybrid := e.opts.Tracer.StartPhase("hybrid")
+	hybridStart := time.Now()
+	e.opts.Flight.Phase("refine", start, hybridStart.Sub(start))
 	st2 := e.runDelta(H+1, seed, e.opts.MaxIterations)
-	spHybrid.End()
+	e.opts.Flight.Phase("hybrid", hybridStart, time.Since(hybridStart))
 
 	st.EdgeComputations = refineEdges + st2.EdgeComputations
 	st.VertexComputations = vertWork.Sum() + st2.VertexComputations

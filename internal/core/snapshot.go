@@ -35,7 +35,7 @@ var ErrSnapshotVersion = errors.New("core: snapshot version mismatch")
 
 // snapshotOptions are the Options fields that define execution
 // semantics — what checkpoints store and compare. Instrumentation hooks
-// (Metrics, Tracer) are runtime wiring: gob cannot encode them and a
+// (Metrics, Flight) are runtime wiring: gob cannot encode them and a
 // restored engine keeps its own. Field names match Options so old
 // checkpoints decode unchanged.
 type snapshotOptions struct {

@@ -202,31 +202,28 @@ func TestEngineMetrics(t *testing.T) {
 	}
 }
 
-// TestDefaultMetricsRegistry checks the SetDefaultMetrics fallback:
-// engines built without Options.Metrics report into the process-wide
-// registry, and clearing it turns instrumentation back off.
+// TestDefaultMetricsRegistry checks that there is no default registry:
+// an engine reports only into its own Options.Metrics, and an engine
+// built without one leaves every other engine's registry untouched.
 func TestDefaultMetricsRegistry(t *testing.T) {
 	reg := obs.NewRegistry()
-	core.SetDefaultMetrics(reg)
-	defer core.SetDefaultMetrics(nil)
-
 	g := graph.MustBuild(2, []graph.Edge{{From: 0, To: 1, Weight: 1}})
-	e, err := core.NewEngine[float64, float64](g, algorithms.NewPageRank(), core.Options{MaxIterations: 3})
+	e, err := core.NewEngine[float64, float64](g, algorithms.NewPageRank(), core.Options{MaxIterations: 3, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Run()
 	if v := reg.Snapshot().Counters["graphbolt_engine_runs_total"]; v != 1 {
-		t.Fatalf("runs_total in default registry = %d, want 1", v)
+		t.Fatalf("runs_total in the engine's registry = %d, want 1", v)
 	}
 
-	core.SetDefaultMetrics(nil)
+	before := reg.Snapshot()
 	e2, err := core.NewEngine[float64, float64](g, algorithms.NewPageRank(), core.Options{MaxIterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e2.Run()
-	if v := reg.Snapshot().Counters["graphbolt_engine_runs_total"]; v != 1 {
-		t.Fatalf("runs_total moved to %d after SetDefaultMetrics(nil), want 1", v)
+	if after := reg.Snapshot(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("registry changed while an engine without Metrics ran:\n before %+v\n after  %+v", before, after)
 	}
 }

@@ -66,13 +66,11 @@ type Options struct {
 	// and is propagated to the journal unless WAL.Metrics is already set.
 	// Nil means instrumentation is off.
 	Metrics *obs.Registry
-	// Tracer, when non-nil, receives "recovery" and "checkpoint" phase
-	// spans.
-	Tracer *obs.Tracer
 	// Flight, when non-nil, receives journaled/journal-failed lifecycle
 	// events (with append latency, stamped with the trace the serve loop
-	// marked active) and is propagated to the WAL unless WAL.Flight is
-	// already set, so fsync events land in the same ring.
+	// marked active) and the "recovery" and "checkpoint" phase events,
+	// and is propagated to the WAL unless WAL.Flight is already set, so
+	// fsync events land in the same ring.
 	Flight *flight.Recorder
 	// OnRecord, when non-nil, observes every record that is both
 	// journaled and applied: once per record replayed from the local WAL
@@ -170,12 +168,12 @@ func Open[V, A any](eng *core.Engine[V, A], dir string, opts Options) (*Engine[V
 		return nil, err
 	}
 	d := &Engine[V, A]{eng: eng, w: w, dir: dir, opts: opts, met: newDurableMetrics(opts.Metrics)}
-	sp := opts.Tracer.StartPhase("recovery")
+	start := time.Now()
 	if err := d.recover(); err != nil {
 		w.Close()
 		return nil, err
 	}
-	sp.End()
+	opts.Flight.Phase("recovery", start, time.Since(start))
 	d.met.recoveries.Inc()
 	d.met.replayedRecords.Add(int64(d.info.Replayed))
 	d.met.skippedRecords.Add(int64(d.info.Skipped))
@@ -366,11 +364,7 @@ func (d *Engine[V, A]) Recover() error {
 // the journal. On return, recovery no longer needs any WAL record ≤ the
 // current sequence number.
 func (d *Engine[V, A]) Checkpoint() error {
-	sp := d.opts.Tracer.StartPhase("checkpoint")
-	var start time.Time
-	if d.met.checkpointDuration != nil {
-		start = time.Now()
-	}
+	start := time.Now()
 	if err := d.writeCheckpoint(); err != nil {
 		d.ailment = err
 		return err
@@ -386,11 +380,10 @@ func (d *Engine[V, A]) Checkpoint() error {
 		return err
 	}
 	d.ailment = nil
-	if d.met.checkpointDuration != nil {
-		d.met.checkpointDuration.Observe(time.Since(start).Seconds())
-	}
+	took := time.Since(start)
+	d.met.checkpointDuration.Observe(took.Seconds())
 	d.met.checkpoints.Inc()
-	sp.End()
+	d.opts.Flight.Phase("checkpoint", start, took)
 	return nil
 }
 

@@ -8,9 +8,11 @@
 // events with it, so a single batch's path — admitted, enqueued,
 // coalesced, validated, journaled (with fsync latency), applied,
 // published — can be reconstructed after the fact. Events that do not
-// belong to a batch (health transitions, repair attempts) carry trace 0,
-// and engine phase spans flow in through the obs.Sink interface the
-// Recorder implements, so one event stream time-correlates all of it.
+// belong to a batch (health transitions, repair attempts) carry trace 0.
+// The engine and the durable layer time their phases ("run",
+// "apply_batch", "refine", "hybrid", "recovery", "checkpoint") straight
+// into the ring through Phase, so one event stream time-correlates all
+// of it and no phase is timed anywhere else.
 //
 // The ring overwrites its oldest entries when full: the recorder is a
 // flight recorder, not a log — it preserves the most recent window
@@ -92,9 +94,9 @@ const (
 	// KindRepair: a degraded-mode Recover attempt. A = attempt number,
 	// B = 1 on success, 0 on failure.
 	KindRepair
-	// KindPhase: an engine phase span delivered through the obs.Sink
-	// interface. At is the span's start; A = duration nanoseconds; the
-	// phase name travels with the event (see Event.Note).
+	// KindPhase: one engine or durable-layer phase, delivered by Phase.
+	// At is the phase's start; A = duration nanoseconds; the phase name
+	// travels with the event (see Event.Note).
 	KindPhase
 	// KindReseed: a follower installed a leader checkpoint after log
 	// compaction. A = applied sequence before, B = checkpoint sequence
@@ -289,9 +291,12 @@ type Recorder struct {
 
 	// active is the trace ID of the batch currently on the apply path
 	// (single-writer); the durable and WAL layers stamp their events
-	// with it. scratchJournal accumulates journal time during the
-	// current apply so the serve loop can report it as a phase.
+	// with it. applyStart is when that apply began (Unix nanoseconds, 0
+	// when no apply is open). scratchJournal accumulates journal time
+	// during the current apply so the serve loop can report it as a
+	// phase.
 	active         atomic.Uint64
+	applyStart     atomic.Int64
 	scratchJournal atomic.Int64
 
 	slow   atomic.Uint64
@@ -410,10 +415,10 @@ func (r *Recorder) record(ev Event) {
 	}
 }
 
-// Phase implements obs.Sink: engine phase spans ("run", "refine",
-// "checkpoint", ...) are recorded as KindPhase events stamped with the
-// active trace, so per-batch timelines and engine phases land in one
-// time-correlated stream.
+// Phase records one completed phase ("run", "refine", "checkpoint",
+// ...) that began at start and took duration, as a KindPhase event
+// stamped with the active trace, so per-batch timelines and engine
+// phases land in one time-correlated stream.
 func (r *Recorder) Phase(name string, start time.Time, duration time.Duration) {
 	if r == nil {
 		return
@@ -421,25 +426,43 @@ func (r *Recorder) Phase(name string, start time.Time, duration time.Duration) {
 	r.record(Event{Kind: KindPhase, Trace: r.active.Load(), At: start.UnixNano(), A: int64(duration), phase: name})
 }
 
-// BeginApply marks trace as the batch on the apply path and clears the
-// per-apply journal scratch. Called by the serve loop immediately before
-// the apply call; single-writer by construction.
+// BeginApply marks trace as the batch on the apply path, stamps the
+// apply's start time and clears the per-apply journal scratch. Called by
+// the serve loop immediately before the apply call; single-writer by
+// construction.
 func (r *Recorder) BeginApply(trace uint64) {
 	if r == nil {
 		return
 	}
 	r.active.Store(trace)
 	r.scratchJournal.Store(0)
+	r.applyStart.Store(time.Now().UnixNano())
 }
 
-// EndApply clears the active trace and returns the journal time the
-// durable layer accumulated during the apply.
+// EndApply clears the active trace and the apply's start time and
+// returns the journal time the durable layer accumulated during the
+// apply.
 func (r *Recorder) EndApply() time.Duration {
 	if r == nil {
 		return 0
 	}
+	r.applyStart.Store(0)
 	r.active.Store(0)
 	return time.Duration(r.scratchJournal.Swap(0))
+}
+
+// OpenApply reports the apply in flight: its trace ID and how long it
+// has been running. ok is false when no apply is open. An apply the
+// engine cannot interrupt is visible here as an age that keeps growing.
+func (r *Recorder) OpenApply() (trace uint64, age time.Duration, ok bool) {
+	if r == nil {
+		return 0, 0, false
+	}
+	start := r.applyStart.Load()
+	if start == 0 {
+		return 0, 0, false
+	}
+	return r.active.Load(), time.Since(time.Unix(0, start)), true
 }
 
 // ActiveTrace returns the trace ID currently on the apply path, 0 when

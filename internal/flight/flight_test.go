@@ -39,6 +39,9 @@ func TestNilRecorderIsInert(t *testing.T) {
 	if r.ActiveTrace() != 0 {
 		t.Fatal("nil active trace nonzero")
 	}
+	if _, _, ok := r.OpenApply(); ok {
+		t.Fatal("nil recorder reports an open apply")
+	}
 	if r.LastDump() != nil {
 		t.Fatal("nil LastDump nonzero")
 	}

@@ -36,6 +36,12 @@ func toJSON(evs []Event) []eventJSON {
 	return out
 }
 
+// openApply is the wire shape of the apply in flight on /debug/flight.
+type openApply struct {
+	Trace uint64 `json:"trace"`
+	AgeNS int64  `json:"age_ns"`
+}
+
 // Handler serves the flight ring as JSON, intended for mounting at
 // /debug/flight. Query parameters:
 //
@@ -43,8 +49,10 @@ func toJSON(evs []Event) []eventJSON {
 //	?kind=NAME   only events of that kind (see Kind.String)
 //	?dump=last   serve the last captured dump instead of the live ring
 //
-// Filters compose; unknown kind names are a 400. A nil *Recorder serves
-// 404 so the route can be mounted unconditionally.
+// Filters compose; unknown kind names are a 400. While an apply is in
+// flight the response carries "open_apply" with its trace and age in
+// nanoseconds; the field is absent when the loop is idle. A nil
+// *Recorder serves 404 so the route can be mounted unconditionally.
 func (r *Recorder) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		if r == nil {
@@ -75,11 +83,12 @@ func (r *Recorder) Handler() http.Handler {
 		}
 
 		resp := struct {
-			Depth       int    `json:"depth"`
-			Events      uint64 `json:"events_total"`
-			Dropped     uint64 `json:"dropped_total"`
-			Dumps       uint64 `json:"dumps_total"`
-			SlowBatches uint64 `json:"slow_batches_total"`
+			Depth       int        `json:"depth"`
+			Events      uint64     `json:"events_total"`
+			Dropped     uint64     `json:"dropped_total"`
+			Dumps       uint64     `json:"dumps_total"`
+			SlowBatches uint64     `json:"slow_batches_total"`
+			OpenApply   *openApply `json:"open_apply,omitempty"`
 			Dump        *struct {
 				Reason string    `json:"reason"`
 				Focus  uint64    `json:"focus,omitempty"`
@@ -92,6 +101,9 @@ func (r *Recorder) Handler() http.Handler {
 			Dropped:     r.Dropped(),
 			Dumps:       r.Dumps(),
 			SlowBatches: r.SlowBatches(),
+		}
+		if trace, age, ok := r.OpenApply(); ok {
+			resp.OpenApply = &openApply{Trace: trace, AgeNS: int64(age)}
 		}
 
 		var evs []Event

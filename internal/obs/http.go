@@ -1,28 +1,23 @@
 package obs
 
 import (
+	"encoding/json"
 	"expvar"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
-
-// expvarOnce guards the process-global expvar key: expvar.Publish
-// panics on duplicate names, and the "graphbolt" variable tracks the
-// first registry handed to Handler (in practice the default registry).
-var expvarOnce sync.Once
 
 // Handler returns the live introspection endpoint for a registry:
 //
 //	/metrics        Prometheus text exposition (version 0.0.4)
 //	/metrics.json   the same snapshot as JSON (what Registry.Snapshot returns)
-//	/debug/vars     expvar (includes cmdline, memstats and the registry
-//	                snapshot under the "graphbolt" key)
+//	/debug/vars     expvar (cmdline and memstats; the registry is not
+//	                published there, since expvar is process-wide)
 //	/debug/pprof/*  the standard pprof profiles
 //
 // Serve it with net/http:
 //
-//	go http.ListenAndServe(addr, obs.Handler(obs.Default()))
+//	go http.ListenAndServe(addr, obs.Handler(reg))
 func Handler(r *Registry) http.Handler {
 	return HandlerWith(r, nil)
 }
@@ -31,9 +26,6 @@ func Handler(r *Registry) http.Handler {
 // mounted on the same mux (e.g. "/healthz" → the health endpoint).
 // Extra routes must not collide with the built-in ones.
 func HandlerWith(r *Registry, extra map[string]http.Handler) http.Handler {
-	expvarOnce.Do(func() {
-		expvar.Publish("graphbolt", expvar.Func(func() any { return r.Snapshot() }))
-	})
 	mux := http.NewServeMux()
 	for pattern, h := range extra {
 		mux.Handle(pattern, h)
@@ -42,7 +34,10 @@ func HandlerWith(r *Registry, extra map[string]http.Handler) http.Handler {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		r.WritePrometheus(w)
 	})
-	mux.Handle("/metrics.json", snapshotJSON(r))
+	mux.HandleFunc("/metrics.json", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(r.Snapshot())
+	})
 	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -50,13 +45,4 @@ func HandlerWith(r *Registry, extra map[string]http.Handler) http.Handler {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func snapshotJSON(r *Registry) http.HandlerFunc {
-	return func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		// expvar.Func's formatting is JSON; reuse it for consistency.
-		v := expvar.Func(func() any { return r.Snapshot() })
-		w.Write([]byte(v.String()))
-	}
 }

@@ -69,3 +69,44 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("unknown path status %d, want 404", status)
 	}
 }
+
+// TestHandlersAreRegistryScoped: two handlers over two registries each
+// serve only their own registry, and the process-wide /debug/vars
+// carries no registry at all (it would show one instance's numbers on
+// every handler).
+func TestHandlersAreRegistryScoped(t *testing.T) {
+	regs := [2]*obs.Registry{obs.NewRegistry(), obs.NewRegistry()}
+	names := [2]string{"first_total", "second_total"}
+	var srvs [2]*httptest.Server
+	for i, r := range regs {
+		r.Counter(names[i], "Own counter.").Add(int64(i + 1))
+		srvs[i] = httptest.NewServer(obs.Handler(r))
+		defer srvs[i].Close()
+	}
+	getJSON := func(srv *httptest.Server, path string, into any) {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+	for i, srv := range srvs {
+		var snap obs.Snapshot
+		getJSON(srv, "/metrics.json", &snap)
+		if len(snap.Counters) != 1 || snap.Counters[names[i]] != int64(i+1) {
+			t.Errorf("handler %d /metrics.json counters = %v, want only %s=%d", i, snap.Counters, names[i], i+1)
+		}
+		var vars map[string]json.RawMessage
+		getJSON(srv, "/debug/vars", &vars)
+		if _, ok := vars["graphbolt"]; ok {
+			t.Errorf("handler %d /debug/vars publishes a graphbolt key", i)
+		}
+		if _, ok := vars["memstats"]; !ok {
+			t.Errorf("handler %d /debug/vars lost memstats", i)
+		}
+	}
+}

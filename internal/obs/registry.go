@@ -1,8 +1,13 @@
-// Package obs is the engine's observability layer: an allocation-light
-// metrics registry (atomic counters, gauges and fixed-bucket histograms
-// with Prometheus text exposition, expvar publication and JSON
-// snapshots) plus a phase-tracing API with pluggable sinks. It depends
-// only on the standard library.
+// Package obs is the engine's metrics layer: an allocation-light
+// registry (atomic counters, gauges and fixed-bucket histograms with
+// Prometheus text exposition and JSON snapshots) and the HTTP handler
+// that serves one. It depends only on the standard library. Phase
+// timings are not recorded here: they go to the flight recorder's ring
+// (internal/flight).
+//
+// There is no process-wide registry. Each engine, server or recorder
+// reports into the *Registry it was handed, so two instances in one
+// process never mix their numbers.
 //
 // Everything is nil-safe by construction: methods on a nil *Registry
 // return nil metric handles, and methods on nil handles are no-ops.
@@ -20,14 +25,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// std is the process-wide default registry, used by the cmd wiring and
-// the root facade. It always exists; it only costs anything once code
-// registers metrics in it.
-var std = NewRegistry()
-
-// Default returns the process-wide registry.
-func Default() *Registry { return std }
 
 // Registry holds named metrics. Registration is idempotent: asking for
 // an existing name returns the existing metric (the kind must match).

@@ -1,6 +1,6 @@
-// Package qcache memoizes derived reads — top-k rankings, per-vertex
-// lookups, value and degree histograms — over immutable result
-// snapshots, keyed on the snapshot generation.
+// Package qcache memoizes derived reads — top-k rankings and per-vertex
+// lookups — over immutable result snapshots, keyed on the snapshot
+// generation.
 //
 // The design leans entirely on the engine's BSP publication contract: a
 // ResultSnapshot never changes after it is published, so a derived
@@ -19,7 +19,6 @@ package qcache
 import (
 	"cmp"
 	"container/list"
-	"math"
 	"sort"
 	"sync"
 
@@ -32,9 +31,9 @@ import (
 type Key struct {
 	// Gen is the snapshot generation the result was derived from.
 	Gen uint64
-	// Kind names the derived query ("topk", "value", "valuehist", ...).
+	// Kind names the derived query ("topk", "value").
 	Kind string
-	// Arg is the query's scalar argument (k, vertex id, bin count).
+	// Arg is the query's scalar argument (k or vertex id).
 	Arg uint64
 }
 
@@ -271,86 +270,3 @@ func Value[V any](c *Cache, s *core.ResultSnapshot[V], v graph.VertexID) (V, boo
 		return s.Values[v], 64
 	}).(V), true
 }
-
-// Histogram is a fixed-bin distribution of a snapshot-derived quantity.
-type Histogram struct {
-	// Min and Max bound the binned range; bin i covers
-	// [Min + i*w, Min + (i+1)*w) with w = (Max-Min)/len(Counts).
-	Min, Max float64
-	// Counts holds the per-bin tallies.
-	Counts []int64
-	// NonFinite counts values excluded from binning (NaN, ±Inf — e.g.
-	// unreachable SSSP vertices).
-	NonFinite int64
-}
-
-// ValueHistogram bins the snapshot's scalar values into the given
-// number of equal-width bins between the observed finite min and max,
-// memoized in c.
-func ValueHistogram(c *Cache, s *core.ResultSnapshot[float64], bins int) *Histogram {
-	if s == nil || bins <= 0 {
-		return nil
-	}
-	return c.Do(Key{Gen: s.Generation, Kind: "valuehist", Arg: uint64(bins)}, func() (any, int64) {
-		h := &Histogram{Min: math.Inf(1), Max: math.Inf(-1), Counts: make([]int64, bins)}
-		for _, x := range s.Values {
-			if !isFinite(x) {
-				continue
-			}
-			h.Min = math.Min(h.Min, x)
-			h.Max = math.Max(h.Max, x)
-		}
-		if h.Min > h.Max { // no finite values at all
-			h.Min, h.Max = 0, 0
-		}
-		width := (h.Max - h.Min) / float64(bins)
-		for _, x := range s.Values {
-			if !isFinite(x) {
-				h.NonFinite++
-				continue
-			}
-			i := 0
-			if width > 0 {
-				i = int((x - h.Min) / width)
-				if i >= bins {
-					i = bins - 1 // x == Max lands in the last bin
-				}
-			}
-			h.Counts[i]++
-		}
-		return h, int64(bins)*8 + 64
-	}).(*Histogram)
-}
-
-// DegreeHistogram bins the snapshot graph's out-degrees into log2
-// buckets: Counts[0] counts degree-0 vertices and Counts[i] degrees in
-// [2^(i-1), 2^i). Min/Max report the observed degree extremes. Memoized
-// in c under the snapshot's generation.
-func DegreeHistogram[V any](c *Cache, s *core.ResultSnapshot[V]) *Histogram {
-	if s == nil {
-		return nil
-	}
-	return c.Do(Key{Gen: s.Generation, Kind: "deghist"}, func() (any, int64) {
-		h := &Histogram{Min: math.Inf(1), Max: math.Inf(-1)}
-		g := s.Graph
-		for v := 0; v < g.NumVertices(); v++ {
-			d := g.OutDegree(graph.VertexID(v))
-			h.Min = math.Min(h.Min, float64(d))
-			h.Max = math.Max(h.Max, float64(d))
-			bin := 0
-			for 1<<bin < d+1 {
-				bin++
-			}
-			for len(h.Counts) <= bin {
-				h.Counts = append(h.Counts, 0)
-			}
-			h.Counts[bin]++
-		}
-		if h.Min > h.Max {
-			h.Min, h.Max = 0, 0
-		}
-		return h, int64(len(h.Counts))*8 + 64
-	}).(*Histogram)
-}
-
-func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

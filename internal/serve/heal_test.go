@@ -19,7 +19,7 @@ import (
 	"repro/internal/stream"
 )
 
-// quiet discards the loop's degraded-mode/watchdog log lines.
+// quiet discards the loop's degraded-mode log lines.
 func quiet() *slog.Logger { return slog.New(slog.DiscardHandler) }
 
 // fastBackoff keeps degraded-mode tests quick and deterministic.
@@ -289,43 +289,6 @@ func TestQuarantineRingBounded(t *testing.T) {
 	// Oldest evicted: submissions 2 and 3 remain.
 	if q[0].Seq != 2 || q[1].Seq != 3 {
 		t.Fatalf("ring seqs = %d, %d; want 2, 3", q[0].Seq, q[1].Seq)
-	}
-	if err := l.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestWatchdogFlagsStuckApply: an apply that exceeds ApplyDeadline
-// trips OnStuck with the attempt seq; the apply itself completes
-// normally afterwards.
-func TestWatchdogFlagsStuckApply(t *testing.T) {
-	s := newStubApplier() // gate stays shut: the apply hangs
-	stuck := make(chan uint64, 1)
-	l := serve.NewLoop(s, serve.Options{
-		ApplyDeadline: 5 * time.Millisecond,
-		OnStuck: func(seq uint64, elapsed time.Duration) {
-			select {
-			case stuck <- seq:
-			default:
-			}
-		},
-		Logger: quiet(),
-	})
-	tk, err := l.Submit(nil, addBatch(edge(0, 1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case seq := <-stuck:
-		if seq != 1 {
-			t.Fatalf("OnStuck seq = %d, want 1", seq)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never fired")
-	}
-	close(s.gate) // un-stick
-	if _, err := tk.Wait(nil); err != nil {
-		t.Fatalf("slow apply failed: %v", err)
 	}
 	if err := l.Close(nil); err != nil {
 		t.Fatal(err)

@@ -1,29 +1,10 @@
 package serve
 
 import (
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
 )
-
-// defaultMetrics is the process-wide registry used by loops and servers
-// whose Options.Metrics is nil. Off (nil) by default.
-var defaultMetrics atomic.Pointer[obs.Registry]
-
-// SetDefaultMetrics installs a registry that every subsequently
-// constructed loop or server instruments into when its own
-// Options.Metrics is nil. Pass nil to turn default instrumentation back
-// off. Loops resolve the registry once, at construction.
-func SetDefaultMetrics(r *obs.Registry) {
-	defaultMetrics.Store(r)
-}
-
-// DefaultMetrics returns the registry installed by SetDefaultMetrics
-// (nil when default instrumentation is off).
-func DefaultMetrics() *obs.Registry {
-	return defaultMetrics.Load()
-}
 
 // loopMetrics holds the apply loop's metric handles. The zero value
 // (nil handles) is the instrumentation-off state: every handle method
@@ -41,8 +22,6 @@ type loopMetrics struct {
 	recoveryAttempts *obs.Counter
 	recoveries       *obs.Counter
 	recoveryBackoff  *obs.Histogram
-	stuckApplies     *obs.Gauge
-	watchdogStalls   *obs.Counter
 }
 
 // newLoopMetrics registers (or re-resolves) the ingest metric set in r;
@@ -76,10 +55,6 @@ func newLoopMetrics(r *obs.Registry) loopMetrics {
 			"Degraded episodes that ended in successful recovery."),
 		recoveryBackoff: r.Histogram("graphbolt_serve_recovery_backoff_seconds",
 			"Backoff delays slept between recovery attempts.", obs.DefTimeBuckets),
-		stuckApplies: r.Gauge("graphbolt_serve_stuck_applies",
-			"1 while an apply call has exceeded its watchdog deadline."),
-		watchdogStalls: r.Counter("graphbolt_serve_watchdog_stalls_total",
-			"Apply calls that exceeded the watchdog deadline."),
 	}
 }
 

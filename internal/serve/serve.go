@@ -46,8 +46,10 @@
 //     submissions. A durable engine can be reopened from its checkpoint
 //     and journal.
 //
-// Health transitions are published through an optional health.Tracker,
-// and an optional watchdog flags apply calls that exceed a deadline.
+// Health transitions are published through an optional health.Tracker.
+// An apply that runs long cannot be interrupted (the engine has no
+// cancellation points); with a flight recorder attached, its trace and
+// age show as "open_apply" on /debug/flight while it runs.
 package serve
 
 import (
@@ -196,24 +198,12 @@ type Options struct {
 	// applies the backoff package defaults.
 	Backoff backoff.Policy
 
-	// ApplyDeadline, when positive, arms a watchdog on every apply call:
-	// exceeding it raises the stuck-applies gauge, logs a warning, and
-	// invokes OnStuck. The apply is not interrupted — the engine has no
-	// cancellation points — so this is a flag, not a kill switch.
-	ApplyDeadline time.Duration
-
-	// OnStuck, when non-nil, is called (from a timer goroutine) when an
-	// apply exceeds ApplyDeadline, with the attempt's sequence number
-	// and the elapsed time at that moment. It may fire shortly after a
-	// slow apply completes.
-	OnStuck func(seq uint64, elapsed time.Duration)
-
 	// Health, when non-nil, receives Healthy/Degraded/Failed transitions
 	// as the loop changes modes.
 	Health *health.Tracker
 
-	// Logger receives degraded-mode and watchdog warnings; nil uses
-	// slog.Default().
+	// Logger receives degraded-mode, quarantine and slow-batch warnings;
+	// nil uses slog.Default().
 	Logger *slog.Logger
 
 	// Metrics, when non-nil, receives queue instrumentation (depth,
@@ -253,9 +243,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QuarantineDepth <= 0 {
 		o.QuarantineDepth = DefaultQuarantineDepth
-	}
-	if o.Metrics == nil {
-		o.Metrics = defaultMetrics.Load()
 	}
 	return o
 }
@@ -684,7 +671,7 @@ func (l *Loop) run() {
 		}
 		l.rec.BeginApply(headTrace)
 		start := time.Now()
-		st, err := l.applyWithRecovery(batch, attempt)
+		st, err := l.applyWithRecovery(batch)
 		applyEnd := time.Now()
 		took := applyEnd.Sub(start)
 		journal := l.rec.EndApply()
@@ -783,9 +770,9 @@ func (l *Loop) run() {
 // is held and retried after each successful Recover. Returns the
 // terminal outcome for this batch — success, a wrapped ErrDegraded if
 // the loop closed mid-recovery, or an unrecoverable error.
-func (l *Loop) applyWithRecovery(batch graph.Batch, attempt uint64) (core.Stats, error) {
+func (l *Loop) applyWithRecovery(batch graph.Batch) (core.Stats, error) {
 	for {
-		st, err := l.applyOnce(batch, attempt)
+		st, err := l.applier.ApplyBatch(batch)
 		if err == nil {
 			return st, nil
 		}
@@ -802,33 +789,6 @@ func (l *Loop) applyWithRecovery(batch graph.Batch, attempt uint64) (core.Stats,
 		}
 		// Recovered: replay the held batch.
 	}
-}
-
-// applyOnce calls the engine, arming the stuck-apply watchdog when
-// configured.
-func (l *Loop) applyOnce(batch graph.Batch, attempt uint64) (core.Stats, error) {
-	if l.opts.ApplyDeadline <= 0 {
-		return l.applier.ApplyBatch(batch)
-	}
-	start := time.Now()
-	var fired atomic.Bool
-	timer := time.AfterFunc(l.opts.ApplyDeadline, func() {
-		l.met.stuckApplies.Set(1)
-		l.met.watchdogStalls.Inc()
-		fired.Store(true)
-		elapsed := time.Since(start)
-		l.opts.logger().Warn("graphbolt: apply exceeded deadline",
-			"seq", attempt, "deadline", l.opts.ApplyDeadline, "elapsed", elapsed)
-		if l.opts.OnStuck != nil {
-			l.opts.OnStuck(attempt, elapsed)
-		}
-	})
-	st, err := l.applier.ApplyBatch(batch)
-	timer.Stop()
-	if fired.Load() {
-		l.met.stuckApplies.Set(0)
-	}
-	return st, err
 }
 
 // supervise runs the degraded-mode recovery loop: writes fail fast

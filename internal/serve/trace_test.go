@@ -2,9 +2,11 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http/httptest"
 	"slices"
 	"strings"
 	"sync"
@@ -297,5 +299,64 @@ func TestTraceDrainOnTerminalFailure(t *testing.T) {
 	d := rec.LastDump()
 	if d == nil || !strings.Contains(d.Reason, "failed") {
 		t.Fatalf("dump = %+v, want a reason naming the transition to failed", d)
+	}
+}
+
+// TestFlightHandlerOpenApply: while the loop's apply is blocked,
+// /debug/flight reports it as open_apply, with the head batch's trace
+// and an age that keeps growing; once the apply returns the field is
+// gone. This is how a long apply the engine cannot interrupt is seen.
+func TestFlightHandlerOpenApply(t *testing.T) {
+	rec := flight.New(flight.Options{Logger: quiet()})
+	s := newStubApplier() // gate shut: the first apply blocks
+	l := serve.NewLoop(s, serve.Options{Flight: rec, Logger: quiet()})
+	defer l.Close(nil)
+	srv := httptest.NewServer(rec.Handler())
+	defer srv.Close()
+
+	type openApply struct {
+		Trace uint64 `json:"trace"`
+		AgeNS int64  `json:"age_ns"`
+	}
+	get := func() *openApply {
+		t.Helper()
+		resp, err := srv.Client().Get(srv.URL + "/debug/flight")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var body struct {
+			OpenApply *openApply `json:"open_apply"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatal(err)
+		}
+		return body.OpenApply
+	}
+
+	if oa := get(); oa != nil {
+		t.Fatalf("idle loop reports open_apply %+v", oa)
+	}
+	tk, err := l.Submit(nil, addBatch(edge(0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-s.entered
+	first := get()
+	if first == nil || first.Trace != tk.Trace() || first.AgeNS <= 0 {
+		t.Fatalf("blocked apply: open_apply = %+v, want trace %d with a positive age", first, tk.Trace())
+	}
+	time.Sleep(2 * time.Millisecond)
+	second := get()
+	if second == nil || second.Trace != first.Trace || second.AgeNS <= first.AgeNS {
+		t.Fatalf("open_apply did not age: %+v then %+v", first, second)
+	}
+
+	close(s.gate)
+	if _, err := tk.Wait(nil); err != nil {
+		t.Fatal(err)
+	}
+	if oa := get(); oa != nil {
+		t.Fatalf("finished apply still reported as open_apply %+v", oa)
 	}
 }

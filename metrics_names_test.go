@@ -5,21 +5,12 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/durable"
-	"repro/internal/flight"
-	"repro/internal/health"
-	"repro/internal/obs"
+	graphbolt "repro"
 	"repro/internal/parallel"
-	"repro/internal/partition"
-	"repro/internal/qcache"
-	"repro/internal/replica"
-	"repro/internal/serve"
-	"repro/internal/wal"
 )
 
-// Golden list of every metric name the subsystem RegisterMetrics
-// functions create, per kind. Renaming or dropping a series is a
+// Golden list of every metric name graphbolt.RegisterMetrics creates —
+// what the CLI exposes on /metrics before any work runs — per kind. Renaming or dropping a series is a
 // breaking change for dashboards and alert rules scraping the
 // exposition endpoint; adding one should be a deliberate edit here.
 var (
@@ -64,7 +55,6 @@ var (
 		"graphbolt_serve_recovery_attempts_total",
 		"graphbolt_serve_rejected_batches_total",
 		"graphbolt_serve_submitted_batches_total",
-		"graphbolt_serve_watchdog_stalls_total",
 		"graphbolt_shard_cross_batches_total",
 		"graphbolt_shard_single_batches_total",
 		"graphbolt_wal_append_bytes_total",
@@ -84,7 +74,6 @@ var (
 		"graphbolt_replica_lag_seconds",
 		"graphbolt_serve_quarantine_size",
 		"graphbolt_serve_queue_depth",
-		"graphbolt_serve_stuck_applies",
 		"graphbolt_shard_count",
 		"graphbolt_shard_merged_generation",
 		"graphbolt_wal_size_bytes",
@@ -102,21 +91,12 @@ var (
 	}
 )
 
-// TestRegisteredMetricNamesGolden registers every subsystem's metric
-// set into one fresh registry — the same pre-registration EnableMetrics
-// performs — and diffs the resulting names against the golden lists.
+// TestRegisteredMetricNamesGolden runs graphbolt.RegisterMetrics — the
+// pre-registration the CLI performs — on one fresh registry and diffs
+// the resulting names against the golden lists.
 func TestRegisteredMetricNamesGolden(t *testing.T) {
-	reg := obs.NewRegistry()
-	core.RegisterMetrics(reg)
-	wal.RegisterMetrics(reg)
-	durable.RegisterMetrics(reg)
-	serve.RegisterMetrics(reg)
-	qcache.RegisterMetrics(reg)
-	health.RegisterMetrics(reg)
-	flight.RegisterMetrics(reg)
-	partition.RegisterMetrics(reg)
-	replica.RegisterMetrics(reg)
-	parallel.SetMetrics(reg)
+	reg := graphbolt.NewMetricsRegistry()
+	graphbolt.RegisterMetrics(reg)
 	defer parallel.SetMetrics(nil)
 
 	snap := reg.Snapshot()
@@ -150,8 +130,7 @@ func TestRegisteredMetricNamesGolden(t *testing.T) {
 
 	// Registration must be idempotent: a second pass may not duplicate
 	// or disturb the set.
-	core.RegisterMetrics(reg)
-	serve.RegisterMetrics(reg)
+	graphbolt.RegisterMetrics(reg)
 	if n := len(reg.Snapshot().Counters); n != len(goldenCounters) {
 		t.Errorf("%d counters after re-registration, want %d", n, len(goldenCounters))
 	}

@@ -23,35 +23,23 @@ type MetricsRegistry = obs.Registry
 // MetricsSnapshot is a point-in-time copy of every metric, JSON-ready.
 type MetricsSnapshot = obs.Snapshot
 
-// Tracer delivers engine phase spans ("run", "refine", "hybrid",
-// "checkpoint", ...) to pluggable sinks; set it on Options.Tracer or
-// DurableOptions.Tracer.
-type Tracer = obs.Tracer
-
-// TraceSink receives completed phase spans.
-type TraceSink = obs.Sink
-
-// NewTracer builds a tracer fanning out to the given sinks. A nil
-// tracer (the Options default) is inert.
-var NewTracer = obs.NewTracer
-
-// NewMetricsRegistry builds an empty standalone registry, for callers
-// that want instrumentation scoped to one engine or server instead of
-// the process-wide registry EnableMetrics manages.
+// NewMetricsRegistry builds an empty registry. Instrumentation is
+// instance-scoped: an engine, server, journal or flight recorder reports
+// into the registry its options name, and nowhere when they name none.
 var NewMetricsRegistry = obs.NewRegistry
 
-// EnableMetrics turns on process-wide instrumentation: every engine,
-// journal and parallel loop constructed afterwards reports into the
-// returned registry (engines built with an explicit Options.Metrics
-// keep their own). All series are pre-registered so exposition shows
-// them at zero. Idempotent.
-func EnableMetrics() *MetricsRegistry {
-	reg := obs.Default()
-	core.SetDefaultMetrics(reg)
+// RegisterMetrics pre-registers every graphbolt_* series in reg, so
+// exposition shows each one at zero before the first instance is built,
+// and points the internal parallel loops' worker metrics at reg.
+// Registration is idempotent. The parallel loops' sink is the one
+// process-wide sink left (the loops are shared by every engine in the
+// process): a later call with another registry, or with nil, moves or
+// turns off those series for all engines. Everything else reports only
+// where each instance's Metrics option points.
+func RegisterMetrics(reg *MetricsRegistry) {
 	core.RegisterMetrics(reg)
 	wal.RegisterMetrics(reg)
 	durable.RegisterMetrics(reg)
-	serve.SetDefaultMetrics(reg)
 	serve.RegisterMetrics(reg)
 	qcache.RegisterMetrics(reg)
 	health.RegisterMetrics(reg)
@@ -59,32 +47,16 @@ func EnableMetrics() *MetricsRegistry {
 	partition.RegisterMetrics(reg)
 	replica.RegisterMetrics(reg)
 	parallel.SetMetrics(reg)
-	return reg
 }
 
-// DisableMetrics turns process-wide instrumentation back off. Engines
-// constructed while it was on keep reporting into the registry they
-// resolved at construction time.
-func DisableMetrics() {
-	core.SetDefaultMetrics(nil)
-	serve.SetDefaultMetrics(nil)
-	parallel.SetMetrics(nil)
-}
-
-// Metrics returns a point-in-time snapshot of the process-wide
-// registry (every series at zero unless EnableMetrics was called and
-// work has run).
-func Metrics() MetricsSnapshot {
-	return obs.Default().Snapshot()
-}
-
-// MetricsHandler returns the introspection HTTP handler for the
-// process-wide registry: /metrics (Prometheus text), /metrics.json,
-// /debug/vars (expvar) and /debug/pprof/*. Mount it on any server, or
+// MetricsHandler returns the introspection HTTP handler for reg:
+// /metrics (Prometheus text), /metrics.json, /debug/vars (expvar's
+// cmdline and memstats) and /debug/pprof/*. Mount it on any server, or
 // serve it directly:
 //
-//	graphbolt.EnableMetrics()
-//	go http.ListenAndServe("localhost:9090", graphbolt.MetricsHandler())
-func MetricsHandler() http.Handler {
-	return obs.Handler(obs.Default())
+//	reg := graphbolt.NewMetricsRegistry()
+//	graphbolt.RegisterMetrics(reg)
+//	go http.ListenAndServe("localhost:9090", graphbolt.MetricsHandler(reg))
+func MetricsHandler(reg *MetricsRegistry) http.Handler {
+	return obs.Handler(reg)
 }

@@ -4,7 +4,6 @@ import (
 	"net/http"
 
 	"repro/internal/durable"
-	"repro/internal/obs"
 	"repro/internal/replica"
 )
 
@@ -80,11 +79,6 @@ func NewDurableFollower[V, A any](d *DurableEngine[V, A], leaderURL string, opts
 func NewEngineApplier[V, A any](eng *Engine[V, A]) RecordApplier {
 	return replica.NewEngineApplier(eng)
 }
-
-// RegisterReplicaMetrics pre-creates the graphbolt_replica_* series in
-// reg, the way EnableMetrics does for the process-wide registry — for
-// callers assembling a registry by hand.
-func RegisterReplicaMetrics(reg *obs.Registry) { replica.RegisterMetrics(reg) }
 
 // Checkpoint shipping: the re-seed path that lets a follower survive
 // leader compaction. When a follower's resume position falls below the

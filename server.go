@@ -156,14 +156,13 @@ type ServerOptions struct {
 	Policy SubmitPolicy
 	// Metrics, when non-nil, receives ingest and read-path
 	// instrumentation (queue depth, coalesced batches, read staleness).
-	// Nil falls back to the process-wide registry installed by
-	// EnableMetrics; both nil means instrumentation is off.
+	// Nil means instrumentation is off.
 	Metrics *MetricsRegistry
 	// OnApply, when non-nil, is called from the apply goroutine after
 	// every apply call. Keep it fast; it runs on the write path.
 	OnApply func(Applied)
 	// QueryCacheBytes bounds the per-generation query cache memoizing
-	// derived reads (top-k, per-vertex lookups, histograms) against
+	// derived reads (top-k, per-vertex lookups) against
 	// retained snapshots. 0 disables caching; queries still work, every
 	// read computes. Cached entries need no invalidation — snapshots are
 	// immutable — and are evicted by LRU within the budget and when
@@ -176,15 +175,8 @@ type ServerOptions struct {
 	// Backoff paces recovery retries while the server is degraded. The
 	// zero value uses the defaults documented on BackoffPolicy.
 	Backoff BackoffPolicy
-	// ApplyDeadline, when positive, arms a watchdog on every apply
-	// call: exceeding it raises graphbolt_serve_stuck_applies, logs a
-	// warning and invokes OnStuck. The apply is not interrupted.
-	ApplyDeadline time.Duration
-	// OnStuck, when non-nil, is called (from a timer goroutine) when an
-	// apply exceeds ApplyDeadline.
-	OnStuck func(seq uint64, elapsed time.Duration)
-	// Logger receives degraded-mode and watchdog warnings; nil uses
-	// slog.Default().
+	// Logger receives degraded-mode, quarantine and slow-batch warnings;
+	// nil uses slog.Default().
 	Logger *slog.Logger
 	// Flight, when non-nil, records every batch's lifecycle into the
 	// flight ring and completes per-phase BatchTraces retrievable via
@@ -288,18 +280,11 @@ func NewDurableServer[V, A any](d *DurableEngine[V, A], opts ServerOptions) *Ser
 // newShardedServer serves per-shard engines (and optional per-shard
 // durable targets) through the fan-out applier.
 func newShardedServer[V, A any](pt *partition.Partitioner, engines []*core.Engine[V, A], targets []serve.Applier, closeEng func() error, opts ServerOptions) (*Server[V, A], error) {
-	sh, err := partition.NewApplier(pt, engines, targets, opts.registry())
+	sh, err := partition.NewApplier(pt, engines, targets, opts.Metrics)
 	if err != nil {
 		return nil, err
 	}
 	return newServer(sh.View(), sh, sh, closeEng, opts), nil
-}
-
-func (o ServerOptions) registry() *MetricsRegistry {
-	if o.Metrics != nil {
-		return o.Metrics
-	}
-	return serve.DefaultMetrics()
 }
 
 func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Applier[V, A], closeEng func() error, opts ServerOptions) *Server[V, A] {
@@ -310,7 +295,7 @@ func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Ap
 		closeEng: closeEng,
 		watch:    make(chan struct{}),
 	}
-	reg := opts.registry()
+	reg := opts.Metrics
 	s.read = serve.NewReadMetrics(reg)
 	s.cache = qcache.New(opts.QueryCacheBytes, reg)
 	s.health = health.NewTracker(reg)
@@ -323,8 +308,6 @@ func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Ap
 		Metrics:           reg,
 		QuarantineDepth:   opts.QuarantineDepth,
 		Backoff:           opts.Backoff,
-		ApplyDeadline:     opts.ApplyDeadline,
-		OnStuck:           opts.OnStuck,
 		Health:            s.health,
 		Logger:            opts.Logger,
 		Flight:            opts.Flight,
@@ -423,7 +406,7 @@ func (s *Server[V, A]) Diff(from, to uint64) (*SnapshotDiff[V], error) {
 }
 
 // Cache returns the server's per-generation query cache for use with
-// the qcache helpers (TopK, Value, histograms). It is nil when
+// the qcache helpers (TopK, Value). It is nil when
 // ServerOptions.QueryCacheBytes is 0 — a valid argument to every
 // helper; queries then compute uncached.
 func (s *Server[V, A]) Cache() *QueryCache { return s.cache }

@@ -102,18 +102,12 @@ func TestServerQueryCache(t *testing.T) {
 	if v, ok := graphbolt.VertexValueAt(c, snap, 1); !ok || v != snap.Values[1] {
 		t.Fatalf("VertexValueAt = %v, %v; want %v, true", v, ok, snap.Values[1])
 	}
-	if h := graphbolt.DegreeHistogram(c, snap); h == nil || h.Counts == nil {
-		t.Fatal("DegreeHistogram returned nothing")
-	}
-	if h := graphbolt.ValueHistogram(c, snap, 4); h == nil || len(h.Counts) != 4 {
-		t.Fatal("ValueHistogram returned wrong shape")
-	}
 	m := reg.Snapshot()
 	if m.Counters["graphbolt_qcache_hits_total"] < 1 {
 		t.Fatalf("hits = %d, want >= 1", m.Counters["graphbolt_qcache_hits_total"])
 	}
-	if m.Counters["graphbolt_qcache_misses_total"] < 4 {
-		t.Fatalf("misses = %d, want >= 4", m.Counters["graphbolt_qcache_misses_total"])
+	if m.Counters["graphbolt_qcache_misses_total"] < 2 {
+		t.Fatalf("misses = %d, want >= 2", m.Counters["graphbolt_qcache_misses_total"])
 	}
 	// The hit/miss series must be visible on the exposition endpoint.
 	var sb strings.Builder
