@@ -64,13 +64,10 @@ chaos:
 # shard runs the sharded-serving suite under the race detector: the
 # differential equivalence harness (2- and 4-shard servers over 100+
 # randomized partition-closed batches, PageRank and SSSP, checked
-# against from-scratch runs at every Sync), the sharded durable soak
-# (fsync failures confined to one shard's journal, server-wide degraded
-# mode, replay without double-apply, restart equivalence), the serving
-# contract suite at widths 1 and 2, and the fan-out applier's unit
-# tests.
+# against from-scratch runs at every Sync), the serving contract suite
+# at widths 1 and 2, and the fan-out applier's unit tests.
 shard:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardSoak|TestServingContract' -v $(SUITE_FLAGS) .
+	$(GO) test -race -run 'TestShardEquivalence|TestServingContract' -v $(SUITE_FLAGS) .
 	$(GO) test -race ./internal/partition/
 
 # flight runs the flight-recorder smoke under the race detector: the

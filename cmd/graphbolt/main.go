@@ -78,6 +78,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -149,10 +150,7 @@ func main() {
 			fatal("-shards requires -serve")
 		}
 		if *walDir != "" {
-			// The CLI's crash-resume protocol equates journal sequence
-			// numbers with stream positions; sharded journals count
-			// per-shard sub-batches instead. Sharded durability is
-			// available programmatically via OpenShardedDurable.
+			// Sharded serving is in-memory only.
 			fatal("-shards is incompatible with -wal-dir")
 		}
 	}
@@ -392,21 +390,25 @@ func main() {
 	}
 }
 
+// absDiff is the validation distance between two values: equal values
+// (both unreachable at +Inf included) are 0 apart, and a NaN on either
+// side or mismatched infinities are +Inf apart, so they never pass as
+// agreement.
+func absDiff(a, b float64) float64 {
+	if a == b {
+		return 0
+	}
+	if d := math.Abs(a - b); !math.IsNaN(d) {
+		return d
+	}
+	return math.Inf(1)
+}
+
 // maxAbsDiffScalar compares value arrays.
 func maxAbsDiffScalar(a, b []float64) float64 {
 	worst := 0.0
 	for v := range a {
-		d := a[v] - b[v]
-		if d < 0 {
-			d = -d
-		}
-		// Both unreachable (+Inf) counts as equal.
-		if d != d || (a[v] == b[v]) {
-			continue
-		}
-		if d > worst {
-			worst = d
-		}
+		worst = max(worst, absDiff(a[v], b[v]))
 	}
 	return worst
 }
@@ -414,15 +416,7 @@ func maxAbsDiffScalar(a, b []float64) float64 {
 func maxAbsDiffVector(a, b [][]float64) float64 {
 	worst := 0.0
 	for v := range a {
-		for f := range a[v] {
-			d := a[v][f] - b[v][f]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
-		}
+		worst = max(worst, maxAbsDiffScalar(a[v], b[v]))
 	}
 	return worst
 }
@@ -653,14 +647,6 @@ func serveBatches[V, A any](eng *core.Engine[V, A], d *durable.Engine[V, A], sc 
 		"retained_newest", newest,
 		"cache_entries", srv.Cache().Len(),
 		"cache_bytes", srv.Cache().Bytes())
-	if srv.Shards() > 1 {
-		for _, si := range srv.ShardInfos() {
-			logger.Info("shard summary",
-				"shard", si.Shard,
-				"applied", si.Applied,
-				"ailment", si.Ailment)
-		}
-	}
 	if fr := srv.Flight(); fr != nil {
 		logger.Info("flight summary",
 			"events", fr.Events(),

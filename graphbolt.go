@@ -44,10 +44,8 @@ package graphbolt
 
 import (
 	"cmp"
-	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
@@ -55,9 +53,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/kickstarter"
-	"repro/internal/partition"
 	"repro/internal/qcache"
-	"repro/internal/serve"
 	"repro/internal/stream"
 	"repro/internal/wal"
 )
@@ -210,116 +206,6 @@ const (
 // there. See the durable package docs for the recovery protocol.
 func OpenDurable[V, A any](eng *Engine[V, A], dir string, opts DurableOptions) (*DurableEngine[V, A], error) {
 	return durable.Open(eng, dir, opts)
-}
-
-// ShardedDurableEngine is a set of per-shard durable engines sharing
-// one partitioner: shard s journals and checkpoints the sub-stream it
-// owns under its own directory, independently of its siblings, and
-// recovery replays per shard. Serve it with NewShardedDurableServer.
-type ShardedDurableEngine[V, A any] struct {
-	pt     *partition.Partitioner
-	shards []*DurableEngine[V, A]
-}
-
-// OpenShardedDurable splits eng's base graph into shards by
-// destination-vertex ownership and wraps each shard in its own durable
-// engine rooted at dir/shard-NNNN, recovering whatever a previous
-// process left in each. eng must be freshly constructed (same program,
-// options and base graph as the original run) and not have Run yet,
-// exactly as OpenDurable requires — it only supplies the graph,
-// program and options; serving state lives in the per-shard engines.
-//
-// assign optionally pins vertices to shards (see partition.New). opts
-// configures each shard's journal; nil means defaults everywhere, and
-// a non-nil func may return different options per shard (fault
-// injection on one shard, sync policy by shard, ...).
-func OpenShardedDurable[V, A any](eng *Engine[V, A], dir string, shards int, assign map[VertexID]int, opts func(shard int) DurableOptions) (*ShardedDurableEngine[V, A], error) {
-	pt, engines, err := spawnShards(eng, shards, assign)
-	if err != nil {
-		return nil, err
-	}
-	sd := &ShardedDurableEngine[V, A]{pt: pt, shards: make([]*DurableEngine[V, A], shards)}
-	for s, sub := range engines {
-		var o DurableOptions
-		if opts != nil {
-			o = opts(s)
-		}
-		sd.shards[s], err = durable.Open(sub, filepath.Join(dir, fmt.Sprintf("shard-%04d", s)), o)
-		if err != nil {
-			for _, d := range sd.shards[:s] {
-				d.Close()
-			}
-			return nil, fmt.Errorf("graphbolt: sharded durable: shard %d: %w", s, err)
-		}
-	}
-	return sd, nil
-}
-
-// spawnShards splits eng's graph by destination-vertex ownership and
-// spawns one fresh engine (same program and options) per shard.
-func spawnShards[V, A any](eng *Engine[V, A], shards int, assign map[VertexID]int) (*partition.Partitioner, []*Engine[V, A], error) {
-	pt, err := partition.New(shards, assign)
-	if err != nil {
-		return nil, nil, err
-	}
-	parts, err := pt.SplitGraph(eng.Graph())
-	if err != nil {
-		return nil, nil, err
-	}
-	engines := make([]*Engine[V, A], shards)
-	for s, g := range parts {
-		if engines[s], err = eng.SpawnForGraph(g); err != nil {
-			return nil, nil, fmt.Errorf("shard %d: %w", s, err)
-		}
-	}
-	return pt, engines, nil
-}
-
-// Shards returns the shard count.
-func (sd *ShardedDurableEngine[V, A]) Shards() int { return len(sd.shards) }
-
-// Shard returns shard s's durable engine, for inspection (Recovery,
-// Seq, Checkpoint). Writes must go through the server.
-func (sd *ShardedDurableEngine[V, A]) Shard(s int) *DurableEngine[V, A] { return sd.shards[s] }
-
-// Recovery reports how each shard reconstructed its state, indexed by
-// shard.
-func (sd *ShardedDurableEngine[V, A]) Recovery() []RecoveryInfo {
-	out := make([]RecoveryInfo, len(sd.shards))
-	for s, d := range sd.shards {
-		out[s] = d.Recovery()
-	}
-	return out
-}
-
-// Close closes every shard's journal, returning the first error.
-func (sd *ShardedDurableEngine[V, A]) Close() error {
-	var first error
-	for s, d := range sd.shards {
-		if err := d.Close(); err != nil && first == nil {
-			first = fmt.Errorf("graphbolt: sharded durable: shard %d: %w", s, err)
-		}
-	}
-	return first
-}
-
-// NewShardedDurableServer serves a sharded durable engine set: the one
-// ingest loop fans every batch out over the shards, each journaling its
-// sub-batch into its own WAL, and publishes merged snapshots.
-// ServerOptions.Shards and ShardAssign are taken from sd and ignored on
-// opts. Close also closes every shard's journal.
-func NewShardedDurableServer[V, A any](sd *ShardedDurableEngine[V, A], opts ServerOptions) (*Server[V, A], error) {
-	engines := make([]*core.Engine[V, A], len(sd.shards))
-	targets := make([]serve.Applier, len(sd.shards))
-	for s, d := range sd.shards {
-		engines[s] = d.Core()
-		targets[s] = d
-	}
-	srv, err := newShardedServer(sd.pt, engines, targets, sd.Close, opts)
-	if err != nil {
-		return nil, fmt.Errorf("graphbolt: sharded durable: %w", err)
-	}
-	return srv, nil
 }
 
 // Typed failure sentinels, for errors.Is.

@@ -14,11 +14,13 @@ import (
 // Generation ordering) and DiffSnapshots all behave as if one engine
 // had applied the merged mutation stream.
 //
-// The partition applier owns publication: after every shard has applied
-// its share of a batch (no batch partially applied), it calls
-// PublishMerged with the union graph and the per-shard snapshot vector. Each merged snapshot copies every vertex's value from its
-// owning shard, so readers see one flat value slice — the same shape a
-// single engine publishes — and may hold it indefinitely.
+// The partition applier owns publication: after every shard engine has
+// applied its share of a batch (no batch partially applied), it calls
+// PublishMerged with the union graph and the per-shard snapshot vector.
+// Each merged snapshot copies every vertex's value from its owning
+// shard, so readers see one flat value slice — the same shape a single
+// engine publishes — and may hold it indefinitely. The view lives in
+// memory only, like the shard engines behind it.
 //
 // Concurrency mirrors the engine: PublishMerged is single-writer (the
 // serve loop's apply goroutine); every read accessor is lock-free.

@@ -3,19 +3,15 @@ package partition
 import (
 	"errors"
 	"math"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/core/difftest"
-	"repro/internal/durable"
-	"repro/internal/faultio"
 	"repro/internal/graph"
 	"repro/internal/obs"
-	"repro/internal/serve"
-	"repro/internal/wal"
+	"repro/internal/parallel"
 )
 
 const fixtureIters = 5
@@ -87,11 +83,12 @@ func checkAgainstScratch(t *testing.T, snap *core.ResultSnapshot[float64], base 
 func TestApplierSplitJoinExactness(t *testing.T) {
 	pt, engines, base := twoShardFixture(t)
 	reg := obs.NewRegistry()
-	a, err := NewApplier(pt, engines, nil, reg)
+	a, err := NewApplier(pt, engines, base, reg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen0 := a.View().Snapshot().Generation
+	shardGen0 := []uint64{engines[0].Snapshot().Generation, engines[1].Snapshot().Generation}
 	checkAgainstScratch(t, a.View().Snapshot(), base)
 
 	batches := []graph.Batch{
@@ -113,9 +110,10 @@ func TestApplierSplitJoinExactness(t *testing.T) {
 		}
 		checkAgainstScratch(t, snap, base, batches[:i+1]...)
 	}
+	// Each shard published once per batch that touched it.
 	for s, want := range []uint64{1, 2} {
-		if got, ail := a.ShardStatus(s); got != want || ail != nil {
-			t.Fatalf("shard %d: applied %d (ailment %v), want %d", s, got, ail, want)
+		if got := engines[s].Snapshot().Generation - shardGen0[s]; got != want {
+			t.Fatalf("shard %d advanced %d generations, want %d", s, got, want)
 		}
 	}
 	m := reg.Snapshot()
@@ -131,137 +129,47 @@ func TestApplierSplitJoinExactness(t *testing.T) {
 	if _, err := a.ApplyBatch(bad); !errors.Is(err, graph.ErrInvalidBatch) {
 		t.Fatalf("malformed batch: %v, want ErrInvalidBatch", err)
 	}
-	if got, _ := a.ShardStatus(0); got != 1 {
-		t.Fatalf("shard 0 applied %d after a refused batch, want 1", got)
+	if got := engines[0].Snapshot().Generation - shardGen0[0]; got != 1 {
+		t.Fatalf("shard 0 advanced %d generations after a refused batch, want 1", got)
 	}
 }
 
-// One shard's journal fails mid-batch while its sibling's apply lands.
-// The applier reports the ailing shard, refuses further batches whole
-// while it ails, and — after Recover — the replay of the held batch
-// applies only the shard that missed it: every journal holds its
-// sub-batch exactly once and the merged snapshot equals a from-scratch
-// run.
-func TestApplierRetryAfterPartialFailure(t *testing.T) {
-	pt, engines, base := twoShardFixture(t)
-	dir := t.TempDir()
-	fsync := faultio.NewFsync()
-	shardDir := func(s int) string { return filepath.Join(dir, string(rune('a'+s))) }
-	targets := make([]serve.Applier, 2)
-	durables := make([]*durable.Engine[float64, float64], 2)
-	for s, e := range engines {
-		o := durable.Options{WAL: wal.Options{Sync: wal.SyncEveryBatch}}
-		if s == 1 {
-			o.WAL.Hooks = wal.Hooks{BeforeSync: fsync.Check}
-		}
-		d, err := durable.Open(e, shardDir(s), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		durables[s], targets[s] = d, d
-	}
-	a, err := NewApplier(pt, engines, targets, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen0 := a.View().Snapshot().Generation
-
-	b := graph.Batch{Add: []graph.Edge{{From: 3, To: 4, Weight: 1}, {From: 11, To: 12, Weight: 2}}}
-	fsync.FailEveryKth(1, nil)
-	if _, err := a.ApplyBatch(b); err == nil || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("ApplyBatch with shard 1's fsync failing = %v, want an error naming shard 1", err)
-	}
-	if ail := a.Ailment(); ail == nil || !strings.Contains(ail.Error(), "shard 1") {
-		t.Fatalf("Ailment() = %v, want shard 1's fault", ail)
-	}
-	if _, ail := a.ShardStatus(1); ail == nil {
-		t.Fatal("ShardStatus(1) reports no ailment")
-	}
-	if g := a.View().Snapshot().Generation; g != gen0 {
-		t.Fatalf("merged generation advanced to %d on a failed apply", g)
-	}
-	if durables[0].Seq() != 1 || durables[1].Seq() != 0 {
-		t.Fatalf("shard seqs %d/%d after the partial failure, want 1/0", durables[0].Seq(), durables[1].Seq())
-	}
-
-	// While a shard ails, batches are refused before any shard sees them.
-	other := graph.Batch{Add: []graph.Edge{{From: 4, To: 5, Weight: 1}}}
-	if _, err := a.ApplyBatch(other); err == nil {
-		t.Fatal("a batch was accepted while shard 1 ailed")
-	}
-	if durables[0].Seq() != 1 {
-		t.Fatalf("healthy shard applied a batch (seq %d) while its sibling ailed", durables[0].Seq())
-	}
-	if err := a.Recover(); err == nil {
-		t.Fatal("Recover succeeded with the disk still failing")
-	}
-
-	fsync.FailEveryKth(0, nil)
-	if err := a.Recover(); err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if ail := a.Ailment(); ail != nil {
-		t.Fatalf("Ailment() after Recover = %v", ail)
-	}
-	if _, err := a.ApplyBatch(b); err != nil {
-		t.Fatalf("replay after Recover: %v", err)
-	}
-	snap := a.View().Snapshot()
-	if snap.Generation != gen0+1 {
-		t.Fatalf("generation %d after the replay, want %d", snap.Generation, gen0+1)
-	}
-	checkAgainstScratch(t, snap, base, b)
-	// The marks were consumed: the next batch reaches both shards again.
-	next := graph.Batch{Add: []graph.Edge{{From: 4, To: 5, Weight: 1}, {From: 12, To: 13, Weight: 1}}}
-	if _, err := a.ApplyBatch(next); err != nil {
-		t.Fatal(err)
-	}
-	checkAgainstScratch(t, a.View().Snapshot(), base, b, next)
-
-	subs, nextSubs := pt.Split(b), pt.Split(next)
-	for s, d := range durables {
-		if err := d.Close(); err != nil {
-			t.Fatal(err)
-		}
-		w, err := wal.Open(filepath.Join(shardDir(s), "graph.wal"), wal.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		recs := w.Recovered()
-		w.Close()
-		if len(recs) != 2 {
-			t.Fatalf("shard %d journal holds %d records, want 2 (each sub-batch once)", s, len(recs))
-		}
-		for i, want := range []graph.Batch{subs[s], nextSubs[s]} {
-			if recs[i].Seq != uint64(i+1) || len(recs[i].Batch.Add) != 1 || recs[i].Batch.Add[0] != want.Add[0] {
-				t.Fatalf("shard %d journal record %d = %+v, want seq %d carrying %+v", s, i, recs[i], i+1, want)
-			}
-		}
-	}
+// trippableRank is PageRank that panics computing its victim vertex
+// once tripped: a mid-apply engine failure.
+type trippableRank struct {
+	*algorithms.PageRank
+	victim  graph.VertexID
+	tripped bool
 }
 
-// failApplier fails every apply without an ailment: terminal.
-type failApplier struct{ err error }
+func (p *trippableRank) Compute(v graph.VertexID, agg float64) float64 {
+	if p.tripped && v == p.victim {
+		panic("partition test: tripped victim vertex")
+	}
+	return p.PageRank.Compute(v, agg)
+}
 
-func (f failApplier) ApplyBatch(graph.Batch) (core.Stats, error) { return core.Stats{}, f.err }
-
-// An unrecoverable shard failure surfaces naming the shard, with no
-// ailment for the loop to supervise (so the loop treats it as terminal)
-// and nothing published.
+// A shard engine's failure surfaces naming the shard and wrapping the
+// engine's *parallel.PanicError (which the loop treats as terminal),
+// and nothing is published.
 func TestApplierTerminalFailureNamesShard(t *testing.T) {
-	pt, engines, _ := twoShardFixture(t)
-	boom := errors.New("disk on fire")
-	a, err := NewApplier(pt, engines, []serve.Applier{engines[0], failApplier{boom}}, nil)
+	pt, engines, base := twoShardFixture(t)
+	prog := &trippableRank{PageRank: algorithms.NewPageRank(), victim: 12}
+	var err error
+	engines[1], err = core.NewEngine[float64, float64](engines[1].Graph(), prog, core.Options{MaxIterations: fixtureIters})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewApplier(pt, engines, base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen0 := a.View().Snapshot().Generation
+	prog.tripped = true
 	_, err = a.ApplyBatch(graph.Batch{Add: []graph.Edge{{From: 11, To: 12, Weight: 1}}})
-	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "shard 1") {
-		t.Fatalf("ApplyBatch = %v, want the injected failure naming shard 1", err)
-	}
-	if a.Ailment() != nil {
-		t.Fatalf("Ailment() = %v for an unrecoverable failure", a.Ailment())
+	var pe *parallel.PanicError
+	if !errors.As(err, &pe) || !strings.Contains(err.Error(), "shard 1") {
+		t.Fatalf("ApplyBatch = %v, want a *parallel.PanicError naming shard 1", err)
 	}
 	if g := a.View().Snapshot().Generation; g != gen0 {
 		t.Fatalf("generation advanced to %d on a failed apply", g)

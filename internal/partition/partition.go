@@ -1,8 +1,10 @@
 // Package partition implements sharded serving: a deterministic vertex
 // partitioner, a batch splitter that routes each edge to its owning
 // shard, and an Applier that fans every batch of the single serve.Loop
-// out over per-shard engines, joins them (the cross-shard generation
-// barrier) and publishes one merged snapshot.
+// out over per-shard in-memory engines, joins them (the cross-shard
+// generation barrier) and publishes one merged snapshot. Shards are an
+// in-memory fan-out only: there is no per-shard journal or checkpoint,
+// and durability is the single-engine durable wrapper's concern.
 //
 // Ownership is by destination vertex: edge u→v belongs to Owner(v), so
 // all of a vertex's in-edges — the inputs to its pull-style aggregation
@@ -18,7 +20,6 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/graph"
 )
@@ -26,9 +27,9 @@ import (
 // Partitioner deterministically maps vertices (and thus edges) to
 // shards: an explicit assignment table consulted first, then a
 // splitmix64 hash of the vertex ID. The mapping is pure — same inputs,
-// same owner, on every process and every call — which is what makes
-// sharded WAL recovery and the differential equivalence harness
-// possible.
+// same owner, on every process and every call — so a batch always
+// splits the same way and the differential equivalence harness can
+// build partition-closed streams from the same ownership.
 type Partitioner struct {
 	shards int
 	assign map[graph.VertexID]int
@@ -127,52 +128,4 @@ func (p *Partitioner) SplitGraph(g *graph.Graph) ([]*graph.Graph, error) {
 		out[s] = sg
 	}
 	return out, nil
-}
-
-// UnionGraph rebuilds the merged graph from per-shard graphs (inverse
-// of SplitGraph, used by sharded durable recovery): the vertex count is
-// the maximum across shards and the edge multiset is the concatenation.
-func UnionGraph(gs []*graph.Graph) (*graph.Graph, error) {
-	if len(gs) == 0 {
-		return nil, fmt.Errorf("partition: union of zero graphs")
-	}
-	n, total := 0, int64(0)
-	for _, g := range gs {
-		if g.NumVertices() > n {
-			n = g.NumVertices()
-		}
-		total += g.NumEdges()
-	}
-	edges := make([]graph.Edge, 0, total)
-	for _, g := range gs {
-		edges = g.Edges(edges)
-	}
-	return graph.Build(n, edges)
-}
-
-// Closed reports whether every edge in the list is partition-closed
-// (both endpoints share an owner) — the condition under which sharded
-// refinement is exactly equal to single-engine refinement. The first
-// violating edge is returned for diagnostics.
-func (p *Partitioner) Closed(edges []graph.Edge) (graph.Edge, bool) {
-	for _, e := range edges {
-		if p.Owner(e.From) != p.Owner(e.To) {
-			return e, false
-		}
-	}
-	return graph.Edge{}, true
-}
-
-// OwnedVertices enumerates the vertices in [0, n) owned by each shard,
-// ascending — handy for building partition-closed test streams.
-func (p *Partitioner) OwnedVertices(n int) [][]graph.VertexID {
-	out := make([][]graph.VertexID, p.shards)
-	for v := 0; v < n; v++ {
-		s := p.Owner(graph.VertexID(v))
-		out[s] = append(out[s], graph.VertexID(v))
-	}
-	for _, vs := range out {
-		sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	}
-	return out
 }

@@ -1,7 +1,9 @@
 package partition
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -186,21 +188,23 @@ func FuzzSplit(f *testing.F) {
 	})
 }
 
-// SplitGraph partitions the edge multiset exactly; UnionGraph inverts
-// it.
+// SplitGraph partitions the edge multiset exactly: every shard graph
+// keeps the full vertex numbering and only its own edges, and the
+// shards' edges together are g's.
 func TestSplitGraphUnion(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g, err := graph.Build(64, randomEdges(rng, 64, 300))
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := g.Edges(nil)
 	for _, shards := range []int{1, 2, 4, 7} {
 		p := mustNew(t, shards, nil)
 		parts, err := p.SplitGraph(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var total int64
+		var union []graph.Edge
 		for s, sg := range parts {
 			if sg.NumVertices() != g.NumVertices() {
 				t.Fatalf("shard %d graph has %d vertices, want %d", s, sg.NumVertices(), g.NumVertices())
@@ -209,58 +213,17 @@ func TestSplitGraphUnion(t *testing.T) {
 				if p.EdgeOwner(e) != s {
 					t.Fatalf("shard %d graph holds foreign edge %v", s, e)
 				}
-			}
-			total += sg.NumEdges()
-		}
-		if total != g.NumEdges() {
-			t.Fatalf("shards=%d: %d edges across shard graphs, want %d", shards, total, g.NumEdges())
-		}
-		u, err := UnionGraph(parts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if u.NumVertices() != g.NumVertices() || u.NumEdges() != g.NumEdges() {
-			t.Fatalf("union %dv/%de, want %dv/%de", u.NumVertices(), u.NumEdges(), g.NumVertices(), g.NumEdges())
-		}
-		// Same per-vertex out-edge multisets (Build sorts adjacency, so
-		// the edge lists compare directly).
-		ge, ue := g.Edges(nil), u.Edges(nil)
-		for i := range ge {
-			if ge[i] != ue[i] {
-				t.Fatalf("shards=%d: union edge %d = %v, want %v", shards, i, ue[i], ge[i])
+				union = append(union, e)
 			}
 		}
-	}
-}
-
-func TestClosed(t *testing.T) {
-	p := mustNew(t, 4, map[graph.VertexID]int{0: 1, 1: 1, 2: 3})
-	if e, ok := p.Closed([]graph.Edge{{From: 0, To: 1}}); !ok {
-		t.Fatalf("same-owner edge reported open: %v", e)
-	}
-	if e, ok := p.Closed([]graph.Edge{{From: 0, To: 1}, {From: 1, To: 2}}); ok {
-		t.Fatal("cross-owner edge reported closed")
-	} else if e.From != 1 || e.To != 2 {
-		t.Fatalf("wrong violating edge %v", e)
-	}
-}
-
-func TestOwnedVertices(t *testing.T) {
-	p := mustNew(t, 3, nil)
-	pools := p.OwnedVertices(300)
-	seen := 0
-	for s, vs := range pools {
-		for i, v := range vs {
-			if p.Owner(v) != s {
-				t.Fatalf("vertex %d listed under shard %d, owner %d", v, s, p.Owner(v))
-			}
-			if i > 0 && vs[i-1] >= v {
-				t.Fatalf("shard %d pool not ascending at %d", s, i)
-			}
+		// Build keeps adjacency in canonical (target, weight) order and
+		// Edges walks sources in order, so the sorted concatenation
+		// compares directly with g's edge list.
+		slices.SortFunc(union, func(a, b graph.Edge) int {
+			return cmp.Or(cmp.Compare(a.From, b.From), cmp.Compare(a.To, b.To), cmp.Compare(a.Weight, b.Weight))
+		})
+		if !slices.Equal(union, want) {
+			t.Fatalf("shards=%d: shard edges (%d) are not g's edges (%d)", shards, len(union), len(want))
 		}
-		seen += len(vs)
-	}
-	if seen != 300 {
-		t.Fatalf("pools cover %d vertices, want 300", seen)
 	}
 }

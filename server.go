@@ -196,9 +196,10 @@ type ServerOptions struct {
 	// cross-shard generation barrier) and published as one merged
 	// snapshot. Snapshot/SnapshotAt/Diff/Wait keep their exact semantics
 	// over the merged view for partition-closed streams. Everything else
-	// — queue, coalescing, backpressure, poison quarantine, degraded mode,
-	// terminal failures — is the one ingest loop's, server-wide. 0 and 1
-	// mean a single engine.
+	// — queue, coalescing, backpressure, poison quarantine, terminal
+	// failures — is the one ingest loop's, server-wide. Sharding is
+	// in-memory only: NewDurableServer refuses Shards > 1. 0 and 1 mean a
+	// single engine.
 	Shards int
 	// ShardAssign optionally pins specific vertices to shards,
 	// overriding the hash partitioner (see partition.New). Entries must
@@ -251,11 +252,7 @@ type readView[V any] interface {
 // split graph.
 func NewServer[V, A any](eng *Engine[V, A], opts ServerOptions) *Server[V, A] {
 	if opts.Shards > 1 {
-		var srv *Server[V, A]
-		pt, engines, err := spawnShards(eng, opts.Shards, opts.ShardAssign)
-		if err == nil {
-			srv, err = newShardedServer(pt, engines, nil, nil, opts)
-		}
+		srv, err := newShardedServer(eng, opts)
 		if err != nil {
 			panic(fmt.Sprintf("graphbolt: sharded server: %v", err))
 		}
@@ -272,19 +269,35 @@ func NewServer[V, A any](eng *Engine[V, A], opts ServerOptions) *Server[V, A] {
 // single-writer apply loop. Close also closes the journal.
 func NewDurableServer[V, A any](d *DurableEngine[V, A], opts ServerOptions) *Server[V, A] {
 	if opts.Shards > 1 {
-		panic("graphbolt: sharded durable serving needs per-shard journals; use OpenShardedDurable + NewShardedDurableServer")
+		panic("graphbolt: sharded serving is in-memory only; use NewServer with ServerOptions.Shards")
 	}
 	return newServer[V, A](d.Core(), d, nil, d.Close, opts)
 }
 
-// newShardedServer serves per-shard engines (and optional per-shard
-// durable targets) through the fan-out applier.
-func newShardedServer[V, A any](pt *partition.Partitioner, engines []*core.Engine[V, A], targets []serve.Applier, closeEng func() error, opts ServerOptions) (*Server[V, A], error) {
-	sh, err := partition.NewApplier(pt, engines, targets, opts.Metrics)
+// newShardedServer splits eng's graph by destination-vertex ownership,
+// spawns one fresh engine (same program and options) per shard, and
+// serves them through the fan-out applier.
+func newShardedServer[V, A any](eng *Engine[V, A], opts ServerOptions) (*Server[V, A], error) {
+	pt, err := partition.New(opts.Shards, opts.ShardAssign)
 	if err != nil {
 		return nil, err
 	}
-	return newServer(sh.View(), sh, sh, closeEng, opts), nil
+	g := eng.Graph()
+	parts, err := pt.SplitGraph(g)
+	if err != nil {
+		return nil, err
+	}
+	engines := make([]*Engine[V, A], len(parts))
+	for s, sg := range parts {
+		if engines[s], err = eng.SpawnForGraph(sg); err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+	}
+	sh, err := partition.NewApplier(pt, engines, g, opts.Metrics)
+	if err != nil {
+		return nil, err
+	}
+	return newServer(sh.View(), sh, sh, nil, opts), nil
 }
 
 func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Applier[V, A], closeEng func() error, opts ServerOptions) *Server[V, A] {
@@ -563,33 +576,6 @@ func (s *Server[V, A]) Shards() int {
 		return 1
 	}
 	return s.shards.Shards()
-}
-
-// ShardInfo is a point-in-time report of what one partition shard
-// still owns: its engine's progress and its journal's health.
-type ShardInfo struct {
-	Shard   int    // shard index
-	Applied uint64 // sub-batches the shard's engine has applied
-	Ailment error  // storage fault blocking the shard's journal, nil when healthy
-}
-
-// ShardInfos reports every shard's applied count and ailment; a
-// single-element slice (the loop's apply count, the degraded cause) for
-// a single engine.
-func (s *Server[V, A]) ShardInfos() []ShardInfo {
-	if s.shards == nil {
-		one := ShardInfo{Applied: s.loop.Seq()}
-		if info := s.health.Info(); info.State == HealthDegraded {
-			one.Ailment = info.Cause
-		}
-		return []ShardInfo{one}
-	}
-	out := make([]ShardInfo, s.shards.Shards())
-	for i := range out {
-		out[i].Shard = i
-		out[i].Applied, out[i].Ailment = s.shards.ShardStatus(i)
-	}
-	return out
 }
 
 // Close stops accepting submissions, drains the queue, waits for the

@@ -141,6 +141,11 @@ func TestServerCacheFollowsRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Tickets resolve before the apply hook that evicts the cache runs;
+	// Close returns once the loop goroutine, hook included, has exited.
+	if err := srv.Close(ctx); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := srv.SnapshotAt(gen); !errors.Is(err, graphbolt.ErrGenerationNotRetained) {
 		t.Fatalf("generation %d should be evicted, got %v", gen, err)
 	}
