@@ -1,9 +1,11 @@
 // Roadnetwork: single-source shortest paths on a mutating road grid —
 // closures (deletions) and new roads (additions) stream in. It runs the
-// same workload through GraphBolt's non-decomposable min re-evaluation
-// and the KickStarter-style dependence-tree engine, demonstrating the
+// same workload through GraphBolt's witness-checked min refinement and
+// the KickStarter-style dependence-tree engine, demonstrating the
 // §5.4(B) comparison: both stay correct, KickStarter does less work
-// because it gives up BSP semantics that SSSP does not need.
+// because it gives up BSP semantics that SSSP does not need. GraphBolt
+// re-pulls a vertex only when a lost contribution may have been its
+// shortest incoming path.
 package main
 
 import (
@@ -57,7 +59,7 @@ func main() {
 		ks.ApplyBatch(batch)
 
 		fmt.Printf("\nround %d: %d closures, %d new roads\n", round, len(batch.Del), len(batch.Add))
-		fmt.Printf("  GraphBolt:   %8d edge computations (BSP-faithful min re-evaluation)\n",
+		fmt.Printf("  GraphBolt:   %8d edge computations (BSP levels, witness-checked min)\n",
 			gbStats.EdgeComputations)
 		fmt.Printf("  KickStarter: %8d edge computations (trimmed dependence tree)\n",
 			ks.EdgeComputations-ksBefore)

@@ -84,8 +84,9 @@ type Program[V, A any] = core.Program[V, A]
 // DeltaProgram marks single-pass change-in-contribution support.
 type DeltaProgram[V, A any] = core.DeltaProgram[V, A]
 
-// PullProgram marks non-decomposable aggregations (min/max).
-type PullProgram = core.PullProgram
+// PullProgram is the witness check of non-decomposable aggregations
+// (min/max).
+type PullProgram[V, A any] = core.PullProgram[V, A]
 
 // Options configures an Engine.
 type Options = core.Options

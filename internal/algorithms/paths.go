@@ -13,10 +13,11 @@ import (
 //	c_i(v) = min( init(v), д_i(v) )
 //
 // min is non-decomposable (§3.3): removing a contribution cannot be
-// undone from the final value alone, so the program is marked Pull and
-// the engine re-evaluates affected aggregates over the full updated
-// in-neighborhood — the re-evaluation strategy compared against
-// KickStarter in §5.4(B).
+// undone from the final value alone, so the program is a PullProgram.
+// Refinement folds gained distances into the old minimum and re-pulls
+// the full updated in-neighborhood only of a target whose lost distance
+// could have been the minimum (Witness) — the re-evaluation strategy
+// compared against KickStarter in §5.4(B).
 type SSSP struct {
 	// Source is the origin vertex (distance 0).
 	Source core.VertexID
@@ -24,9 +25,6 @@ type SSSP struct {
 
 // NewSSSP returns an SSSP program rooted at source.
 func NewSSSP(source core.VertexID) *SSSP { return &SSSP{Source: source} }
-
-// NonDecomposable marks the min aggregation (core.PullProgram).
-func (p *SSSP) NonDecomposable() {}
 
 // InitValue implements core.Program.
 func (p *SSSP) InitValue(v core.VertexID) float64 {
@@ -51,6 +49,12 @@ func (p *SSSP) Retract(*float64, float64, core.VertexID, core.VertexID, float64,
 	panic("algorithms: Retract on non-decomposable min aggregation")
 }
 
+// Witness implements core.PullProgram: a lost distance could have been
+// the minimum unless it exceeds agg.
+func (p *SSSP) Witness(agg, src float64, _, _ core.VertexID, w float64, _ int) bool {
+	return minWitness(agg, src+w)
+}
+
 // Compute implements ∮: a vertex keeps its own initial distance as a
 // candidate (the source stays 0).
 func (p *SSSP) Compute(v core.VertexID, agg float64) float64 {
@@ -70,8 +74,8 @@ func (p *SSSP) CloneAgg(a float64) float64 { return a }
 func (p *SSSP) AggBytes(float64) int { return 8 }
 
 var (
-	_ core.Program[float64, float64] = (*SSSP)(nil)
-	_ core.PullProgram               = (*SSSP)(nil)
+	_ core.Program[float64, float64]     = (*SSSP)(nil)
+	_ core.PullProgram[float64, float64] = (*SSSP)(nil)
 )
 
 // BFS computes hop distance from a source — SSSP over unit weights; the
@@ -82,9 +86,6 @@ type BFS struct {
 
 // NewBFS returns a BFS program rooted at source.
 func NewBFS(source core.VertexID) *BFS { return &BFS{Source: source} }
-
-// NonDecomposable marks the min aggregation (core.PullProgram).
-func (p *BFS) NonDecomposable() {}
 
 // InitValue implements core.Program.
 func (p *BFS) InitValue(v core.VertexID) float64 {
@@ -109,6 +110,11 @@ func (p *BFS) Retract(*float64, float64, core.VertexID, core.VertexID, float64, 
 	panic("algorithms: Retract on non-decomposable min aggregation")
 }
 
+// Witness implements core.PullProgram.
+func (p *BFS) Witness(agg, src float64, _, _ core.VertexID, _ float64, _ int) bool {
+	return minWitness(agg, src+1)
+}
+
 // Compute implements ∮.
 func (p *BFS) Compute(v core.VertexID, agg float64) float64 {
 	if init := p.InitValue(v); init < agg {
@@ -127,8 +133,8 @@ func (p *BFS) CloneAgg(a float64) float64 { return a }
 func (p *BFS) AggBytes(float64) int { return 8 }
 
 var (
-	_ core.Program[float64, float64] = (*BFS)(nil)
-	_ core.PullProgram               = (*BFS)(nil)
+	_ core.Program[float64, float64]     = (*BFS)(nil)
+	_ core.PullProgram[float64, float64] = (*BFS)(nil)
 )
 
 // ConnectedComponents labels vertices with the minimum reachable vertex
@@ -139,9 +145,6 @@ type ConnectedComponents struct{}
 
 // NewConnectedComponents returns a CC program.
 func NewConnectedComponents() *ConnectedComponents { return &ConnectedComponents{} }
-
-// NonDecomposable marks the min aggregation (core.PullProgram).
-func (p *ConnectedComponents) NonDecomposable() {}
 
 // InitValue labels each vertex with itself.
 func (p *ConnectedComponents) InitValue(v core.VertexID) float64 { return float64(v) }
@@ -159,6 +162,11 @@ func (p *ConnectedComponents) Propagate(agg *float64, src float64, _, _ core.Ver
 // Retract must never be called (non-decomposable).
 func (p *ConnectedComponents) Retract(*float64, float64, core.VertexID, core.VertexID, float64, int) {
 	panic("algorithms: Retract on non-decomposable min aggregation")
+}
+
+// Witness implements core.PullProgram.
+func (p *ConnectedComponents) Witness(agg, src float64, _, _ core.VertexID, _ float64, _ int) bool {
+	return minWitness(agg, src)
 }
 
 // Compute keeps the vertex's own id as a candidate label.
@@ -179,6 +187,13 @@ func (p *ConnectedComponents) CloneAgg(a float64) float64 { return a }
 func (p *ConnectedComponents) AggBytes(float64) int { return 8 }
 
 var (
-	_ core.Program[float64, float64] = (*ConnectedComponents)(nil)
-	_ core.PullProgram               = (*ConnectedComponents)(nil)
+	_ core.Program[float64, float64]     = (*ConnectedComponents)(nil)
+	_ core.PullProgram[float64, float64] = (*ConnectedComponents)(nil)
 )
+
+// minWitness is Witness for a min aggregate: a lost contribution d may
+// have been the minimum when it ties or beats agg. An infinite one never
+// contributed anything.
+func minWitness(agg, d float64) bool {
+	return d <= agg && !math.IsInf(d, 1)
+}

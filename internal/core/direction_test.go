@@ -31,8 +31,9 @@ func TestPushAndPullDirectionsAgree(t *testing.T) {
 func sameInBothDirections[V, A any](t *testing.T, s *stream.Stream, name string, p core.Program[V, A], mode core.Mode, flat func(V) []float64) {
 	t.Helper()
 	label := fmt.Sprintf("%s %v, dense vs sparse", name, mode)
-	sparseVals, sparseStats := streamValues(t, s, 12, p, mode, func(e *core.Engine[V, A]) { e.ForceDirection(false) })
-	denseVals, denseStats := streamValues(t, s, 12, p, mode, func(e *core.Engine[V, A]) { e.ForceDirection(true) })
+	opts := core.Options{Mode: mode, MaxIterations: 10, Horizon: 6}
+	sparseVals, sparseStats := streamValues(t, s, 12, p, opts, func(e *core.Engine[V, A]) { e.ForceDirection(false) })
+	denseVals, denseStats := streamValues(t, s, 12, p, opts, func(e *core.Engine[V, A]) { e.ForceDirection(true) })
 	for i := range sparseStats {
 		if denseStats[i] != sparseStats[i] {
 			t.Fatalf("%s: step %d: stats %+v vs %+v", label, i, denseStats[i], sparseStats[i])

@@ -11,8 +11,8 @@ import (
 // This file is the engine's edgeMap/vertexMap (§4: GraphBolt is built on
 // Ligra's). Every traversal of e.g that the initial run, refinement
 // (§3.3), the hybrid continuation (§4.2) and the Naive baseline perform
-// is one of the four kernels below — pullEdges, pushEdges, foldEdges,
-// markOut — plus computeVertices for ∮; their callers only choose the
+// is one of the kernels below — pullEdges, pushEdges, witnessEdges,
+// foldEdges — plus computeVertices for ∮; their callers only choose the
 // vertex set, the value accessor, the degrees and the sink.
 //
 // One writer per word: forVertices is the only parallel vertex loop, and
@@ -21,12 +21,14 @@ import (
 // each aggregate, and each word of each bitset, has one writer per loop.
 // That is why no kernel takes a lock and bitset.Set is a plain store.
 // pullEdges and the dense direction of pushEdges give each worker its
-// own targets; foldEdges, markOut and the sparse direction of pushEdges
-// run on the calling goroutine. Each target takes its contributions in
-// ascending source order — sources are visited in ascending order, and
-// adjacency lists are sorted by (neighbour, weight) in both directions —
-// so every value is a function of the update stream alone, whichever
-// direction a call takes and however many workers run it.
+// own targets; foldEdges, the sparse direction of pushEdges and
+// witnessEdges' gain and loss steps run on the calling goroutine. Each
+// target takes its contributions in ascending source order — sources are
+// visited in ascending order, and adjacency lists are sorted by
+// (neighbour, weight) in both directions — so every value is a function
+// of the update stream alone, whichever direction a call takes and
+// however many workers run it. (witnessEdges folds min/max, which no
+// order can change.)
 // Both directions of pushEdges, and foldEdges, write the edge body out
 // in their loops because a call per edge is measurable (+10 % on the
 // PageRank initial run).
@@ -149,9 +151,9 @@ type srcChange[V any] struct {
 }
 
 // pullEdges re-aggregates every target from scratch over its whole
-// in-neighbourhood: level 1 of every run, and the re-evaluation strategy
-// for non-decomposable aggregations (§3.3). Targets with in-edges are
-// marked touched.
+// in-neighbourhood: level 1 of every run, and witnessEdges' re-evaluation
+// of non-decomposable aggregates (§3.3). Targets with in-edges are marked
+// touched.
 func (e *Engine[V, A]) pullEdges(targets vertexSet, valAt func(VertexID) V, to sink[A]) {
 	touched := e.sc.touched
 	forVertices(targets, func(_ int, v VertexID) int64 {
@@ -265,6 +267,74 @@ func (e *Engine[V, A]) pullDelta(sources *bitset.Bitset, at func(u VertexID) (ol
 	}, to.work)
 }
 
+// witnessEdges is pushEdges' counterpart for PullPrograms: it brings
+// every target that res's edges or a changed source reach from its old
+// aggregate (to.first, or to.agg in place) to its aggregate over e.g.
+// oldValAt and oldG are the source values and graph the old aggregates
+// were built from, newValAt the values the new ones are. It runs in
+// three steps, the first two on the calling goroutine:
+//
+//  1. Gains: fold each added edge and each source's new value over its
+//     out-edges in e.g into the target's aggregate.
+//  2. Losses: ask Witness, against that aggregate, about each deleted
+//     edge (original weight) and each source's old value over its
+//     out-edges in oldG. A loss strictly worse than what the gains left
+//     cannot have been the extremum of the old input set nor be one of
+//     the new.
+//  3. Re-pull: only targets with a witnessed loss (sc.seen)
+//     re-aggregate their whole in-neighbourhood, split across workers.
+//
+// Each fold and each check is one edge computation. min/max is exact, so
+// the result is bit for bit the re-pull of every reached target.
+func (e *Engine[V, A]) witnessEdges(res graph.ApplyResult, oldG *graph.Graph, sources *bitset.Bitset, oldValAt, newValAt func(VertexID) V, to sink[A]) {
+	touched := e.sc.touched
+	repull := e.sc.seen
+	repull.ClearAll()
+	reach := func(t VertexID) *A {
+		if !touched.Get(t) {
+			to.start(touched, t)
+		}
+		return &to.agg[t]
+	}
+	cnt := int64(len(res.Added))
+	for _, ed := range res.Added {
+		e.p.Propagate(reach(ed.To), newValAt(ed.From), ed.From, ed.To, ed.Weight, e.g.OutDegree(ed.From))
+	}
+	eachMember(sources, func(u VertexID) {
+		newV := newValAt(u)
+		ts, ws := e.g.OutNeighbors(u)
+		for i, t := range ts {
+			e.p.Propagate(reach(t), newV, u, t, ws[i], len(ts))
+		}
+		cnt += int64(len(ts))
+	})
+	lose := func(u, t VertexID, oldV V, w float64, deg int) {
+		agg := reach(t)
+		if repull.Get(t) {
+			return
+		}
+		cnt++
+		if e.pull.Witness(*agg, oldV, u, t, w, deg) {
+			repull.Set(t)
+		}
+	}
+	for _, ed := range res.Deleted {
+		lose(ed.From, ed.To, oldValAt(ed.From), ed.Weight, outDegree(oldG, ed.From))
+	}
+	eachMember(sources, func(u VertexID) {
+		if int(u) >= oldG.NumVertices() {
+			return
+		}
+		oldV := oldValAt(u)
+		ts, ws := oldG.OutNeighbors(u)
+		for i, t := range ts {
+			lose(u, t, oldV, ws[i], len(ts))
+		}
+	})
+	to.work.Add(0, cnt)
+	e.pullEdges(membersOf(repull), newValAt, to)
+}
+
 // foldEdges applies op (⊎ or ⋃-) once per listed edge, in list order on
 // the calling goroutine — the direct impact of a batch's added and
 // deleted edges. degIn is the snapshot whose out-degree the contribution
@@ -284,28 +354,6 @@ func (e *Engine[V, A]) foldEdges(op edgeOp, edges []graph.Edge, valAt func(Verte
 		}
 	}
 	to.work.Add(0, int64(len(edges)))
-}
-
-// markOut adds the out-neighbours of sources to into, on the calling
-// goroutine.
-func (e *Engine[V, A]) markOut(sources, into *bitset.Bitset) {
-	eachMember(sources, func(u VertexID) {
-		ts, _ := e.g.OutNeighbors(u)
-		for _, t := range ts {
-			into.Set(t)
-		}
-	})
-}
-
-// markTargets adds the targets of a batch's added and deleted edges to
-// into.
-func markTargets(res graph.ApplyResult, into *bitset.Bitset) {
-	for _, ed := range res.Added {
-		into.Set(ed.To)
-	}
-	for _, ed := range res.Deleted {
-		into.Set(ed.To)
-	}
 }
 
 // current returns the value accessor for kernels that read the live

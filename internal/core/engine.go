@@ -24,8 +24,8 @@ import (
 type Engine[V, A any] struct {
 	p     Program[V, A]
 	delta DeltaProgram[V, A] // nil when unsupported or in RP mode
-	pull  bool
-	deg   bool // contribution depends on source out-degree
+	pull  PullProgram[V, A]  // nil for decomposable aggregations
+	deg   bool               // contribution depends on source out-degree
 	opts  Options
 
 	g    *graph.Graph
@@ -33,6 +33,11 @@ type Engine[V, A any] struct {
 	old  []V // value before the last change (delta push base), per vertex
 	agg  []A // running aggregates д_level
 	hist *deps.Store[A]
+	// unsent is, in ModeNaive for pull programs, the changed set of the
+	// last level runDelta ran when MaxIterations cut it short (nil when it
+	// converged): its members' out-neighbours still aggregate their e.old
+	// values, which naiveContinue must know to fold in the change.
+	unsent *bitset.Bitset
 
 	sc    scratch[V, A]
 	dir   direction // pushEdges' traversal; dirAuto outside tests
@@ -71,7 +76,7 @@ type scratch[V, A any] struct {
 	// prevTouched is refine's touched of the previous level: the two swap
 	// at the end of each level.
 	prevTouched *bitset.Bitset
-	seen        *bitset.Bitset // out-neighbours of a pull level's frontier
+	seen        *bitset.Bitset // witnessEdges' re-pull set
 	// fronts are the changed sets: refine builds each level's sources and
 	// changed set in them, then the hybrid seed; runDelta alternates
 	// between them.
@@ -128,11 +133,11 @@ func NewEngine[V, A any](g *graph.Graph, p Program[V, A], opts Options) (*Engine
 	opts = opts.withDefaults()
 	e := &Engine[V, A]{
 		p:    p,
-		pull: isPull(p),
 		deg:  usesOutDegree(p),
 		opts: opts,
 		g:    g,
 	}
+	e.pull, _ = any(p).(PullProgram[V, A])
 	if d, ok := any(p).(DeltaProgram[V, A]); ok && opts.Mode != ModeGraphBoltRP {
 		e.delta = d
 	}
@@ -264,7 +269,7 @@ func (e *Engine[V, A]) resetState() {
 	} else {
 		e.hist = nil
 	}
-	e.sc.size(n, !e.pull)
+	e.sc.size(n, e.pull == nil)
 	e.level = 0
 }
 
@@ -281,7 +286,7 @@ func (e *Engine[V, A]) resetHistory() {
 // grow extends engine state and scratch to n vertices (mutations can add
 // vertices).
 func (e *Engine[V, A]) grow(n int) {
-	e.sc.size(n, !e.pull)
+	e.sc.size(n, e.pull == nil)
 	for v := len(e.vals); v < n; v++ {
 		e.vals = append(e.vals, e.p.InitValue(VertexID(v)))
 		e.old = append(e.old, e.p.InitValue(VertexID(v)))
@@ -321,6 +326,7 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *bitset.Bitset, maxLevel int
 	touched := e.sc.touched
 	to := sink[A]{agg: e.agg, work: edgeWork}
 	change := func(u VertexID) (V, V, int) { return e.old[u], e.vals[u], e.g.OutDegree(u) }
+	oldVal := func(u VertexID) V { return e.old[u] }
 
 	front := seed
 	for level := fromLevel; level <= maxLevel; level++ {
@@ -334,12 +340,10 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *bitset.Bitset, maxLevel int
 		case first:
 			// Level 1: every vertex aggregates its whole in-neighbourhood.
 			e.pullEdges(all, e.current(), to)
-		case e.pull:
-			// Only out-neighbours of the frontier can see a new input set.
-			seen := e.sc.seen
-			seen.ClearAll()
-			e.markOut(front, seen)
-			e.pullEdges(membersOf(seen), e.current(), to)
+		case e.pull != nil:
+			// Only out-neighbours of the frontier can see a new input
+			// set; e.agg holds each one's aggregate over the old values.
+			e.witnessEdges(graph.ApplyResult{}, e.g, front, oldVal, e.current(), to)
 		default:
 			e.pushEdges(front, change, to)
 		}
@@ -358,6 +362,10 @@ func (e *Engine[V, A]) runDelta(fromLevel int, seed *bitset.Bitset, maxLevel int
 		front = next
 		e.level = level
 		st.Iterations++
+	}
+	e.unsent = nil
+	if e.opts.Mode == ModeNaive && e.pull != nil && front != nil && front.Count() > 0 {
+		e.unsent = front.Clone()
 	}
 
 	st.EdgeComputations = edgeWork.Sum()

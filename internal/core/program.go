@@ -75,13 +75,21 @@ type DeltaProgram[V, A any] interface {
 	PropagateDelta(agg *A, oldSrc, newSrc V, u, v VertexID, w float64, oldSrcOutDeg, newSrcOutDeg int)
 }
 
-// PullProgram marks a program's aggregation as non-decomposable (§3.3
-// "Aggregation Properties & Extensions"): min/max-style aggregates whose
-// value cannot be incrementally adjusted when a contribution is removed.
-// The engine then re-evaluates affected aggregates by pulling the entire
-// updated input set over CSC in-edges instead of applying deltas.
-type PullProgram interface {
-	NonDecomposable()
+// PullProgram is implemented by programs whose aggregation is
+// non-decomposable (§3.3 "Aggregation Properties & Extensions"):
+// min/max-style aggregates from which a contribution cannot be removed.
+// Refinement folds the contributions a change gains into a target's old
+// aggregate with Propagate and asks Witness about each one it loses; only
+// a target with a witnessed loss re-aggregates its whole in-neighbourhood
+// of the new graph.
+type PullProgram[V, A any] interface {
+	// Witness reports whether the lost contribution of source value src
+	// over edge (u,v) with weight w (srcOutDeg as for Propagate) could be
+	// the extremum of agg, the target's aggregate with every gained
+	// contribution already folded in. False promises that dropping the
+	// contribution cannot change agg, so a contribution that ties agg
+	// must answer true. True is always legal: the target re-pulls.
+	Witness(agg A, src V, u, v VertexID, w float64, srcOutDeg int) bool
 }
 
 // DegreeSensitive is implemented by programs whose edge contribution
@@ -97,9 +105,4 @@ func usesOutDegree[V, A any](p Program[V, A]) bool {
 		return ds.UsesOutDegree()
 	}
 	return false
-}
-
-func isPull[V, A any](p Program[V, A]) bool {
-	_, ok := any(p).(PullProgram)
-	return ok
 }

@@ -138,7 +138,9 @@ func TestQuickLabelPropRefinementInvariant(t *testing.T) {
 }
 
 // TestQuickSSSPRefinementInvariant covers the non-decomposable pull path
-// (exact equality: min aggregation has no float noise).
+// (exact equality: min aggregation has no float noise). The oracle is
+// ModeLigra: ModeReset's runDelta shares refinement's witness kernel,
+// runLigra shares no kernel at all.
 func TestQuickSSSPRefinementInvariant(t *testing.T) {
 	check := func(seed uint64) bool {
 		r := gen.NewRNG(seed)
@@ -154,7 +156,7 @@ func TestQuickSSSPRefinementInvariant(t *testing.T) {
 			inc.ApplyBatch(randomBatch(r, inc.Graph()))
 		}
 		fresh, _ := core.NewEngine[float64, float64](inc.Graph(), algorithms.NewSSSP(src),
-			core.Options{Mode: core.ModeReset, MaxIterations: opts.MaxIterations})
+			core.Options{Mode: core.ModeLigra, MaxIterations: opts.MaxIterations})
 		fresh.Run()
 		for v := range inc.Values() {
 			a, b := inc.Values()[v], fresh.Values()[v]

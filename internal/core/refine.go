@@ -78,7 +78,8 @@ type tailFix[A any] struct {
 // tracked levels 1..H, at each level applying the direct impact of added
 // edges (⊎ with old source values), deleted edges (⋃- with old values and
 // weights), and the transitive impact of changed sources (⋃△), then
-// recomputing the affected vertex values. Past the horizon it switches to
+// recomputing the affected vertex values (a PullProgram's level is one
+// witnessEdges call instead). Past the horizon it switches to
 // hybrid execution (§4.2): plain delta-based BSP seeded with the changed
 // sets at the horizon.
 func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) Stats {
@@ -154,18 +155,15 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			sources.Set(u)
 		}
 		touched.ClearAll()
-		if e.pull {
-			// Non-decomposable: every target the batch or a changed source
-			// reaches re-aggregates its whole in-neighbourhood of the new
-			// graph from new source values.
-			markTargets(res, touched)
-			e.markOut(sources, touched)
-			e.pullEdges(membersOf(touched), newValAt, to)
+		// The work aggregate of a target starts from its old aggregate at
+		// this level.
+		to.first = func(t VertexID) A { return e.p.CloneAgg(oldAggAt(t)) }
+		if e.pull != nil {
+			// Non-decomposable: fold what the batch and the changed
+			// sources gain, and re-pull only targets that may have lost
+			// their extremum.
+			e.witnessEdges(res, oldG, sources, oldValAt, newValAt, to)
 		} else {
-			// The work aggregate of a target starts from its old aggregate
-			// at this level.
-			to.first = func(t VertexID) A { return e.p.CloneAgg(oldAggAt(t)) }
-
 			// (a) Direct impact: added edges re-propagate old source
 			// values (⊎); deleted edges retract them (⋃-), both with old
 			// degrees and the deleted edges' original weights.
@@ -341,7 +339,9 @@ func (e *Engine[V, A]) degreeChanged(oldG, newG *graph.Graph, res graph.ApplyRes
 // naiveContinue is the incorrect-by-design baseline of §2.2: reuse the
 // converged values directly, folding the structural change into the
 // running aggregates with *current* values, then keep iterating. It
-// converges to S*(G^T, R_G) rather than S*(G^T, I).
+// converges to S*(G^T, R_G) rather than S*(G^T, I). A pull program also
+// folds in the frontier the previous run left unsent, so that a run cut
+// short by MaxIterations resumes where it stopped.
 func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyResult) Stats {
 	e.g = newG
 	e.grow(newG.NumVertices())
@@ -351,16 +351,26 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 	touched := e.sc.touched
 	touched.ClearAll()
 	to := sink[A]{agg: e.agg, work: edgeWork}
+	sources := e.sc.fronts[1]
+	sources.ClearAll()
 
-	if e.pull {
-		markTargets(res, touched)
-		e.pullEdges(membersOf(touched), e.current(), to)
+	if e.pull != nil {
+		// e.agg aggregates current values over oldG, except that the
+		// unsent frontier's out-neighbours still hold its e.old values.
+		if e.unsent != nil {
+			eachMember(e.unsent, func(u VertexID) { sources.Set(u) })
+		}
+		oldValAt := func(u VertexID) V {
+			if sources.Get(u) {
+				return e.old[u]
+			}
+			return e.vals[u]
+		}
+		e.witnessEdges(res, oldG, sources, oldValAt, e.current(), to)
 	} else {
 		// Added edges carry the new out-degree, deleted ones the old.
 		e.foldEdges(opPropagate, res.Added, e.current(), newG, to)
 		e.foldEdges(opRetract, res.Deleted, e.current(), oldG, to)
-		sources := e.sc.fronts[1]
-		sources.ClearAll()
 		for _, u := range e.degreeChanged(oldG, newG, res) {
 			sources.Set(u)
 		}

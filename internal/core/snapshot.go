@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 
+	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -70,6 +71,11 @@ type engineState[V, A any] struct {
 	Level int
 	Ran   bool
 	Stats Stats
+	// Unsent lists Engine.unsent's members (ModeNaive, pull programs):
+	// without them a restored engine could not fold that frontier in.
+	// Empty otherwise, and in checkpoints written before this field
+	// existed.
+	Unsent []VertexID
 
 	// Generation is the published snapshot generation at checkpoint
 	// time, so a restore resumes the generation counter instead of
@@ -103,6 +109,9 @@ func (e *Engine[V, A]) WriteSnapshot(w io.Writer) error {
 	}
 	if s := e.snap.Load(); s != nil {
 		st.Generation = s.Generation
+	}
+	if e.unsent != nil {
+		st.Unsent = e.unsent.Members(nil)
 	}
 	if e.hist != nil {
 		st.Hist = e.hist.Export()
@@ -172,11 +181,22 @@ func (e *Engine[V, A]) ReadSnapshot(r io.Reader) error {
 		return fmt.Errorf("%w: arrays sized %d/%d/%d for %d vertices",
 			ErrSnapshotCorrupt, len(st.Vals), len(st.Agg), len(st.Old), st.Vertices)
 	}
+	var unsent *bitset.Bitset
+	if len(st.Unsent) > 0 {
+		unsent = bitset.New(st.Vertices)
+		for _, v := range st.Unsent {
+			if int(v) >= st.Vertices {
+				return fmt.Errorf("%w: unsent vertex %d of %d", ErrSnapshotCorrupt, v, st.Vertices)
+			}
+			unsent.Set(v)
+		}
+	}
 	e.g = g
 	e.vals = st.Vals
 	e.old = st.Old
 	e.agg = st.Agg
 	e.level = st.Level
+	e.unsent = unsent
 	e.ran = st.Ran
 	e.stats = st.Stats
 	if e.tracking() {

@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/stream"
 )
 
 func TestSnapshotRoundTripPageRank(t *testing.T) {
@@ -44,6 +46,45 @@ func TestSnapshotRoundTripPageRank(t *testing.T) {
 	orig.ApplyBatch(batch)
 	restored.ApplyBatch(batch)
 	scalarsMatch(t, restored.Values(), orig.Values(), 1e-12, "post-restore refinement")
+}
+
+// TestSnapshotRoundTripNaiveCutShort checkpoints a ModeNaive SSSP engine
+// right after an initial run that MaxIterations cut short, so the next
+// batch must fold in the frontier that run left unsent. The restored
+// engine must carry that frontier and publish the same bits as the
+// original from then on.
+func TestSnapshotRoundTripNaiveCutShort(t *testing.T) {
+	s, err := stream.FromEdges(300, gen.RMAT(302, 300, 3000, gen.WeightSmallInt),
+		stream.Config{BatchSize: 30, DeleteFraction: 0.25, Seed: 5, NumBatches: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := core.Options{Mode: core.ModeNaive, MaxIterations: 3}
+	orig, err := core.NewEngine[float64, float64](s.Base, algorithms.NewSSSP(0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orig.Run()
+	var buf bytes.Buffer
+	if err := orig.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := core.NewEngine[float64, float64](graph.MustBuild(1, nil), algorithms.NewSSSP(0), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := restored.ReadSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range s.Batches {
+		orig.ApplyBatch(b)
+		restored.ApplyBatch(b)
+		for v, want := range orig.Values() {
+			if got := restored.Values()[v]; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("batch %d after restore: vertex %d: %v, want %v", i, v, got, want)
+			}
+		}
+	}
 }
 
 func TestSnapshotRoundTripVectorProgram(t *testing.T) {

@@ -196,9 +196,9 @@ func TestSameStreamTwiceIsBitIdentical(t *testing.T) {
 	}
 	for _, mode := range []core.Mode{core.ModeGraphBolt, core.ModeGraphBoltRP, core.ModeReset, core.ModeNaive} {
 		sameAcrossProcs[float64, float64](t, s, "PageRank", algorithms.NewPageRank(), mode, scalar)
+		sameAcrossProcs[float64, float64](t, s, "SSSP", algorithms.NewSSSP(0), mode, scalar)
 	}
 	sameAcrossProcs[[]float64, []float64](t, s, "BeliefProp", algorithms.NewBeliefProp(3), core.ModeGraphBolt, vector)
-	sameAcrossProcs[float64, float64](t, s, "SSSP", algorithms.NewSSSP(0), core.ModeGraphBolt, scalar)
 	sameAcrossProcs[float64, float64](t, s, "CC", algorithms.NewConnectedComponents(), core.ModeGraphBolt, scalar)
 }
 
@@ -209,7 +209,7 @@ func sameAcrossProcs[V, A any](t *testing.T, s *stream.Stream, name string, p co
 	var want [][]V
 	for _, procs := range []int{1, 2, 4, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		got, _ := streamValues(t, s, 6, p, mode, nil)
+		got, _ := streamValues(t, s, 6, p, core.Options{Mode: mode, MaxIterations: 10, Horizon: 6}, nil)
 		runtime.GOMAXPROCS(prev)
 		if want == nil {
 			want = got
@@ -220,12 +220,12 @@ func sameAcrossProcs[V, A any](t *testing.T, s *stream.Stream, name string, p co
 }
 
 // streamValues runs s's base and its first batches through a fresh engine
-// and returns the values published after Run and after each batch (step
+// built with opts and returns the values published after Run and after each batch (step
 // 0 is the initial run), with each call's Stats, Duration zeroed. setup,
 // when non-nil, adjusts the engine before Run.
-func streamValues[V, A any](t *testing.T, s *stream.Stream, batches int, p core.Program[V, A], mode core.Mode, setup func(*core.Engine[V, A])) ([][]V, []core.Stats) {
+func streamValues[V, A any](t *testing.T, s *stream.Stream, batches int, p core.Program[V, A], opts core.Options, setup func(*core.Engine[V, A])) ([][]V, []core.Stats) {
 	t.Helper()
-	eng, err := core.NewEngine[V, A](s.Base, p, core.Options{Mode: mode, MaxIterations: 10, Horizon: 6})
+	eng, err := core.NewEngine[V, A](s.Base, p, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

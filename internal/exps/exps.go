@@ -211,28 +211,21 @@ func MeasureMutation(a Algo, g *graph.Graph, mode core.Mode, opts core.Options, 
 
 // TakeBatch concatenates stream batches until size mutations are
 // gathered (the drivers sweep batch sizes larger than the stream's
-// granularity).
+// granularity), then trims to size keeping the gathered add/delete mix:
+// ⌈size·|Del|/total⌉ deletions, additions for the rest.
 func TakeBatch(s *stream.Stream, size int) graph.Batch {
 	var b graph.Batch
 	for _, sb := range s.Batches {
-		need := size - len(b.Add) - len(b.Del)
-		if need <= 0 {
+		if len(b.Add)+len(b.Del) >= size {
 			break
 		}
 		b.Add = append(b.Add, sb.Add...)
 		b.Del = append(b.Del, sb.Del...)
 	}
-	total := len(b.Add) + len(b.Del)
-	if total > size {
-		// Trim deletions first to keep the add/delete mix.
-		over := total - size
-		if over <= len(b.Del) {
-			b.Del = b.Del[:len(b.Del)-over]
-		} else {
-			over -= len(b.Del)
-			b.Del = nil
-			b.Add = b.Add[:len(b.Add)-over]
-		}
+	if total := len(b.Add) + len(b.Del); total > size {
+		del := (size*len(b.Del) + total - 1) / total
+		b.Del = b.Del[:del]
+		b.Add = b.Add[:size-del]
 	}
 	return b
 }

@@ -138,4 +138,16 @@ func TestTakeBatchTrims(t *testing.T) {
 	if len(huge.Add) == 0 {
 		t.Fatal("huge batch empty")
 	}
+	// A trimmed batch keeps the stream's 25 % deletions: ⌈size·|Del|/total⌉
+	// of the first stream batch, additions for the rest.
+	first := s.Batches[0]
+	total := len(first.Add) + len(first.Del)
+	for _, size := range []int{1, 10, 20} {
+		b := TakeBatch(s, size)
+		want := (size*len(first.Del) + total - 1) / total
+		if len(b.Del) != want || len(b.Add) != size-want {
+			t.Fatalf("TakeBatch(%d): %d adds + %d deletions, want %d + %d (stream batch %d + %d)",
+				size, len(b.Add), len(b.Del), size-want, want, len(first.Add), len(first.Del))
+		}
+	}
 }
