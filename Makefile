@@ -43,11 +43,11 @@ fmt:
 check: fmt vet build race
 	@echo "check: OK"
 
-# bench compiles and runs every benchmark once (the root package's and
-# internal/graph's), so a benchmark that no longer builds or panics fails
-# CI. Numbers come from `go run ./bench`, not from here.
+# bench compiles and runs every benchmark in the module once, so a
+# benchmark that no longer builds or panics fails CI. Numbers come from
+# `go run ./bench`, not from here.
 bench:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/graph/
+	$(GO) test -bench=. -benchtime=1x -run='^$$' ./...
 
 # The five per-feature suites below (chaos, shard, flight, replica,
 # failover) all take SUITE_FLAGS; CI passes SUITE_FLAGS=-short to shrink

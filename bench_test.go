@@ -109,33 +109,55 @@ func BenchmarkInitialPageRank(b *testing.B) {
 // i mod 32 of one pre-built stream, so every iteration mutates the graph
 // the previous batches produced, as a stream does; each time the stream
 // wraps, a fresh engine is built over the base graph off the clock.
+// Each mode runs on two streams over 8 192 vertices: 1 000-edge additions
+// to half of 131 072 RMAT edges, and, under batch25, the pr-refine bench
+// workload's shape — 25-edge batches, a quarter of them deletions, to half
+// of 90 000 edges — where refinement's per-batch bookkeeping weighs most
+// against its edge work. edges/op is the edge computations per batch.
 func BenchmarkApplyBatchPageRank(b *testing.B) {
+	modes := []graphbolt.Mode{graphbolt.ModeGraphBolt, graphbolt.ModeGraphBoltRP, graphbolt.ModeReset, graphbolt.ModeLigra}
 	s, err := graphbolt.NewRMATStream(42, 8192, 131072, graphbolt.StreamConfig{BatchSize: 1000, NumBatches: 32})
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []graphbolt.Mode{graphbolt.ModeGraphBolt, graphbolt.ModeGraphBoltRP, graphbolt.ModeReset, graphbolt.ModeLigra} {
-		b.Run(mode.String(), func(b *testing.B) {
-			var eng *graphbolt.Engine[float64, float64]
-			for i := 0; i < b.N; i++ {
-				k := i % len(s.Batches)
-				if k == 0 {
-					b.StopTimer()
-					eng, err = graphbolt.NewEngine[float64, float64](s.Base, graphbolt.NewPageRank(), graphbolt.Options{
-						Mode: mode, MaxIterations: 10,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					eng.Run()
-					b.StartTimer()
-				}
-				if _, err := eng.ApplyBatch(s.Batches[k]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, mode := range modes {
+		b.Run(mode.String(), func(b *testing.B) { benchApplyBatch(b, s, mode) })
 	}
+	small, err := graphbolt.NewRMATStream(101, 8192, 90_000, graphbolt.StreamConfig{BatchSize: 25, DeleteFraction: 0.25, NumBatches: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("batch25", func(b *testing.B) {
+		for _, mode := range modes {
+			b.Run(mode.String(), func(b *testing.B) { benchApplyBatch(b, small, mode) })
+		}
+	})
+}
+
+func benchApplyBatch(b *testing.B, s *graphbolt.Stream, mode graphbolt.Mode) {
+	var eng *graphbolt.Engine[float64, float64]
+	var edges int64
+	for i := 0; i < b.N; i++ {
+		k := i % len(s.Batches)
+		if k == 0 {
+			b.StopTimer()
+			var err error
+			eng, err = graphbolt.NewEngine[float64, float64](s.Base, graphbolt.NewPageRank(), graphbolt.Options{
+				Mode: mode, MaxIterations: 10,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eng.Run()
+			b.StartTimer()
+		}
+		st, err := eng.ApplyBatch(s.Batches[k])
+		if err != nil {
+			b.Fatal(err)
+		}
+		edges += st.EdgeComputations
+	}
+	b.ReportMetric(float64(edges)/float64(b.N), "edges/op")
 }
 
 // BenchmarkGraphApply measures graph.Apply, the copy-on-write structural

@@ -103,6 +103,13 @@ func forVertices(vs vertexSet, body func(worker int, v VertexID) int64, work *pa
 	})
 }
 
+// has reports whether v is in b. It is bitset.Get written as a word
+// test: Go 1.24 does not inline Get into the Engine bodies when another
+// package instantiates them, and the kernels test a bit per edge.
+func has(b *bitset.Bitset, v VertexID) bool {
+	return b.Word(int(v>>6))&(1<<(v&63)) != 0
+}
+
 // eachMember calls f for every member of b in ascending order, on the
 // calling goroutine.
 func eachMember(b *bitset.Bitset, f func(VertexID)) {
@@ -195,7 +202,7 @@ func (e *Engine[V, A]) pushEdges(sources *bitset.Bitset, at func(u VertexID) (ol
 		ts, ws := e.g.OutNeighbors(u)
 		oldV, newV, oldDeg := at(u)
 		for i, t := range ts {
-			if !touched.Get(t) {
+			if !has(touched, t) {
 				to.start(touched, t)
 			}
 			agg := &to.agg[t]
@@ -246,12 +253,16 @@ func (e *Engine[V, A]) pullDelta(sources *bitset.Bitset, at func(u VertexID) (ol
 	forVertices(allVertices(e.g.NumVertices()), func(_ int, t VertexID) int64 {
 		var cnt int64
 		us, ws := e.g.InNeighbors(t)
+		reached := false
 		for i, u := range us {
-			if !sources.Get(u) {
+			if !has(sources, u) {
 				continue
 			}
-			if !touched.Get(t) {
-				to.start(touched, t)
+			if !reached {
+				if !has(touched, t) {
+					to.start(touched, t)
+				}
+				reached = true
 			}
 			c, agg := &src[u], &to.agg[t]
 			if e.delta != nil {
@@ -291,7 +302,7 @@ func (e *Engine[V, A]) witnessEdges(res graph.ApplyResult, oldG *graph.Graph, so
 	repull := e.sc.seen
 	repull.ClearAll()
 	reach := func(t VertexID) *A {
-		if !touched.Get(t) {
+		if !has(touched, t) {
 			to.start(touched, t)
 		}
 		return &to.agg[t]
@@ -310,7 +321,7 @@ func (e *Engine[V, A]) witnessEdges(res graph.ApplyResult, oldG *graph.Graph, so
 	})
 	lose := func(u, t VertexID, oldV V, w float64, deg int) {
 		agg := reach(t)
-		if repull.Get(t) {
+		if has(repull, t) {
 			return
 		}
 		cnt++
@@ -343,7 +354,7 @@ func (e *Engine[V, A]) foldEdges(op edgeOp, edges []graph.Edge, valAt func(Verte
 	touched := e.sc.touched
 	for _, ed := range edges {
 		v, deg := valAt(ed.From), outDegree(degIn, ed.From)
-		if !touched.Get(ed.To) {
+		if !has(touched, ed.To) {
 			to.start(touched, ed.To)
 		}
 		agg := &to.agg[ed.To]
@@ -378,7 +389,7 @@ func (e *Engine[V, A]) computeVertices(vs vertexSet, level int, next *bitset.Bit
 	track, touched := e.tracking(), e.sc.touched
 	forVertices(vs, func(_ int, v VertexID) int64 {
 		nv := e.p.Compute(v, e.agg[v])
-		if track && touched.Get(v) {
+		if track && has(touched, v) {
 			e.hist.Append(v, level, e.agg[v])
 		}
 		if e.p.Changed(e.vals[v], nv) {

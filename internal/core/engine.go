@@ -66,11 +66,12 @@ type Engine[V, A any] struct {
 type scratch[V, A any] struct {
 	n int // vertices the members below can hold
 
-	// refine: rolling stash of old values at the previous level and the
-	// work aggregates of the current one.
-	oldStash, nextOldStash []V            // valid where prevTouched / touched
-	aggWork                []A            // valid where touched
-	touchedAny             *bitset.Bitset // union of touched across refined levels
+	// refine: rolling stash of the old and new values at the previous
+	// level, the work aggregates of the current one and the old
+	// aggregates they started from.
+	stash, nextStash []stashed[V]   // valid where prevTouched / touched
+	aggWork, oldAgg  []A            // valid where touched
+	touchedAny       *bitset.Bitset // union of touched across refined levels
 
 	touched *bitset.Bitset // targets updated at the current level
 	// prevTouched is refine's touched of the previous level: the two swap
@@ -96,15 +97,16 @@ func (s *scratch[V, A]) size(n int, push bool) {
 	}
 	n += n / 4
 	*s = scratch[V, A]{
-		n:            n,
-		oldStash:     make([]V, n),
-		nextOldStash: make([]V, n),
-		aggWork:      make([]A, n),
-		touchedAny:   bitset.New(n),
-		touched:      bitset.New(n),
-		prevTouched:  bitset.New(n),
-		seen:         bitset.New(n),
-		fronts:       [2]*bitset.Bitset{bitset.New(n), bitset.New(n)},
+		n:           n,
+		stash:       make([]stashed[V], n),
+		nextStash:   make([]stashed[V], n),
+		aggWork:     make([]A, n),
+		oldAgg:      make([]A, n),
+		touchedAny:  bitset.New(n),
+		touched:     bitset.New(n),
+		prevTouched: bitset.New(n),
+		seen:        bitset.New(n),
+		fronts:      [2]*bitset.Bitset{bitset.New(n), bitset.New(n)},
 	}
 	if push {
 		s.src = make([]srcChange[V], n)

@@ -66,6 +66,10 @@ func (e *Engine[V, A]) ApplyBatch(b graph.Batch) (Stats, error) {
 	return st, nil
 }
 
+// stashed is a vertex's value at one refined level before and after
+// refinement.
+type stashed[V any] struct{ old, new V }
+
 // tailFix records a vertex whose history was extended by refinement: if a
 // later level leaves it untouched, the stored tail must be restored so
 // that past-last lookups keep returning the true stabilized aggregate.
@@ -103,18 +107,29 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	// their contribution over every out-edge changes at every level.
 	degChanged := e.degreeChanged(oldG, newG, res)
 
-	// Rolling stash of OLD values at the previous level for vertices
-	// whose history entry there was overwritten — exactly that level's
-	// touched set, kept in sc.prevTouched. New values never need
-	// stashing: post-refinement history IS the new run.
+	// Rolling stash of the old and new values at the previous level for
+	// the vertices whose history entry there was overwritten — exactly
+	// that level's touched set, kept in sc.prevTouched. Every other
+	// vertex kept its entry, so its old and new values are one history
+	// read.
 	sc := &e.sc
-	oldStash, nextOldStash := sc.oldStash, sc.nextOldStash
+	stash, nextStash := sc.stash, sc.nextStash
+	oldAgg := sc.oldAgg
 	sc.prevTouched.ClearAll()
 
 	// pending maps extended vertices to their original stabilized tail
 	// aggregate; it is read-only during parallel phases and mutated only
-	// between levels.
+	// between levels. Only levels below H add to it: nothing reads it
+	// after the last one.
 	pending := make(map[VertexID]A)
+	pendingTail := func(v VertexID) (A, bool) {
+		if len(pending) == 0 { // skip the probe while nothing is pending
+			var none A
+			return none, false
+		}
+		a, ok := pending[v]
+		return a, ok
+	}
 
 	aggWork := sc.aggWork
 	workers := parallel.Workers() // for per-worker extension collectors
@@ -131,33 +146,32 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		j := i - 1
 		touched, prevTouched := sc.touched, sc.prevTouched
 		oldValAt := func(u VertexID) V {
-			if prevTouched.Get(u) {
-				return oldStash[u]
+			if has(prevTouched, u) {
+				return stash[u].old
 			}
 			return e.valueAt(u, j)
 		}
-		// New values at level j are simply post-refinement history.
+		// New values at level j are post-refinement history. Only
+		// witnessEdges uses this accessor; its re-pull reads one value per
+		// in-edge, and testing the stash first cost more than it saved.
 		newValAt := func(u VertexID) V { return e.valueAt(u, j) }
-
-		// oldAggAt returns the pre-refinement aggregate at level i.
-		oldAggAt := func(t VertexID) A {
-			if tail, ok := pending[t]; ok {
-				return tail
-			}
-			a, ok := e.hist.Lookup(t, i)
-			if !ok {
-				a = e.p.IdentityAgg()
-			}
-			return a
-		}
 
 		for _, u := range degChanged {
 			sources.Set(u)
 		}
 		touched.ClearAll()
 		// The work aggregate of a target starts from its old aggregate at
-		// this level.
-		to.first = func(t VertexID) A { return e.p.CloneAgg(oldAggAt(t)) }
+		// this level, which the compute phase reads back from oldAgg.
+		to.first = func(t VertexID) A {
+			a, ok := pendingTail(t)
+			if !ok {
+				if a, ok = e.hist.Lookup(t, i); !ok {
+					a = e.p.IdentityAgg()
+				}
+			}
+			oldAgg[t] = a
+			return e.p.CloneAgg(a)
+		}
 		if e.pull != nil {
 			// Non-decomposable: fold what the batch and the changed
 			// sources gain, and re-pull only targets that may have lost
@@ -174,7 +188,12 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			// out-degree) changed update their contribution over every
 			// out-edge of the new graph.
 			e.pushEdges(sources, func(u VertexID) (V, V, int) {
-				return oldValAt(u), newValAt(u), outDegree(oldG, u)
+				if has(prevTouched, u) {
+					s := &stash[u]
+					return s.old, s.new, outDegree(oldG, u)
+				}
+				v := e.valueAt(u, j)
+				return v, v, outDegree(oldG, u)
 			}, to)
 		}
 
@@ -183,20 +202,19 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		changed := sc.otherFront(sources)
 		extensions := make([][]tailFix[A], workers)
 		forVertices(membersOf(touched), func(worker int, v VertexID) int64 {
-			oldAgg := oldAggAt(v)
 			// Refining at or past the final stored entry destroys the
 			// stabilized tail that lookups beyond it rely on: remember it
-			// so oldAggAt keeps answering correctly and so it can be
-			// restored once the vertex goes untouched again.
-			touchesTail := e.hist.Last(v) <= i
-			_, hadPending := pending[v]
-			oldVal := e.p.Compute(v, oldAgg)
+			// so the next level's first keeps answering correctly and so
+			// it can be restored once the vertex goes untouched again.
+			if i < H && e.hist.Last(v) <= i {
+				if _, ok := pendingTail(v); !ok {
+					extensions[worker] = append(extensions[worker], tailFix[A]{v, e.p.CloneAgg(oldAgg[v])})
+				}
+			}
+			oldVal := e.p.Compute(v, oldAgg[v])
 			newVal := e.p.Compute(v, aggWork[v])
 			e.hist.Append(v, i, aggWork[v])
-			nextOldStash[v] = oldVal
-			if touchesTail && !hadPending {
-				extensions[worker] = append(extensions[worker], tailFix[A]{v, e.p.CloneAgg(oldAgg)})
-			}
+			nextStash[v] = stashed[V]{oldVal, newVal}
 			if e.p.Changed(oldVal, newVal) {
 				changed.Set(v)
 			}
@@ -207,7 +225,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		// revert to their stabilized aggregate from here on; write that
 		// tail at this level and retire them.
 		for v, tail := range pending {
-			if !touched.Get(v) {
+			if !has(touched, v) {
 				e.hist.Append(v, i, tail)
 				delete(pending, v)
 			}
@@ -219,7 +237,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		}
 
 		touchedAny.Or(touched)
-		oldStash, nextOldStash = nextOldStash, oldStash
+		stash, nextStash = nextStash, stash
 		sc.touched, sc.prevTouched = prevTouched, touched
 		sources = changed
 		st.RefineIterations++
