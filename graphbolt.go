@@ -35,8 +35,9 @@
 //
 // Algorithms are expressed against the incremental programming model of
 // the paper (§3.3): an aggregation operator ⊕ with incremental
-// counterparts ⊎ (Propagate), ⋃- (Retract) and ⋃△ (PropagateDelta), and
-// a vertex function ∮ (Compute). Seven algorithms ship in the box:
+// counterparts ⊎ (Propagate), ⋃- (Retract) and ⋃△ (SourceDelta, once per
+// source, then AddDeltas, once per target), and a vertex function ∮
+// (Compute). Seven algorithms ship in the box:
 // PageRank, Label Propagation, CoEM, Belief Propagation, Collaborative
 // Filtering, SSSP/BFS/Connected Components (non-decomposable min), and
 // an incremental Triangle Counter.
@@ -81,7 +82,9 @@ type Engine[V, A any] = core.Engine[V, A]
 // Program is the incremental programming model algorithms implement.
 type Program[V, A any] = core.Program[V, A]
 
-// DeltaProgram marks single-pass change-in-contribution support.
+// DeltaProgram is single-pass change-in-contribution support: a
+// source's delta computed once (SourceDelta) and folded into each
+// target over its edge weights (AddDeltas).
 type DeltaProgram[V, A any] = core.DeltaProgram[V, A]
 
 // PullProgram is the witness check of non-decomposable aggregations

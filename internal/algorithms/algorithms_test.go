@@ -17,7 +17,7 @@ func TestPageRankContributionGuardsZeroDegree(t *testing.T) {
 	if agg != 0 {
 		t.Fatalf("zero-degree contribution = %v, want 0", agg)
 	}
-	p.PropagateDelta(&agg, 1.0, 2.0, 0, 1, 1, 0, 4)
+	propagateDelta[float64, float64](p, &agg, 1.0, 2.0, 1, 0, 4)
 	if agg != 0.5 {
 		t.Fatalf("delta with degree change = %v, want 0.5", agg)
 	}
@@ -26,7 +26,7 @@ func TestPageRankContributionGuardsZeroDegree(t *testing.T) {
 func TestPageRankDeltaMatchesRetractPropagate(t *testing.T) {
 	p := NewPageRank()
 	a1, a2 := 3.0, 3.0
-	p.PropagateDelta(&a1, 0.4, 0.9, 0, 1, 1, 5, 5)
+	propagateDelta[float64, float64](p, &a1, 0.4, 0.9, 1, 5, 5)
 	p.Retract(&a2, 0.4, 0, 1, 1, 5)
 	p.Propagate(&a2, 0.9, 0, 1, 1, 5)
 	if !difftest.Approx(a1, a2, 0, 1e-15) {
@@ -76,7 +76,7 @@ func TestLabelPropDeltaConsistency(t *testing.T) {
 	a1 := []float64{1, 2}
 	a2 := []float64{1, 2}
 	oldV, newV := []float64{0.2, 0.8}, []float64{0.6, 0.4}
-	p.PropagateDelta(&a1, oldV, newV, 0, 1, 2.5, 0, 0)
+	propagateDelta[[]float64, []float64](p, &a1, oldV, newV, 2.5, 0, 0)
 	p.Retract(&a2, oldV, 0, 1, 2.5, 0)
 	p.Propagate(&a2, newV, 0, 1, 2.5, 0)
 	for f := range a1 {
@@ -195,7 +195,7 @@ func TestCollabFilterDeltaMatchesRetractPropagate(t *testing.T) {
 	a1, a2 := p.IdentityAgg(), p.IdentityAgg()
 	p.Propagate(&a1, oldV, 0, 1, 2, 0)
 	p.Propagate(&a2, oldV, 0, 1, 2, 0)
-	p.PropagateDelta(&a1, oldV, newV, 0, 1, 2, 0, 0)
+	propagateDelta[[]float64, CFAgg](p, &a1, oldV, newV, 2, 0, 0)
 	p.Retract(&a2, oldV, 0, 1, 2, 0)
 	p.Propagate(&a2, newV, 0, 1, 2, 0)
 	for i := range a1.M {
@@ -455,6 +455,22 @@ func TestKatzRefinementMatchesScratch(t *testing.T) {
 		d := inc.Values()[v] - fresh.Values()[v]
 		if d > 1e-10 || d < -1e-10 {
 			t.Fatalf("vertex %d: %v vs %v", v, inc.Values()[v], fresh.Values()[v])
+		}
+	}
+}
+
+// TestBeliefPropPropagateDoesNotAllocate: the per-edge message vector of
+// a small model lives in a fixed array on the caller's stack.
+func TestBeliefPropPropagateDoesNotAllocate(t *testing.T) {
+	for _, states := range []int{2, 3} {
+		p := NewBeliefProp(states)
+		agg, src := p.IdentityAgg(), p.InitValue(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			p.Propagate(&agg, src, 0, 1, 1, 0)
+			p.Retract(&agg, src, 0, 1, 1, 0)
+		})
+		if allocs != 0 {
+			t.Errorf("States %d: %v allocations per Propagate+Retract, want 0", states, allocs)
 		}
 	}
 }

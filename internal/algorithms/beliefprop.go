@@ -73,11 +73,21 @@ func (p *BeliefProp) IdentityAgg() []float64 {
 	return d
 }
 
+// maxStackStates is the largest States whose per-edge message vector
+// lives in a caller's fixed array; larger models allocate one per call.
+const maxStackStates = 8
+
 // contribution computes the per-edge message vector from the source's
-// normalized product (getContribution of Algorithm 2).
-func (p *BeliefProp) contribution(src []float64, u, v core.VertexID) []float64 {
-	contrib := make([]float64, p.States)
-	for s := 0; s < p.States; s++ {
+// normalized product (getContribution of Algorithm 2), into buf when
+// States fits it.
+func (p *BeliefProp) contribution(buf *[maxStackStates]float64, src []float64, u, v core.VertexID) []float64 {
+	var contrib []float64
+	if p.States <= len(buf) {
+		contrib = buf[:p.States]
+	} else {
+		contrib = make([]float64, p.States)
+	}
+	for s := range contrib {
 		var sum float64
 		for s1 := 0; s1 < p.States; s1++ {
 			sum += p.Phi(u, s1) * p.Psi(u, v, s1, s) * src[s1]
@@ -89,7 +99,8 @@ func (p *BeliefProp) contribution(src []float64, u, v core.VertexID) []float64 {
 
 // Propagate multiplies the contribution in (repropagate/propagate).
 func (p *BeliefProp) Propagate(agg *[]float64, src []float64, u, v core.VertexID, _ float64, _ int) {
-	contrib := p.contribution(src, u, v)
+	var buf [maxStackStates]float64
+	contrib := p.contribution(&buf, src, u, v)
 	a := *agg
 	for s := range a {
 		a[s] *= contrib[s]
@@ -98,7 +109,8 @@ func (p *BeliefProp) Propagate(agg *[]float64, src []float64, u, v core.VertexID
 
 // Retract divides the old contribution out (retract of Algorithm 2).
 func (p *BeliefProp) Retract(agg *[]float64, src []float64, u, v core.VertexID, _ float64, _ int) {
-	contrib := p.contribution(src, u, v)
+	var buf [maxStackStates]float64
+	contrib := p.contribution(&buf, src, u, v)
 	a := *agg
 	for s := range a {
 		a[s] /= contrib[s]

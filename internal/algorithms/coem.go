@@ -72,10 +72,21 @@ func (p *CoEM) Retract(agg *CoEMAgg, src float64, _, _ core.VertexID, w float64,
 	agg.W -= w
 }
 
-// PropagateDelta implements ⋃△: only the score sum changes for a value
-// update; the normalizer changes only structurally (⊎/⋃-).
-func (p *CoEM) PropagateDelta(agg *CoEMAgg, oldSrc, newSrc float64, _, _ core.VertexID, w float64, _, _ int) {
-	agg.Sum += (newSrc - oldSrc) * w
+// SourceDelta implements the per-source half of ⋃△: only the score sum
+// changes for a value update; the normalizer changes only structurally
+// (⊎/⋃-), so the delta's W stays 0.
+func (p *CoEM) SourceDelta(d *CoEMAgg, oldSrc, newSrc float64, _, _ int) {
+	*d = CoEMAgg{Sum: newSrc - oldSrc}
+}
+
+// AddDeltas implements the per-target half of ⋃△: each score change
+// weighted by its edge.
+func (p *CoEM) AddDeltas(agg *CoEMAgg, ds []CoEMAgg, ws []float64) {
+	s := agg.Sum
+	for k := range ds {
+		s += ds[k].Sum * ws[k]
+	}
+	agg.Sum = s
 }
 
 // Compute normalizes; seeds stay clamped; isolated vertices stay neutral.

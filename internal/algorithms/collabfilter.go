@@ -77,15 +77,33 @@ func (p *CollabFilter) Retract(agg *CFAgg, src []float64, _, _ core.VertexID, w 
 	}
 }
 
-// PropagateDelta implements ⋃△ exactly as derived in §3.3:
-// ⟨Σ (new·newᵀ − old·oldᵀ), Σ (new − old)·w⟩.
-func (p *CollabFilter) PropagateDelta(agg *CFAgg, oldSrc, newSrc []float64, _, _ core.VertexID, w float64, _, _ int) {
+// SourceDelta implements the per-source half of ⋃△ exactly as derived in
+// §3.3: ⟨new·newᵀ − old·oldᵀ, new − old⟩, reusing *d's storage. The
+// discrete contributions are evaluated once per source, not per edge.
+func (p *CollabFilter) SourceDelta(d *CFAgg, oldSrc, newSrc []float64, _, _ int) {
 	k := p.Rank
+	if len(d.M) != k*k || len(d.B) != k {
+		*d = p.IdentityAgg()
+	}
 	for i := 0; i < k; i++ {
 		for j := 0; j < k; j++ {
-			agg.M[i*k+j] += newSrc[i]*newSrc[j] - oldSrc[i]*oldSrc[j]
+			d.M[i*k+j] = newSrc[i]*newSrc[j] - oldSrc[i]*oldSrc[j]
 		}
-		agg.B[i] += (newSrc[i] - oldSrc[i]) * w
+		d.B[i] = newSrc[i] - oldSrc[i]
+	}
+}
+
+// AddDeltas implements the per-target half of ⋃△:
+// ⟨Σ dM, Σ dB·w⟩.
+func (p *CollabFilter) AddDeltas(agg *CFAgg, ds []CFAgg, ws []float64) {
+	for k, d := range ds {
+		w := ws[k]
+		for i, m := range d.M {
+			agg.M[i] += m
+		}
+		for i, b := range d.B {
+			agg.B[i] += b * w
+		}
 	}
 }
 

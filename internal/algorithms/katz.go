@@ -43,9 +43,18 @@ func (p *Katz) Retract(agg *float64, src float64, _, _ core.VertexID, _ float64,
 	*agg -= src
 }
 
-// PropagateDelta implements ⋃△.
-func (p *Katz) PropagateDelta(agg *float64, oldSrc, newSrc float64, _, _ core.VertexID, _ float64, _, _ int) {
-	*agg += newSrc - oldSrc
+// SourceDelta implements the per-source half of ⋃△.
+func (p *Katz) SourceDelta(d *float64, oldSrc, newSrc float64, _, _ int) {
+	*d = newSrc - oldSrc
+}
+
+// AddDeltas implements the per-target half of ⋃△.
+func (p *Katz) AddDeltas(agg *float64, ds []float64, _ []float64) {
+	a := *agg
+	for _, d := range ds {
+		a += d
+	}
+	*agg = a
 }
 
 // Compute implements ∮.

@@ -62,11 +62,27 @@ func (p *LabelProp) Retract(agg *[]float64, src []float64, _, _ core.VertexID, w
 	}
 }
 
-// PropagateDelta implements ⋃△ componentwise.
-func (p *LabelProp) PropagateDelta(agg *[]float64, oldSrc, newSrc []float64, _, _ core.VertexID, w float64, _, _ int) {
+// SourceDelta implements the per-source half of ⋃△ componentwise,
+// reusing *d's storage.
+func (p *LabelProp) SourceDelta(d *[]float64, oldSrc, newSrc []float64, _, _ int) {
+	if len(*d) != p.Labels {
+		*d = make([]float64, p.Labels)
+	}
+	dv := *d
+	for f := range dv {
+		dv[f] = newSrc[f] - oldSrc[f]
+	}
+}
+
+// AddDeltas implements the per-target half of ⋃△: each change weighted
+// by its edge, componentwise.
+func (p *LabelProp) AddDeltas(agg *[]float64, ds [][]float64, ws []float64) {
 	a := *agg
-	for f := range a {
-		a[f] += (newSrc[f] - oldSrc[f]) * w
+	for k, d := range ds {
+		w := ws[k]
+		for f := range a {
+			a[f] += d[f] * w
+		}
 	}
 }
 

@@ -56,10 +56,20 @@ func (p *PageRank) Retract(agg *float64, src float64, _, _ core.VertexID, _ floa
 	*agg -= contributionPR(src, srcOutDeg)
 }
 
-// PropagateDelta implements ⋃△ in a single pass (propagateDelta of
+// SourceDelta implements the per-source half of ⋃△ (propagateDelta of
 // Algorithm 3): new/new_degree − old/old_degree.
-func (p *PageRank) PropagateDelta(agg *float64, oldSrc, newSrc float64, _, _ core.VertexID, _ float64, oldDeg, newDeg int) {
-	*agg += contributionPR(newSrc, newDeg) - contributionPR(oldSrc, oldDeg)
+func (p *PageRank) SourceDelta(d *float64, oldSrc, newSrc float64, oldDeg, newDeg int) {
+	*d = contributionPR(newSrc, newDeg) - contributionPR(oldSrc, oldDeg)
+}
+
+// AddDeltas implements the per-target half of ⋃△: the contributions are
+// unweighted.
+func (p *PageRank) AddDeltas(agg *float64, ds []float64, _ []float64) {
+	a := *agg
+	for _, d := range ds {
+		a += d
+	}
+	*agg = a
 }
 
 // Compute implements ∮.

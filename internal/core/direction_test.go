@@ -25,6 +25,10 @@ func TestPushAndPullDirectionsAgree(t *testing.T) {
 	for _, mode := range []core.Mode{core.ModeGraphBolt, core.ModeGraphBoltRP, core.ModeReset, core.ModeNaive} {
 		sameInBothDirections[float64, float64](t, s, "PageRank", algorithms.NewPageRank(), mode, scalar)
 		sameInBothDirections[[]float64, []float64](t, s, "BeliefProp", algorithms.NewBeliefProp(3), mode, vector)
+		// Vector deltas: the dense fold gathers slice headers into a
+		// worker's buffer, and each source's delta storage is reused.
+		sameInBothDirections[[]float64, []float64](t, s, "LabelProp", algorithms.NewLabelProp(3, map[core.VertexID]int{1: 0, 7: 1, 42: 2}), mode, vector)
+		sameInBothDirections[[]float64, algorithms.CFAgg](t, s, "CollabFilter", algorithms.NewCollabFilter(3), mode, vector)
 	}
 }
 

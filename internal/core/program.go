@@ -57,22 +57,38 @@ type Program[V, A any] interface {
 	// semantics; a tolerance trades accuracy for work.
 	Changed(oldV, newV V) bool
 
-	// CloneAgg deep-copies an aggregate (identity for value types).
+	// CloneAgg deep-copies an aggregate (identity for value types: the
+	// engine copies an aggregate type without pointers by assignment and
+	// does not call it).
 	CloneAgg(a A) A
 
 	// AggBytes approximates the heap footprint of one aggregate, for the
-	// dependency store's memory accounting (Table 9).
+	// dependency store's memory accounting (Table 9). For an aggregate
+	// type without pointers it must not depend on the value.
 	AggBytes(a A) int
 }
 
 // DeltaProgram is implemented by programs whose aggregation admits a
 // single-pass change-in-contribution update (simple decomposable
-// aggregations like sums): PropagateDelta(agg, old, new, …) must be
-// equivalent to Retract(old) followed by Propagate(new). The engine uses
-// it to halve edge work; without it (or in the GraphBolt-RP mode of
-// Fig. 8) the engine issues the retract/propagate pair.
+// aggregations like sums), the ⋃△ of §3.3 split as Ligra's PageRankDelta
+// splits it: a source's change in contribution is computed once per
+// source (SourceDelta), and each target folds the changes of its changed
+// in-neighbours with their edge weights (AddDeltas). SourceDelta
+// followed by AddDeltas over edge (u,v) must be equivalent to Retract of
+// the old value followed by Propagate of the new one. The engine uses it
+// to halve edge work and to take the per-source part off the edges;
+// without it (or in the GraphBolt-RP mode of Fig. 8) the engine issues
+// the retract/propagate pair.
 type DeltaProgram[V, A any] interface {
-	PropagateDelta(agg *A, oldSrc, newSrc V, u, v VertexID, w float64, oldSrcOutDeg, newSrcOutDeg int)
+	// SourceDelta writes into *d the change in the contribution of a
+	// source whose value moves from oldSrc at out-degree oldDeg to newSrc
+	// at out-degree newDeg (degrees as for Propagate). It may reuse the
+	// storage *d already holds.
+	SourceDelta(d *A, oldSrc, newSrc V, oldDeg, newDeg int)
+
+	// AddDeltas folds ds[k], carried by an edge of weight ws[k], into
+	// *agg for every k in order.
+	AddDeltas(agg *A, ds []A, ws []float64)
 }
 
 // PullProgram is implemented by programs whose aggregation is

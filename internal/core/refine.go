@@ -66,10 +66,6 @@ func (e *Engine[V, A]) ApplyBatch(b graph.Batch) (Stats, error) {
 	return st, nil
 }
 
-// stashed is a vertex's value at one refined level before and after
-// refinement.
-type stashed[V any] struct{ old, new V }
-
 // tailFix records a vertex whose history was extended by refinement: if a
 // later level leaves it untouched, the stored tail must be restored so
 // that past-last lookups keep returning the true stabilized aggregate.
@@ -105,14 +101,19 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 
 	// Vertices whose out-degree changed: for degree-normalized programs
 	// their contribution over every out-edge changes at every level.
-	degChanged := e.degreeChanged(oldG, newG, res)
-
-	// Rolling stash of the old and new values at the previous level for
-	// the vertices whose history entry there was overwritten — exactly
-	// that level's touched set, kept in sc.prevTouched. Every other
-	// vertex kept its entry, so its old and new values are one history
-	// read.
 	sc := &e.sc
+	degChanged := e.degreeChanged(oldG, newG, res)
+	degSet := sc.degSet
+	degSet.ClearAll()
+	for _, u := range degChanged {
+		degSet.Set(u)
+	}
+	push := e.pull == nil // a push program's sources emit their change
+
+	// Rolling stash of the old values at the previous level for the
+	// vertices whose history entry there was overwritten — exactly that
+	// level's touched set, kept in sc.prevTouched. Every other vertex kept
+	// its entry, so its old value is one history read.
 	stash, nextStash := sc.stash, sc.nextStash
 	oldAgg := sc.oldAgg
 	sc.prevTouched.ClearAll()
@@ -147,7 +148,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		touched, prevTouched := sc.touched, sc.prevTouched
 		oldValAt := func(u VertexID) V {
 			if has(prevTouched, u) {
-				return stash[u].old
+				return stash[u]
 			}
 			return e.valueAt(u, j)
 		}
@@ -156,8 +157,14 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		// in-edge, and testing the stash first cost more than it saved.
 		newValAt := func(u VertexID) V { return e.valueAt(u, j) }
 
+		// A degree-changed source emitted its change if the previous
+		// level touched it; otherwise its value stands at level j.
 		for _, u := range degChanged {
 			sources.Set(u)
+			if push && !has(prevTouched, u) {
+				v := e.valueAt(u, j)
+				e.emit(u, v, v, outDegree(oldG, u), newG.OutDegree(u))
+			}
 		}
 		touched.ClearAll()
 		// The work aggregate of a target starts from its old aggregate at
@@ -170,6 +177,9 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 				}
 			}
 			oldAgg[t] = a
+			if e.flat {
+				return a
+			}
 			return e.p.CloneAgg(a)
 		}
 		if e.pull != nil {
@@ -187,18 +197,12 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			// (b) Transitive impact (⋃△): sources whose value (or
 			// out-degree) changed update their contribution over every
 			// out-edge of the new graph.
-			e.pushEdges(sources, func(u VertexID) (V, V, int) {
-				if has(prevTouched, u) {
-					s := &stash[u]
-					return s.old, s.new, outDegree(oldG, u)
-				}
-				v := e.valueAt(u, j)
-				return v, v, outDegree(oldG, u)
-			}, to)
+			e.pushEdges(sources, to)
 		}
 
 		// Compute phase: derive old and new values at this level, store
-		// the refined aggregate, and build the next changed set.
+		// the refined aggregate, build the next changed set, and emit
+		// the change of each of next level's sources that it touches.
 		changed := sc.otherFront(sources)
 		extensions := make([][]tailFix[A], workers)
 		forVertices(membersOf(touched), func(worker int, v VertexID) int64 {
@@ -214,9 +218,18 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			oldVal := e.p.Compute(v, oldAgg[v])
 			newVal := e.p.Compute(v, aggWork[v])
 			e.hist.Append(v, i, aggWork[v])
-			nextStash[v] = stashed[V]{oldVal, newVal}
-			if e.p.Changed(oldVal, newVal) {
+			nextStash[v] = oldVal
+			ch, dc := e.p.Changed(oldVal, newVal), has(degSet, v)
+			if ch {
 				changed.Set(v)
+			}
+			if push && (ch || dc) {
+				newDeg := newG.OutDegree(v)
+				oldDeg := newDeg
+				if dc {
+					oldDeg = outDegree(oldG, v)
+				}
+				e.emit(v, oldVal, newVal, oldDeg, newDeg)
 			}
 			return 1
 		}, vertWork)
@@ -258,6 +271,19 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 	canContinue := H < e.opts.MaxIterations
 	seed := sc.fronts[1]
 	seed.ClearAll()
+	// reseed adds v to the seed if its value changed between levels H-1
+	// and H, emitting the change for the hybrid's first ⋃△.
+	reseed := func(v VertexID) {
+		prev := e.valueAt(v, H-1)
+		if e.p.Changed(prev, e.vals[v]) {
+			e.old[v] = prev
+			seed.Set(v)
+			if push {
+				deg := newG.OutDegree(v)
+				e.emit(v, prev, e.vals[v], deg, deg)
+			}
+		}
+	}
 	refresh := func(v int) {
 		vid := VertexID(v)
 		e.vals[v] = e.valueAt(vid, H)
@@ -267,11 +293,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 		}
 		e.agg[v] = e.p.CloneAgg(a)
 		if canContinue {
-			prev := e.valueAt(vid, H-1)
-			if e.p.Changed(prev, e.vals[v]) {
-				e.old[v] = prev
-				seed.Set(vid)
-			}
+			reseed(vid)
 		}
 	}
 	if H == L {
@@ -292,11 +314,7 @@ func (e *Engine[V, A]) refine(oldG, newG *graph.Graph, res graph.ApplyResult) St
 			parallel.For(oldN, func(v int) {
 				vid := VertexID(v)
 				if !touchedAny.Get(vid) && e.hist.Last(vid) == H {
-					prev := e.valueAt(vid, H-1)
-					if e.p.Changed(prev, e.vals[v]) {
-						e.old[v] = prev
-						seed.Set(vid)
-					}
+					reseed(vid)
 				}
 			})
 		}
@@ -391,10 +409,9 @@ func (e *Engine[V, A]) naiveContinue(oldG, newG *graph.Graph, res graph.ApplyRes
 		e.foldEdges(opRetract, res.Deleted, e.current(), oldG, to)
 		for _, u := range e.degreeChanged(oldG, newG, res) {
 			sources.Set(u)
+			e.emit(u, e.vals[u], e.vals[u], outDegree(oldG, u), newG.OutDegree(u))
 		}
-		e.pushEdges(sources, func(u VertexID) (V, V, int) {
-			return e.vals[u], e.vals[u], outDegree(oldG, u)
-		}, to)
+		e.pushEdges(sources, to)
 	}
 
 	seed := e.sc.fronts[0]

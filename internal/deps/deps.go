@@ -29,7 +29,9 @@ type Store[A any] struct {
 
 // New creates a store for n vertices with the given horizon (the
 // horizontal-pruning cut-off: levels > horizon are never stored).
-// clone deep-copies an aggregate; bytes reports its heap footprint for
+// clone deep-copies an aggregate, and may be nil when A holds no
+// pointers: assignment then copies it, and overwriting an entry cannot
+// change the footprint; bytes reports an aggregate's heap footprint for
 // the Table 9 accounting; identity produces the aggregate a vertex holds
 // before receiving any contribution (used to fill no-holes gaps).
 func New[A any](n, horizon int, clone func(A) A, bytes func(A) int, identity func() A) *Store[A] {
@@ -89,6 +91,10 @@ func (s *Store[A]) Append(v uint32, level int, agg A) {
 		// Overwrite (refinement): account the delta in footprint. Skip
 		// the shared counter when the size is unchanged, the common case:
 		// under parallel refinement its cache line is contended.
+		if s.clone == nil {
+			h[level-1] = agg
+			return
+		}
 		if d := int64(s.bytes(agg)) - int64(s.bytes(h[level-1])); d != 0 {
 			s.heapBytes.Add(d)
 		}
@@ -100,17 +106,25 @@ func (s *Store[A]) Append(v uint32, level int, agg A) {
 		if len(h) == 0 {
 			cp = s.identity()
 		} else {
-			cp = s.clone(h[len(h)-1])
+			cp = s.copy(h[len(h)-1])
 		}
 		s.heapBytes.Add(int64(s.bytes(cp)))
 		s.entries.Add(1)
 		h = append(h, cp)
 	}
-	cp := s.clone(agg)
+	cp := s.copy(agg)
 	s.heapBytes.Add(int64(s.bytes(cp)))
 	s.entries.Add(1)
 	h = append(h, cp)
 	s.hist[v] = h
+}
+
+// copy deep-copies a.
+func (s *Store[A]) copy(a A) A {
+	if s.clone == nil {
+		return a
+	}
+	return s.clone(a)
 }
 
 // HeapBytes reports the approximate heap footprint of all stored
@@ -136,7 +150,7 @@ func (s *Store[A]) Export() [][]A {
 		}
 		cp := make([]A, len(h))
 		for i, a := range h {
-			cp[i] = s.clone(a)
+			cp[i] = s.copy(a)
 		}
 		out[v] = cp
 	}
@@ -158,7 +172,7 @@ func (s *Store[A]) Import(hist [][]A) {
 		}
 		cp := make([]A, len(h))
 		for i, a := range h {
-			cp[i] = s.clone(a)
+			cp[i] = s.copy(a)
 			total += int64(s.bytes(cp[i]))
 		}
 		entries += int64(len(cp))

@@ -2,14 +2,27 @@ package deps
 
 import "testing"
 
+// BenchmarkAppendScalar overwrites scalar entries, as refinement does,
+// with an identity clone and with the nil clone the engine passes for a
+// pointer-free aggregate.
 func BenchmarkAppendScalar(b *testing.B) {
-	s := newFloatStore(1024, 10)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := uint32(i % 1024)
-		level := i/1024%10 + 1
-		s.Append(v, level, float64(i))
+	for _, bc := range []struct {
+		name  string
+		clone func(float64) float64
+	}{
+		{"clone", func(a float64) float64 { return a }},
+		{"assign", nil},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New[float64](1024, 10, bc.clone, func(float64) int { return 8 }, func() float64 { return 0 })
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				v := uint32(i % 1024)
+				level := i/1024%10 + 1
+				s.Append(v, level, float64(i))
+			}
+		})
 	}
 }
 

@@ -265,3 +265,46 @@ func TestImportTruncatesBeyondHorizon(t *testing.T) {
 		t.Fatalf("Last = %d, want horizon 2", s.Last(0))
 	}
 }
+
+// TestNilCloneMatchesIdentityClone: for a pointer-free aggregate a nil
+// clone (copy by assignment, no footprint re-read on overwrite) keeps the
+// same histories, entries and footprint as an explicit identity clone,
+// through gap fills, overwrites and an export/import round trip.
+func TestNilCloneMatchesIdentityClone(t *testing.T) {
+	f := func(ops []struct {
+		V     uint8
+		Level uint8
+		Agg   float64
+	}) bool {
+		withClone := newFloatStore(4, 6)
+		nilClone := New[float64](4, 6, nil, func(float64) int { return 8 }, func() float64 { return 0 })
+		for _, op := range ops {
+			v, level := uint32(op.V%4), 1+int(op.Level%7)
+			withClone.Append(v, level, op.Agg)
+			nilClone.Append(v, level, op.Agg)
+		}
+		reimported := New[float64](0, 6, nil, func(float64) int { return 8 }, func() float64 { return 0 })
+		reimported.Import(nilClone.Export())
+		for _, s := range []*Store[float64]{nilClone, reimported} {
+			if s.HeapBytes() != withClone.HeapBytes() || s.Entries() != withClone.Entries() {
+				return false
+			}
+			for v := uint32(0); v < 4; v++ {
+				if s.Last(v) != withClone.Last(v) {
+					return false
+				}
+				for level := 1; level <= 7; level++ {
+					a, ok := s.Lookup(v, level)
+					b, okb := withClone.Lookup(v, level)
+					if ok != okb || a != b {
+						return false
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
