@@ -20,7 +20,7 @@ vet:
 # workers than the host may have CPUs.
 race:
 	$(GO) test -race -shuffle=on ./internal/...
-	$(GO) test -race -cpu 2,4,8 -run 'BitIdentical|DirectionsAgree|GoldenWorkCounters|GoldenValueHashes|ForVertices|MatchLigraAtEveryLevel|WitnessMatchesFullRepull' ./internal/core
+	$(GO) test -race -cpu 2,4,8 -run 'BitIdentical|DirectionsAgree|GoldenWorkCounters|GoldenValueHashes|ForVertices|MatchLigraAtEveryLevel|WitnessMatchesFullRepull|StoppedRunHasConverged' ./internal/core
 
 # check-race runs the whole module under the race detector, including
 # the root-package serving stress test (concurrent readers vs the

@@ -121,7 +121,7 @@ func BenchmarkApplyBatchPageRank(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, mode := range modes {
-		b.Run(mode.String(), func(b *testing.B) { benchApplyBatch(b, s, mode) })
+		b.Run(mode.String(), func(b *testing.B) { benchApplyBatch(b, s, graphbolt.NewPageRank(), mode) })
 	}
 	small, err := graphbolt.NewRMATStream(101, 8192, 90_000, graphbolt.StreamConfig{BatchSize: 25, DeleteFraction: 0.25, NumBatches: 32})
 	if err != nil {
@@ -129,12 +129,28 @@ func BenchmarkApplyBatchPageRank(b *testing.B) {
 	}
 	b.Run("batch25", func(b *testing.B) {
 		for _, mode := range modes {
-			b.Run(mode.String(), func(b *testing.B) { benchApplyBatch(b, small, mode) })
+			b.Run(mode.String(), func(b *testing.B) { benchApplyBatch(b, small, graphbolt.NewPageRank(), mode) })
 		}
 	})
 }
 
-func benchApplyBatch(b *testing.B, s *graphbolt.Stream, mode graphbolt.Mode) {
+// BenchmarkApplyBatchCC measures one refined connected-components batch
+// in the replicated bench workload's shape: 20-edge batches, a quarter
+// of them deletions, to half of 250 000 RMAT edges over 16 384 vertices.
+// The runs converge before MaxIterations and each batch's refinement
+// reaches a few thousand edges, so the per-batch terms that do not scale
+// with the edges weigh most here.
+func BenchmarkApplyBatchCC(b *testing.B) {
+	s, err := graphbolt.NewRMATStream(103, 16384, 250_000, graphbolt.StreamConfig{BatchSize: 20, DeleteFraction: 0.25, NumBatches: 32})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run(graphbolt.ModeGraphBolt.String(), func(b *testing.B) {
+		benchApplyBatch(b, s, graphbolt.NewConnectedComponents(), graphbolt.ModeGraphBolt)
+	})
+}
+
+func benchApplyBatch(b *testing.B, s *graphbolt.Stream, p graphbolt.Program[float64, float64], mode graphbolt.Mode) {
 	var eng *graphbolt.Engine[float64, float64]
 	var edges int64
 	for i := 0; i < b.N; i++ {
@@ -142,7 +158,7 @@ func benchApplyBatch(b *testing.B, s *graphbolt.Stream, mode graphbolt.Mode) {
 		if k == 0 {
 			b.StopTimer()
 			var err error
-			eng, err = graphbolt.NewEngine[float64, float64](s.Base, graphbolt.NewPageRank(), graphbolt.Options{
+			eng, err = graphbolt.NewEngine[float64, float64](s.Base, p, graphbolt.Options{
 				Mode: mode, MaxIterations: 10,
 			})
 			if err != nil {
