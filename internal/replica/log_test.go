@@ -148,6 +148,53 @@ func TestLogHandlerHeartbeats(t *testing.T) {
 	}
 }
 
+// stallingWriter is a ResponseWriter whose second Write, the first
+// record after the hello, waits for release, as a slow client's socket
+// does.
+type stallingWriter struct {
+	header  http.Header
+	writes  int
+	stalled chan struct{}
+	release chan struct{}
+}
+
+func (w *stallingWriter) Header() http.Header { return w.header }
+func (w *stallingWriter) WriteHeader(int)     {}
+func (w *stallingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	if w.writes == 2 {
+		close(w.stalled)
+		<-w.release
+	}
+	return len(p), nil
+}
+
+// TestLogHandlerEndsStreamOvertakenByCompaction: when retention trims
+// the record a stream would send next while it is still writing, the
+// stream ends, so that the client's resume gets 410 and re-seeds,
+// instead of idling on heartbeats forever.
+func TestLogHandlerEndsStreamOvertakenByCompaction(t *testing.T) {
+	l := NewLog(LogOptions{Retain: 2, Heartbeat: time.Millisecond})
+	defer l.Close()
+	l.Append(rec(1))
+	w := &stallingWriter{header: http.Header{}, stalled: make(chan struct{}), release: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		l.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/?from=0", nil))
+	}()
+	<-w.stalled // writing record 1
+	for seq := uint64(2); seq <= 6; seq++ {
+		l.Append(rec(seq)) // keeps 5 and 6: 2 to 4 are gone
+	}
+	close(w.release)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream still open after retention trimmed its next record")
+	}
+}
+
 // TestLogHandlerStatusCodes: resume below the floor is 410 with the
 // compaction detail, malformed from is 400, non-GET is 405.
 func TestLogHandlerStatusCodes(t *testing.T) {
