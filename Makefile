@@ -72,17 +72,21 @@ shard:
 
 # flight runs the flight-recorder smoke under the race detector: the
 # end-to-end acceptance test (deterministic coalescing, a scripted fsync
-# failure forcing a Degraded dump, /debug/flight filtered by trace), the
-# trace-merge property test (every accepted submission's trace ID lands
-# in exactly one applied trace set, at coalescing caps from 1 to
-# unbounded and through quarantine), the open_apply report of a blocked
-# apply on /debug/flight, the ring torture tests twenty times over (a roomy ring and
-# a two-slot ring where every write laps another; with the ring behind a
-# mutex they cannot flake), and the <5% recorder apply-latency overhead
-# check.
+# failure forcing a Degraded dump, /debug/flight filtered by trace) and
+# the <5% recorder apply-latency overhead check; in internal/flight, the
+# BatchTrace and phase-sum unit tests, the /debug/flight handler tests
+# and the dump tests; in internal/serve, the trace-merge property test
+# (every accepted submission's trace ID lands in exactly one applied
+# trace set, at coalescing caps from 1 to unbounded and through
+# quarantine), the trace drain on a terminal failure, and the
+# open_apply report of a blocked apply on /debug/flight; and the ring
+# torture tests twenty times over (a roomy ring and a two-slot ring
+# where every write laps another; with the ring behind a mutex they
+# cannot flake).
 flight:
 	$(GO) test -race -run TestFlightRecorder -v $(SUITE_FLAGS) .
-	$(GO) test -race -run 'TestTrace|TestFlightHandlerOpenApply' ./internal/flight/ ./internal/serve/
+	$(GO) test -race -run 'TestBatchTrace|TestPhasesTotal|TestHandler|TestDump' -v ./internal/flight/
+	$(GO) test -race -run 'TestTrace|TestFlightHandlerOpenApply' -v ./internal/serve/
 	$(GO) test -race -count=20 -run 'TestRing|TestSnapshotConsistent' ./internal/flight/
 
 # replica runs the replication suite under the race detector: the

@@ -82,7 +82,6 @@ func TestChaosSoak(t *testing.T) {
 
 	srv := graphbolt.NewDurableServer(d, graphbolt.ServerOptions{
 		DisableCoalescing: true, // one journal record per stream batch
-		QuarantineDepth:   64,   // hold every scripted poison record
 		Backoff:           graphbolt.BackoffPolicy{Base: 500 * time.Microsecond, Max: 5 * time.Millisecond},
 		Logger:            slog.New(slog.DiscardHandler),
 	})

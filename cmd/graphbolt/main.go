@@ -578,8 +578,7 @@ func (a algorithm[V, A]) serve(c *cli, eng *core.Engine[V, A], d *durable.Engine
 		c.log.Info("flight summary",
 			"events", fr.Events(),
 			"dropped", fr.Dropped(),
-			"dumps", fr.Dumps(),
-			"slow_batches", fr.SlowBatches())
+			"dumps", fr.Dumps())
 	}
 	return srv.Snapshot(), nil
 }

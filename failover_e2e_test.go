@@ -164,7 +164,6 @@ func TestFailoverCompactionChaos(t *testing.T) {
 			return d.CheckpointSeq()
 		},
 	})
-	defer rlog.Close()
 	d, err = graphbolt.OpenDurable(leaderEng, t.TempDir(), graphbolt.DurableOptions{
 		OnRecord:        rlog.Append,
 		CheckpointEvery: 3,
@@ -181,6 +180,10 @@ func TestFailoverCompactionChaos(t *testing.T) {
 	chaos := &chaosProxy{inner: mux, leaderSeq: rlog.Last}
 	ts := httptest.NewServer(chaos)
 	defer ts.Close()
+	// Deferred after ts.Close so it runs before it: closing the log ends
+	// its open follower streams, which ts.Close otherwise waits on
+	// forever when a Fatalf fires while a follower is still streaming.
+	defer rlog.Close()
 
 	// One registry and one health tracker span every follower
 	// incarnation, the way a supervised process would wire them: the

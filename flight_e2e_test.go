@@ -25,7 +25,8 @@ import (
 // plus one scripted fsync-failure episode, and asserts the flight
 // recorder's acceptance contract:
 //
-//   - Server.Trace returns a complete per-phase timeline whose phase
+//   - every ticket of a coalesced apply resolves with the same
+//     Applied.Trace, a complete per-phase timeline whose phase
 //     durations sum within tolerance of the observed end-to-end latency;
 //   - the Degraded transition forces a flight dump focused on (and
 //     containing) the failing batch's trace;
@@ -45,7 +46,7 @@ func TestFlightRecorderE2E(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := graphbolt.NewFlightRecorder(graphbolt.FlightOptions{
-		Depth: 1 << 12, TraceDepth: 256,
+		Depth:  1 << 12,
 		Logger: slog.New(slog.DiscardHandler),
 	})
 	eng, err := graphbolt.NewEngine[float64, float64](strm.Base, graphbolt.NewPageRank(),
@@ -123,9 +124,9 @@ func TestFlightRecorderE2E(t *testing.T) {
 		}
 		if i == 0 {
 			merged = a
-		} else if a.Trace.ID != merged.Trace.ID {
-			t.Fatalf("queued batches resolved under different applies: trace %d vs %d",
-				a.Trace.ID, merged.Trace.ID)
+		} else if a.Trace.ID != merged.Trace.ID || a.Seq != merged.Seq {
+			t.Fatalf("queued batches resolved under different applies: trace %d/seq %d vs %d/%d",
+				a.Trace.ID, a.Seq, merged.Trace.ID, merged.Seq)
 		}
 	}
 	if merged.Batches != len(sibs) || len(merged.Trace.Traces) != len(sibs) {
@@ -140,16 +141,6 @@ func TestFlightRecorderE2E(t *testing.T) {
 
 	// The per-phase timeline: complete, internally disjoint, and summing
 	// to the observed end-to-end latency within scheduling tolerance.
-	for _, tk := range sibs {
-		bt, ok := srv.Trace(tk.Trace())
-		if !ok {
-			t.Fatalf("Server.Trace(%d) lost the lifecycle", tk.Trace())
-		}
-		if bt.ID != merged.Trace.ID || bt.Seq != merged.Seq {
-			t.Fatalf("Trace(%d) = %+v, want the merged apply %d/seq %d",
-				tk.Trace(), bt, merged.Trace.ID, merged.Seq)
-		}
-	}
 	bt := merged.Trace
 	if bt.Phases.QueueWait <= 0 || bt.Phases.Journal <= 0 || bt.Phases.Apply <= 0 {
 		t.Fatalf("phases incomplete: %+v (queue wait, journal and apply must all be measured)", bt.Phases)

@@ -18,9 +18,8 @@
 // flight recorder, not a log — it preserves the most recent window
 // (sized by Options.Depth) so that when something goes wrong the lead-up
 // is still there. Dump snapshots that window and emits it to slog; the
-// serve layer triggers dumps on Degraded/Failed health transitions and
-// on slow batches (end-to-end latency above ServerOptions.SlowBatch),
-// and Handler serves the live ring and the last dump over HTTP
+// serve layer triggers dumps on Degraded/Failed health transitions, and
+// Handler serves the live ring and the last dump over HTTP
 // (/debug/flight), filterable by trace ID and event kind.
 //
 // Concurrency design: the ring is a []Event and a write cursor behind
@@ -55,9 +54,8 @@ const (
 	// KindAdmitted: a batch entered Submit and is headed for the queue.
 	// A = edge weight.
 	KindAdmitted Kind = iota + 1
-	// KindRejected: a Submit refusal — full queue under the Reject
-	// policy, closed/degraded/failed loop, or a cancelled context while
-	// blocked. A = edge weight.
+	// KindRejected: a Submit refusal — closed/degraded/failed loop, or a
+	// cancelled context while blocked on a full queue. A = edge weight.
 	KindRejected
 	// KindEnqueued: the batch entered the mutation queue. A = queue depth
 	// after the enqueue.
@@ -211,17 +209,9 @@ func (e Event) Note() string {
 	return ""
 }
 
-// Defaults for zero-valued Options fields.
-const (
-	// DefaultDepth is the default ring capacity in events.
-	DefaultDepth = 4096
-	// DefaultTraceDepth is the default number of completed batch traces
-	// retained for Trace lookups.
-	DefaultTraceDepth = 256
-	// DefaultMinDumpGap throttles automatic (TryDump) captures so a storm
-	// of slow batches does not flood the log.
-	DefaultMinDumpGap = time.Second
-)
+// DefaultDepth is the ring capacity in events when Options.Depth is
+// zero.
+const DefaultDepth = 4096
 
 // Options configures a Recorder. Every zero field takes the package
 // default.
@@ -229,13 +219,6 @@ type Options struct {
 	// Depth is the ring capacity in events, rounded up to a power of two.
 	// Default DefaultDepth.
 	Depth int
-	// TraceDepth bounds the ring of completed batch traces kept for
-	// Trace lookups. Default DefaultTraceDepth.
-	TraceDepth int
-	// MinDumpGap is the minimum interval between automatic (TryDump)
-	// captures; explicit Dump calls are never throttled. Default
-	// DefaultMinDumpGap.
-	MinDumpGap time.Duration
 	// Logger receives dump summaries; nil uses slog.Default().
 	Logger *slog.Logger
 	// Metrics, when non-nil, receives the graphbolt_flight_* counters.
@@ -244,17 +227,15 @@ type Options struct {
 
 // Metric names exported by this package.
 const (
-	MetricEvents      = "graphbolt_flight_events_total"
-	MetricDropped     = "graphbolt_flight_dropped_total"
-	MetricDumps       = "graphbolt_flight_dumps_total"
-	MetricSlowBatches = "graphbolt_flight_slow_batches_total"
+	MetricEvents  = "graphbolt_flight_events_total"
+	MetricDropped = "graphbolt_flight_dropped_total"
+	MetricDumps   = "graphbolt_flight_dumps_total"
 )
 
 type metrics struct {
-	events      *obs.Counter
-	dropped     *obs.Counter
-	dumps       *obs.Counter
-	slowBatches *obs.Counter
+	events  *obs.Counter
+	dropped *obs.Counter
+	dumps   *obs.Counter
 }
 
 func newMetrics(r *obs.Registry) metrics {
@@ -267,9 +248,7 @@ func newMetrics(r *obs.Registry) metrics {
 		dropped: r.Counter(MetricDropped,
 			"Ring entries overwritten before they could appear in a dump."),
 		dumps: r.Counter(MetricDumps,
-			"Flight dumps emitted (health transitions, slow batches, explicit)."),
-		slowBatches: r.Counter(MetricSlowBatches,
-			"Batches whose end-to-end latency exceeded the slow-batch threshold."),
+			"Flight dumps emitted (health transitions, explicit)."),
 	}
 }
 
@@ -299,15 +278,10 @@ type Recorder struct {
 	applyStart     atomic.Int64
 	scratchJournal atomic.Int64
 
-	slow   atomic.Uint64
 	ndumps atomic.Uint64
 
-	traces traceLog
-
-	dumpMu     sync.Mutex
-	lastDump   *Dump
-	lastDumpAt time.Time
-	minDumpGap time.Duration
+	dumpMu   sync.Mutex
+	lastDump *Dump
 
 	logger *slog.Logger
 	met    metrics
@@ -325,26 +299,15 @@ func New(opts Options) *Recorder {
 	for n < depth {
 		n <<= 1
 	}
-	traceDepth := opts.TraceDepth
-	if traceDepth <= 0 {
-		traceDepth = DefaultTraceDepth
-	}
-	gap := opts.MinDumpGap
-	if gap <= 0 {
-		gap = DefaultMinDumpGap
-	}
 	logger := opts.Logger
 	if logger == nil {
 		logger = slog.Default()
 	}
-	r := &Recorder{
-		ring:       make([]Event, n),
-		minDumpGap: gap,
-		logger:     logger,
-		met:        newMetrics(opts.Metrics),
+	return &Recorder{
+		ring:   make([]Event, n),
+		logger: logger,
+		met:    newMetrics(opts.Metrics),
 	}
-	r.traces.init(traceDepth)
-	return r
 }
 
 // Depth returns the ring capacity in events (0 on nil).
@@ -384,14 +347,6 @@ func (r *Recorder) Dumps() uint64 {
 		return 0
 	}
 	return r.ndumps.Load()
-}
-
-// SlowBatches returns the number of slow-batch captures so far.
-func (r *Recorder) SlowBatches() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.slow.Load()
 }
 
 // Record appends one event to the ring: O(1), allocation-free, safe
@@ -523,8 +478,8 @@ func (r *Recorder) Snapshot() []Event {
 type Dump struct {
 	// Reason says what triggered the capture.
 	Reason string `json:"reason"`
-	// Focus is the trace ID the dump centers on (the failing or slow
-	// batch), 0 when none.
+	// Focus is the trace ID the dump centers on (the failing batch), 0
+	// when none.
 	Focus uint64 `json:"focus,omitempty"`
 	// At is when the capture was taken.
 	At time.Time `json:"at"`
@@ -535,34 +490,18 @@ type Dump struct {
 	Events []Event `json:"events"`
 }
 
-// Dump captures the ring unconditionally, retains it as the last dump,
-// logs a summary (plus the focus trace's timeline, when focus is
-// nonzero), and returns it.
+// Dump captures the ring, retains it as the last dump, logs a summary
+// (plus the focus trace's timeline, when focus is nonzero), and returns
+// it.
 func (r *Recorder) Dump(reason string, focus uint64) *Dump {
-	return r.dump(reason, focus, true)
-}
-
-// TryDump is Dump throttled by Options.MinDumpGap: it returns nil
-// (capturing nothing) when a dump was taken too recently. Automatic
-// triggers (slow batches) use it so dump storms cannot flood the log.
-func (r *Recorder) TryDump(reason string, focus uint64) *Dump {
-	return r.dump(reason, focus, false)
-}
-
-func (r *Recorder) dump(reason string, focus uint64, force bool) *Dump {
 	if r == nil {
 		return nil
 	}
-	now := time.Now()
 	r.dumpMu.Lock()
-	if !force && now.Sub(r.lastDumpAt) < r.minDumpGap {
-		r.dumpMu.Unlock()
-		return nil
-	}
 	d := &Dump{
 		Reason: reason,
 		Focus:  focus,
-		At:     now,
+		At:     time.Now(),
 		Events: r.Snapshot(),
 	}
 	if len(d.Events) > 0 {
@@ -570,7 +509,6 @@ func (r *Recorder) dump(reason string, focus uint64, force bool) *Dump {
 		d.Dropped = d.Events[0].Seq
 	}
 	r.lastDump = d
-	r.lastDumpAt = now
 	r.dumpMu.Unlock()
 	r.ndumps.Add(1)
 	r.met.dumps.Inc()
@@ -600,19 +538,6 @@ func (r *Recorder) LastDump() *Dump {
 	r.dumpMu.Lock()
 	defer r.dumpMu.Unlock()
 	return r.lastDump
-}
-
-// SlowBatch records one slow-batch capture: the counter always
-// increments; the dump itself is throttled (TryDump) so a sustained
-// slow spell yields periodic captures, not a flood.
-func (r *Recorder) SlowBatch(trace uint64, e2e, threshold time.Duration) *Dump {
-	if r == nil {
-		return nil
-	}
-	r.slow.Add(1)
-	r.met.slowBatches.Inc()
-	return r.TryDump(fmt.Sprintf("slow batch: end-to-end %v exceeds %v",
-		e2e.Round(time.Microsecond), threshold), trace)
 }
 
 // renderTimeline formats the events belonging to trace as one compact

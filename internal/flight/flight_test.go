@@ -23,17 +23,10 @@ func TestNilRecorderIsInert(t *testing.T) {
 	}
 	r.Journal(1, time.Millisecond, false)
 	r.Fsync(time.Millisecond, true)
-	r.CompleteTrace(BatchTrace{ID: 1})
-	if _, ok := r.Trace(1); ok {
-		t.Fatal("nil Trace found something")
-	}
-	if r.Snapshot() != nil || r.Dump("x", 0) != nil || r.TryDump("x", 0) != nil {
+	if r.Snapshot() != nil || r.Dump("x", 0) != nil {
 		t.Fatal("nil recorder produced data")
 	}
-	if r.SlowBatch(1, time.Second, time.Millisecond) != nil {
-		t.Fatal("nil SlowBatch produced a dump")
-	}
-	if r.Events() != 0 || r.Dropped() != 0 || r.Dumps() != 0 || r.SlowBatches() != 0 || r.Depth() != 0 {
+	if r.Events() != 0 || r.Dropped() != 0 || r.Dumps() != 0 || r.Depth() != 0 {
 		t.Fatal("nil counters nonzero")
 	}
 	if r.ActiveTrace() != 0 {
@@ -194,24 +187,19 @@ func TestSnapshotConsistentMidWrite(t *testing.T) {
 	}
 }
 
-func TestDumpThrottlingAndLastDump(t *testing.T) {
-	r := New(Options{Depth: 16, MinDumpGap: time.Hour, Logger: discard()})
+// TestDumpsAndLastDump: back-to-back dumps are both taken, and LastDump
+// is the newer one.
+func TestDumpsAndLastDump(t *testing.T) {
+	r := New(Options{Depth: 16, Logger: discard()})
 	r.Record(KindApplied, 7, 1, 2)
 
-	d1 := r.TryDump("first", 7)
-	if d1 == nil {
-		t.Fatal("first TryDump throttled")
+	d1 := r.Dump("first", 7)
+	d2 := r.Dump("second", 0)
+	if d1 == nil || d2 == nil {
+		t.Fatal("Dump returned nil")
 	}
-	if d2 := r.TryDump("second", 0); d2 != nil {
-		t.Fatal("second TryDump not throttled")
-	}
-	// Forced dumps ignore the gap.
-	d3 := r.Dump("forced", 7)
-	if d3 == nil {
-		t.Fatal("forced Dump throttled")
-	}
-	if got := r.LastDump(); got != d3 {
-		t.Fatalf("LastDump = %p, want %p", got, d3)
+	if got := r.LastDump(); got != d2 {
+		t.Fatalf("LastDump = %p, want %p", got, d2)
 	}
 	if r.Dumps() != 2 {
 		t.Fatalf("dumps = %d, want 2", r.Dumps())
@@ -234,26 +222,6 @@ func TestDumpLogsFocusTimeline(t *testing.T) {
 	}
 	if !strings.Contains(out, "enqueued") || !strings.Contains(out, "applied") {
 		t.Fatalf("dump log missing timeline events: %q", out)
-	}
-}
-
-func TestSlowBatchCountsAndThrottles(t *testing.T) {
-	reg := obs.NewRegistry()
-	r := New(Options{Depth: 16, MinDumpGap: time.Hour, Logger: discard(), Metrics: reg})
-	if d := r.SlowBatch(1, 2*time.Second, time.Second); d == nil {
-		t.Fatal("first slow batch did not dump")
-	}
-	if d := r.SlowBatch(2, 2*time.Second, time.Second); d != nil {
-		t.Fatal("second slow-batch dump not throttled")
-	}
-	if r.SlowBatches() != 2 {
-		t.Fatalf("slow batches = %d, want 2 (counter is not throttled)", r.SlowBatches())
-	}
-	if got := reg.Counter(MetricSlowBatches, "").Value(); got != 2 {
-		t.Fatalf("slow counter = %d, want 2", got)
-	}
-	if r.Dumps() != 1 {
-		t.Fatalf("dumps = %d, want 1", r.Dumps())
 	}
 }
 
@@ -351,11 +319,11 @@ func TestEventCounterMetric(t *testing.T) {
 	if got := reg.Counter(MetricEvents, "").Value(); got != 2 {
 		t.Fatalf("events counter = %d", got)
 	}
-	// RegisterMetrics pre-creates all four series.
+	// RegisterMetrics pre-creates all three series.
 	reg2 := obs.NewRegistry()
 	RegisterMetrics(reg2)
 	snap := reg2.Snapshot()
-	for _, name := range []string{MetricEvents, MetricDropped, MetricDumps, MetricSlowBatches} {
+	for _, name := range []string{MetricEvents, MetricDropped, MetricDumps} {
 		if _, ok := snap.Counters[name]; !ok {
 			t.Fatalf("metric %s not pre-registered", name)
 		}

@@ -83,24 +83,22 @@ func (r *Recorder) Handler() http.Handler {
 		}
 
 		resp := struct {
-			Depth       int        `json:"depth"`
-			Events      uint64     `json:"events_total"`
-			Dropped     uint64     `json:"dropped_total"`
-			Dumps       uint64     `json:"dumps_total"`
-			SlowBatches uint64     `json:"slow_batches_total"`
-			OpenApply   *openApply `json:"open_apply,omitempty"`
-			Dump        *struct {
+			Depth     int        `json:"depth"`
+			Events    uint64     `json:"events_total"`
+			Dropped   uint64     `json:"dropped_total"`
+			Dumps     uint64     `json:"dumps_total"`
+			OpenApply *openApply `json:"open_apply,omitempty"`
+			Dump      *struct {
 				Reason string    `json:"reason"`
 				Focus  uint64    `json:"focus,omitempty"`
 				At     time.Time `json:"at"`
 			} `json:"dump,omitempty"`
 			Items []eventJSON `json:"events"`
 		}{
-			Depth:       r.Depth(),
-			Events:      r.Events(),
-			Dropped:     r.Dropped(),
-			Dumps:       r.Dumps(),
-			SlowBatches: r.SlowBatches(),
+			Depth:   r.Depth(),
+			Events:  r.Events(),
+			Dropped: r.Dropped(),
+			Dumps:   r.Dumps(),
 		}
 		if trace, age, ok := r.OpenApply(); ok {
 			resp.OpenApply = &openApply{Trace: trace, AgeNS: int64(age)}

@@ -9,12 +9,11 @@ import (
 )
 
 type flightResponse struct {
-	Depth       int    `json:"depth"`
-	Events      uint64 `json:"events_total"`
-	Dropped     uint64 `json:"dropped_total"`
-	Dumps       uint64 `json:"dumps_total"`
-	SlowBatches uint64 `json:"slow_batches_total"`
-	Dump        *struct {
+	Depth   int    `json:"depth"`
+	Events  uint64 `json:"events_total"`
+	Dropped uint64 `json:"dropped_total"`
+	Dumps   uint64 `json:"dumps_total"`
+	Dump    *struct {
 		Reason string    `json:"reason"`
 		Focus  uint64    `json:"focus"`
 		At     time.Time `json:"at"`

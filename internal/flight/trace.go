@@ -1,9 +1,6 @@
 package flight
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // Phases is the per-phase latency breakdown of one applied batch — the
 // per-batch processing-time decomposition of the paper's §6 evaluation,
@@ -70,74 +67,4 @@ func (bt BatchTrace) Covers(id uint64) bool {
 		}
 	}
 	return false
-}
-
-// traceLog retains the last N completed BatchTraces, indexed by every
-// trace ID they cover, so Server.Trace(id) answers for coalesced
-// siblings too.
-type traceLog struct {
-	mu   sync.Mutex
-	ring []BatchTrace
-	next int
-	full bool
-	byID map[uint64]int // trace ID -> ring index
-}
-
-func (tl *traceLog) init(depth int) {
-	tl.ring = make([]BatchTrace, depth)
-	tl.byID = make(map[uint64]int, depth)
-}
-
-func (tl *traceLog) add(bt BatchTrace) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	idx := tl.next
-	if tl.full {
-		// Evict the overwritten entry's ID index.
-		for _, id := range tl.ring[idx].Traces {
-			if tl.byID[id] == idx {
-				delete(tl.byID, id)
-			}
-		}
-	}
-	tl.ring[idx] = bt
-	for _, id := range bt.Traces {
-		tl.byID[id] = idx
-	}
-	tl.next++
-	if tl.next == len(tl.ring) {
-		tl.next = 0
-		tl.full = true
-	}
-}
-
-func (tl *traceLog) get(id uint64) (BatchTrace, bool) {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	idx, ok := tl.byID[id]
-	if !ok {
-		return BatchTrace{}, false
-	}
-	return tl.ring[idx], true
-}
-
-// CompleteTrace records a finished batch lifecycle, making it available
-// through Trace under the head ID and every coalesced sibling ID.
-func (r *Recorder) CompleteTrace(bt BatchTrace) {
-	if r == nil {
-		return
-	}
-	if len(bt.Traces) == 0 {
-		bt.Traces = []uint64{bt.ID}
-	}
-	r.traces.add(bt)
-}
-
-// Trace returns the completed lifecycle covering trace ID id (as head
-// or coalesced sibling), and whether one is retained.
-func (r *Recorder) Trace(id uint64) (BatchTrace, bool) {
-	if r == nil {
-		return BatchTrace{}, false
-	}
-	return r.traces.get(id)
 }

@@ -1,7 +1,6 @@
 package flight
 
 import (
-	"log/slog"
 	"testing"
 	"time"
 )
@@ -38,69 +37,5 @@ func TestBatchTraceCoversAndE2E(t *testing.T) {
 	}
 	if bt.E2E() != 7*time.Millisecond {
 		t.Fatalf("E2E = %v", bt.E2E())
-	}
-}
-
-func TestCompleteTraceDefaultsTraces(t *testing.T) {
-	r := New(Options{Depth: 8, TraceDepth: 4, Logger: slog.New(slog.DiscardHandler)})
-	r.CompleteTrace(BatchTrace{ID: 11, Seq: 1})
-	bt, ok := r.Trace(11)
-	if !ok {
-		t.Fatal("trace 11 not retained")
-	}
-	if len(bt.Traces) != 1 || bt.Traces[0] != 11 {
-		t.Fatalf("Traces defaulted to %v, want [11]", bt.Traces)
-	}
-}
-
-func TestTraceLookupCoversSiblings(t *testing.T) {
-	r := New(Options{Depth: 8, TraceDepth: 4, Logger: slog.New(slog.DiscardHandler)})
-	r.CompleteTrace(BatchTrace{ID: 1, Traces: []uint64{1, 2, 3}, Seq: 9})
-	for _, id := range []uint64{1, 2, 3} {
-		bt, ok := r.Trace(id)
-		if !ok || bt.ID != 1 || bt.Seq != 9 {
-			t.Fatalf("Trace(%d) = %+v, %v", id, bt, ok)
-		}
-	}
-	if _, ok := r.Trace(4); ok {
-		t.Fatal("Trace(4) resolved")
-	}
-}
-
-func TestTraceLogEviction(t *testing.T) {
-	r := New(Options{Depth: 8, TraceDepth: 2, Logger: slog.New(slog.DiscardHandler)})
-	r.CompleteTrace(BatchTrace{ID: 1, Traces: []uint64{1, 10}})
-	r.CompleteTrace(BatchTrace{ID: 2})
-	r.CompleteTrace(BatchTrace{ID: 3}) // evicts trace 1 (and sibling 10)
-
-	if _, ok := r.Trace(1); ok {
-		t.Fatal("evicted head trace 1 still resolvable")
-	}
-	if _, ok := r.Trace(10); ok {
-		t.Fatal("evicted sibling trace 10 still resolvable")
-	}
-	for _, id := range []uint64{2, 3} {
-		if _, ok := r.Trace(id); !ok {
-			t.Fatalf("retained trace %d not resolvable", id)
-		}
-	}
-}
-
-// TestTraceLogEvictionKeepsReassignedIDs exercises the guard that an
-// eviction only deletes index entries still pointing at the evicted
-// slot: if a trace ID was re-reported by a newer entry, the newer
-// mapping must survive the older entry's eviction.
-func TestTraceLogEvictionKeepsReassignedIDs(t *testing.T) {
-	r := New(Options{Depth: 8, TraceDepth: 2, Logger: slog.New(slog.DiscardHandler)})
-	r.CompleteTrace(BatchTrace{ID: 1, Seq: 1})
-	r.CompleteTrace(BatchTrace{ID: 1, Seq: 2}) // same ID, newer entry in slot 1
-	r.CompleteTrace(BatchTrace{ID: 3, Seq: 3}) // evicts slot 0 (the Seq:1 entry)
-
-	bt, ok := r.Trace(1)
-	if !ok {
-		t.Fatal("re-reported trace 1 lost on eviction of its older entry")
-	}
-	if bt.Seq != 2 {
-		t.Fatalf("Trace(1).Seq = %d, want the newer entry (2)", bt.Seq)
 	}
 }

@@ -36,8 +36,7 @@ import (
 // ErrFollower reports a write submitted to a follower. Followers are
 // strictly read-only — their state is defined as a replay prefix of the
 // leader's journal, and a local write would fork it. The error is
-// wrapped in a *serve.RetryableError so clients built around the
-// Submit contract treat it like any other refusal: back off and retry
+// wrapped in a *serve.RetryableError so clients back off and retry
 // against the leader.
 var ErrFollower = errors.New("replica: follower is read-only (submit writes to the leader)")
 

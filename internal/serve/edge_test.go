@@ -11,19 +11,21 @@ import (
 )
 
 // TestCoalescingExactlyAtCap pins the boundary condition: a merge that
-// lands the accumulated batch exactly at MaxBatchEdges is allowed (the
-// cap is inclusive), and the next batch — which would cross it — starts
-// a new apply. Deletions count toward the size alongside additions.
+// lands the accumulated batch exactly at DefaultMaxBatchEdges is allowed
+// (the cap is inclusive), and the next batch — which would cross it —
+// starts a new apply. Deletions count toward the size alongside
+// additions.
 func TestCoalescingExactlyAtCap(t *testing.T) {
+	const capEdges = serve.DefaultMaxBatchEdges
 	s := newStubApplier()
-	l := serve.NewLoop(s, serve.Options{QueueDepth: 16, MaxBatchEdges: 4})
+	l := serve.NewLoop(s, serve.Options{QueueDepth: 16})
 	queueFirstBatch(t, l, s, addBatch(edge(9, 9)))
 
-	t1, err := l.Submit(nil, addBatch(edge(0, 1), edge(0, 2))) // size 2
+	t1, err := l.Submit(nil, fanBatch(1, capEdges-2)) // size cap-2
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 1 add + 1 del = 2 edges; 2+2 == cap, so this still merges. The
+	// 1 add + 1 del = 2 edges; cap-2+2 == cap, so this still merges. The
 	// deleted key (7,8) is not among the pending adds, so the guard
 	// does not fire.
 	t2, err := l.Submit(nil, graph.Batch{
@@ -33,7 +35,7 @@ func TestCoalescingExactlyAtCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t3, err := l.Submit(nil, addBatch(edge(0, 4))) // 4+1 > cap: new run
+	t3, err := l.Submit(nil, addBatch(edge(0, 4))) // cap+1 > cap: new run
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,8 +49,8 @@ func TestCoalescingExactlyAtCap(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("applied %d batches, want 3 (gate batch, exact-cap merge, overflow)", len(got))
 	}
-	if len(got[1].Add) != 3 || len(got[1].Del) != 1 {
-		t.Fatalf("exact-cap apply = %d adds / %d dels, want 3/1", len(got[1].Add), len(got[1].Del))
+	if len(got[1].Add) != capEdges-1 || len(got[1].Del) != 1 {
+		t.Fatalf("exact-cap apply = %d adds / %d dels, want %d/1", len(got[1].Add), len(got[1].Del), capEdges-1)
 	}
 	if len(got[2].Add) != 1 || len(got[2].Del) != 0 {
 		t.Fatalf("overflow apply = %d adds / %d dels, want 1/0", len(got[2].Add), len(got[2].Del))
@@ -72,14 +74,15 @@ func TestCoalescingExactlyAtCap(t *testing.T) {
 }
 
 // TestOversizedBatchAppliedWhole: a single submitted batch larger than
-// MaxBatchEdges is applied whole, by itself — batches are never split,
-// and nothing merges into an already-over-cap accumulator.
+// DefaultMaxBatchEdges is applied whole, by itself — batches are never
+// split, and nothing merges into an already-over-cap accumulator.
 func TestOversizedBatchAppliedWhole(t *testing.T) {
 	s := newStubApplier()
-	l := serve.NewLoop(s, serve.Options{QueueDepth: 16, MaxBatchEdges: 2})
+	l := serve.NewLoop(s, serve.Options{QueueDepth: 16})
 	queueFirstBatch(t, l, s, addBatch(edge(9, 9)))
 
-	big := addBatch(edge(0, 1), edge(0, 2), edge(0, 3), edge(0, 4), edge(0, 5))
+	bigEdges := serve.DefaultMaxBatchEdges + 5
+	big := fanBatch(0, bigEdges)
 	if _, err := l.Submit(nil, big); err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +99,8 @@ func TestOversizedBatchAppliedWhole(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("applied %d batches, want 3 (gate batch, oversized alone, trailer)", len(got))
 	}
-	if len(got[1].Add) != 5 {
-		t.Fatalf("oversized batch applied with %d adds, want all 5 in one call", len(got[1].Add))
+	if len(got[1].Add) != bigEdges {
+		t.Fatalf("oversized batch applied with %d adds, want all %d in one call", len(got[1].Add), bigEdges)
 	}
 	if len(got[2].Add) != 1 {
 		t.Fatalf("batch after the oversized one has %d adds, want 1 (not merged over cap)", len(got[2].Add))

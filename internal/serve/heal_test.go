@@ -247,33 +247,32 @@ func TestOutOfBandAilmentHealsBetweenBatches(t *testing.T) {
 }
 
 // TestSubmitCancelledContext: an already-cancelled context returns
-// ctx.Err() without enqueuing, under both policies.
+// ctx.Err() without enqueuing, even with queue space free.
 func TestSubmitCancelledContext(t *testing.T) {
-	for _, policy := range []serve.Policy{serve.Block, serve.Reject} {
-		s := newStubApplier()
-		close(s.gate)
-		l := serve.NewLoop(s, serve.Options{Policy: policy, Logger: quiet()})
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := l.Submit(ctx, addBatch(edge(0, 1))); !errors.Is(err, context.Canceled) {
-			t.Fatalf("policy %v: Submit with cancelled ctx = %v, want context.Canceled", policy, err)
-		}
-		if err := l.Close(nil); err != nil {
-			t.Fatal(err)
-		}
-		if len(s.batches()) != 0 {
-			t.Fatalf("policy %v: cancelled Submit enqueued a batch", policy)
-		}
+	s := newStubApplier()
+	close(s.gate)
+	l := serve.NewLoop(s, serve.Options{Logger: quiet()})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := l.Submit(ctx, addBatch(edge(0, 1))); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Submit with cancelled ctx = %v, want context.Canceled", err)
+	}
+	if err := l.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.batches()) != 0 {
+		t.Fatal("cancelled Submit enqueued a batch")
 	}
 }
 
 // TestQuarantineRingBounded: the ring keeps only the newest
-// QuarantineDepth records while the total keeps counting.
+// DefaultQuarantineDepth records while the total keeps counting.
 func TestQuarantineRingBounded(t *testing.T) {
+	const depth = serve.DefaultQuarantineDepth
 	s := newStubApplier()
 	close(s.gate)
-	l := serve.NewLoop(s, serve.Options{QuarantineDepth: 2, Logger: quiet()})
-	for i := 0; i < 3; i++ {
+	l := serve.NewLoop(s, serve.Options{Logger: quiet()})
+	for i := 0; i < depth+1; i++ {
 		tk, err := l.Submit(nil, graph.Batch{Add: []graph.Edge{{From: graph.VertexID(i), To: graph.MaxVertexID + 1, Weight: 1}}})
 		if err != nil {
 			t.Fatal(err)
@@ -283,12 +282,14 @@ func TestQuarantineRingBounded(t *testing.T) {
 		}
 	}
 	q := l.Quarantined()
-	if len(q) != 2 || l.QuarantinedTotal() != 3 {
-		t.Fatalf("ring holds %d, total %d; want 2, 3", len(q), l.QuarantinedTotal())
+	if len(q) != depth || l.QuarantinedTotal() != depth+1 {
+		t.Fatalf("ring holds %d, total %d; want %d, %d", len(q), l.QuarantinedTotal(), depth, depth+1)
 	}
-	// Oldest evicted: submissions 2 and 3 remain.
-	if q[0].Seq != 2 || q[1].Seq != 3 {
-		t.Fatalf("ring seqs = %d, %d; want 2, 3", q[0].Seq, q[1].Seq)
+	// Oldest evicted: submissions 2..depth+1 remain, in order.
+	for i, pb := range q {
+		if pb.Seq != uint64(i+2) {
+			t.Fatalf("ring slot %d holds submission %d, want %d", i, pb.Seq, i+2)
+		}
 	}
 	if err := l.Close(nil); err != nil {
 		t.Fatal(err)

@@ -13,7 +13,6 @@ type loopMetrics struct {
 	depth            *obs.Gauge
 	submitted        *obs.Counter
 	applied          *obs.Counter
-	rejected         *obs.Counter
 	coalesced        *obs.Counter
 	applyErrors      *obs.Counter
 	queueWait        *obs.Histogram
@@ -37,8 +36,6 @@ func newLoopMetrics(r *obs.Registry) loopMetrics {
 			"Mutation batches accepted by Submit."),
 		applied: r.Counter("graphbolt_serve_applied_batches_total",
 			"Apply calls completed (coalesced batches count once)."),
-		rejected: r.Counter("graphbolt_serve_rejected_batches_total",
-			"Submits refused with ErrQueueFull under the Reject policy."),
 		coalesced: r.Counter("graphbolt_serve_coalesced_batches_total",
 			"Submitted batches merged into an earlier apply call."),
 		applyErrors: r.Counter("graphbolt_serve_apply_errors_total",

@@ -86,21 +86,12 @@ type Recoverer interface {
 	Recover() error
 }
 
-// Policy selects what Submit does when the queue is full.
-type Policy int
-
-const (
-	// Block makes Submit wait for queue space (or context cancellation).
-	// The default: backpressure propagates to producers.
-	Block Policy = iota
-	// Reject makes Submit fail fast with ErrQueueFull.
-	Reject
-)
-
-// Default sizing. DefaultQueueDepth bounds memory under producer bursts;
-// DefaultMaxBatchEdges caps how large a coalesced batch may grow (larger
-// merges amortize refinement better but raise per-apply latency);
-// DefaultQuarantineDepth bounds the poison-batch ring.
+// Sizing. DefaultQueueDepth bounds memory under producer bursts (the
+// default for Options.QueueDepth). DefaultMaxBatchEdges caps the total
+// edge count (Add+Del) of a coalesced batch: merging stops at the cap,
+// and a single submitted batch larger than the cap is still applied
+// whole — batches are never split. DefaultQuarantineDepth bounds the
+// poison-batch ring; the oldest record is evicted when it overflows.
 const (
 	DefaultQueueDepth      = 64
 	DefaultMaxBatchEdges   = 4096
@@ -109,11 +100,6 @@ const (
 
 // Typed failure sentinels, for errors.Is.
 var (
-	// ErrQueueFull reports a Submit rejected under the Reject policy.
-	// The error actually returned wraps this sentinel in a
-	// *RetryableError carrying a RetryAfter hint: match with
-	// errors.Is(err, ErrQueueFull), extract the hint with RetryAfter.
-	ErrQueueFull = errors.New("serve: mutation queue full")
 	// ErrClosed reports a Submit after Close.
 	ErrClosed = errors.New("serve: apply loop closed")
 	// ErrDegraded reports a write refused while the engine's storage is
@@ -125,13 +111,13 @@ var (
 // DefaultRetryAfter is the backoff hint attached to retryable refusals.
 const DefaultRetryAfter = 25 * time.Millisecond
 
-// RetryableError is the shape of transient Submit refusals: a sentinel
-// for errors.Is plus a client backoff hint. The loop's one such refusal
-// is ErrQueueFull under the Reject policy — the queue drains — so
-// clients back off RetryAfter, then resubmit.
+// RetryableError is the shape of a transient write refusal: a sentinel
+// for errors.Is plus a client backoff hint. The loop itself never
+// returns one (a full queue blocks Submit); a read replica refuses
+// writes in this shape, so clients back off RetryAfter, then resubmit
+// (to the leader).
 type RetryableError struct {
-	// Sentinel is ErrQueueFull (a read replica refuses writes with its
-	// own sentinel in the same shape).
+	// Sentinel is the refusal's cause, for errors.Is.
 	Sentinel error
 	// After is the suggested backoff before resubmitting. Always
 	// positive.
@@ -177,22 +163,8 @@ type Options struct {
 	// Default DefaultQueueDepth.
 	QueueDepth int
 
-	// MaxBatchEdges caps the total edge count (Add+Del) of a coalesced
-	// batch; merging stops at the cap. A single submitted batch larger
-	// than the cap is still applied whole — batches are never split.
-	// Default DefaultMaxBatchEdges.
-	MaxBatchEdges int
-
 	// DisableCoalescing applies every submitted batch individually.
 	DisableCoalescing bool
-
-	// Policy selects Block (default) or Reject behavior on a full queue.
-	Policy Policy
-
-	// QuarantineDepth bounds the ring of retained poison batches; the
-	// oldest record is evicted when it overflows. Default
-	// DefaultQuarantineDepth.
-	QuarantineDepth int
 
 	// Backoff paces Recover retries in degraded mode. The zero value
 	// applies the backoff package defaults.
@@ -202,13 +174,13 @@ type Options struct {
 	// as the loop changes modes.
 	Health *health.Tracker
 
-	// Logger receives degraded-mode, quarantine and slow-batch warnings;
-	// nil uses slog.Default().
+	// Logger receives degraded-mode and quarantine warnings; nil uses
+	// slog.Default().
 	Logger *slog.Logger
 
 	// Metrics, when non-nil, receives queue instrumentation (depth,
-	// submitted/applied/rejected/coalesced counters, queue-wait
-	// histogram). Nil means instrumentation is off.
+	// submitted/applied/coalesced counters, queue-wait histogram). Nil
+	// means instrumentation is off.
 	Metrics *obs.Registry
 
 	// OnApply, when non-nil, is called from the apply goroutine after
@@ -218,31 +190,16 @@ type Options struct {
 
 	// Flight, when non-nil, records every batch's lifecycle — admitted,
 	// rejected, enqueued, coalesced, validated, quarantined, applied,
-	// published — into the flight ring, completes a BatchTrace with a
-	// per-phase latency breakdown at publication, and forces a dump on
-	// transitions to Degraded/Failed when Health is also set. Trace IDs
-	// are assigned at Submit whether or not a recorder is present;
-	// without one they are still returned on tickets but nothing is
-	// recorded.
+	// published — into the flight ring and forces a dump on transitions
+	// to Degraded/Failed when Health is also set. Trace IDs and the
+	// per-phase BatchTrace on Applied are produced whether or not a
+	// recorder is present.
 	Flight *flight.Recorder
-
-	// SlowBatch, when positive, is the end-to-end latency (head-batch
-	// enqueue to publication) above which a successful apply is captured
-	// as a slow batch: the recorder takes a throttled dump focused on the
-	// batch's trace and a warning naming the trace ID is logged. Zero or
-	// negative leaves slow-batch capture off. Ignored without Flight.
-	SlowBatch time.Duration
 }
 
 func (o Options) withDefaults() Options {
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = DefaultQueueDepth
-	}
-	if o.MaxBatchEdges <= 0 {
-		o.MaxBatchEdges = DefaultMaxBatchEdges
-	}
-	if o.QuarantineDepth <= 0 {
-		o.QuarantineDepth = DefaultQuarantineDepth
 	}
 	return o
 }
@@ -299,9 +256,9 @@ type Ticket struct {
 	trace uint64
 }
 
-// Trace returns the batch's trace ID, assigned at Submit. Look the
-// completed lifecycle up with Recorder.Trace (or Server.Trace) after
-// the ticket resolves; the resolved Applied carries it too.
+// Trace returns the batch's trace ID, assigned at Submit. The resolved
+// Applied carries the completed lifecycle (Applied.Trace), which covers
+// this ID.
 func (t *Ticket) Trace() uint64 { return t.trace }
 
 // Done returns a channel that receives exactly one Applied once the
@@ -401,18 +358,16 @@ func batchWeight(b graph.Batch) int {
 	return 1
 }
 
-// Submit enqueues a batch. Under the Block policy it waits for queue
-// space (bounded by ctx); under Reject it fails fast with ErrQueueFull
-// (wrapped in a *RetryableError carrying a backoff hint). The returned
-// Ticket resolves when the batch's apply call completes; fire-and-forget
-// callers may discard it. Batch validation happens at dequeue, on the
-// apply goroutine: a malformed batch resolves its ticket with the
-// validation error and is quarantined rather than failing the loop.
+// Submit enqueues a batch, waiting for queue space (bounded by ctx)
+// when the queue is full. The returned Ticket resolves when the batch's
+// apply call completes; fire-and-forget callers may discard it. Batch
+// validation happens at dequeue, on the apply goroutine: a malformed
+// batch resolves its ticket with the validation error and is
+// quarantined rather than failing the loop.
 //
 // A nil ctx means no deadline; an already-cancelled ctx returns its
-// error without enqueuing under either policy. Submitting after Close
-// returns ErrClosed; in degraded mode, ErrDegraded; after a terminal
-// failure, that failure.
+// error without enqueuing. Submitting after Close returns ErrClosed; in
+// degraded mode, ErrDegraded; after a terminal failure, that failure.
 func (l *Loop) Submit(ctx context.Context, b graph.Batch) (*Ticket, error) {
 	tr := l.traceSeq.Add(1)
 	if ctx != nil {
@@ -424,27 +379,15 @@ func (l *Loop) Submit(ctx context.Context, b graph.Batch) (*Ticket, error) {
 	l.rec.Record(flight.KindAdmitted, tr, int64(w), 0)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.opts.Policy == Reject {
-		if err := l.submitErrLocked(); err != nil {
-			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
-			return nil, err
-		}
-		if len(l.q) >= l.opts.QueueDepth {
-			l.met.rejected.Inc()
-			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
-			return nil, &RetryableError{Sentinel: ErrQueueFull, After: DefaultRetryAfter}
-		}
-	} else {
-		if err := l.awaitLocked(ctx, func() bool {
-			return l.submitErrLocked() != nil || len(l.q) < l.opts.QueueDepth
-		}); err != nil {
-			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
-			return nil, err
-		}
-		if err := l.submitErrLocked(); err != nil {
-			l.rec.Record(flight.KindRejected, tr, int64(w), 0)
-			return nil, err
-		}
+	err := l.awaitLocked(ctx, func() bool {
+		return l.submitErrLocked() != nil || len(l.q) < l.opts.QueueDepth
+	})
+	if err == nil {
+		err = l.submitErrLocked()
+	}
+	if err != nil {
+		l.rec.Record(flight.KindRejected, tr, int64(w), 0)
+		return nil, err
 	}
 	t := &Ticket{done: make(chan Applied, 1), trace: tr}
 	l.submits++
@@ -565,7 +508,7 @@ func (l *Loop) Err() error {
 }
 
 // Quarantined returns the retained poison batches, oldest first (the
-// ring keeps the most recent Options.QuarantineDepth records).
+// ring keeps the most recent DefaultQuarantineDepth records).
 func (l *Loop) Quarantined() []PoisonBatch {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -583,7 +526,7 @@ func (l *Loop) QuarantinedTotal() uint64 {
 // quarantineLocked records a poison batch in the bounded ring.
 // l.mu must be held.
 func (l *Loop) quarantineLocked(pb PoisonBatch) {
-	if len(l.quarantine) >= l.opts.QuarantineDepth {
+	if len(l.quarantine) >= DefaultQuarantineDepth {
 		copy(l.quarantine, l.quarantine[1:])
 		l.quarantine = l.quarantine[:len(l.quarantine)-1]
 	}
@@ -618,7 +561,6 @@ func (l *Loop) run() {
 				if failure != nil {
 					bt.Err = failure.Error()
 				}
-				l.rec.CompleteTrace(bt)
 				p.t.done <- Applied{Err: failure, Trace: bt}
 			}
 			return
@@ -647,7 +589,6 @@ func (l *Loop) run() {
 				EnqueuedAt: p.enqueued, CompletedAt: time.Now(), Err: rejErr.Error(),
 				Phases: flight.Phases{QueueWait: dequeueAt.Sub(p.enqueued), Validate: vDur},
 			}
-			l.rec.CompleteTrace(bt)
 			p.t.done <- Applied{Seq: attempt, Batches: 1, Err: rejErr, Trace: bt}
 			continue
 		}
@@ -703,10 +644,10 @@ func (l *Loop) run() {
 		l.mu.Unlock()
 
 		// Complete the batch's lifecycle record: the phase breakdown plus
-		// the merged trace set, published under the head ID and every
-		// coalesced sibling's ID. Apply excludes the journal time the
-		// durable layer charged during the call, so the phases stay
-		// disjoint and their sum tracks the observed end-to-end latency.
+		// the merged trace set, delivered to every covered ticket. Apply
+		// excludes the journal time the durable layer charged during the
+		// call, so the phases stay disjoint and their sum tracks the
+		// observed end-to-end latency.
 		if err == nil {
 			l.rec.Record(flight.KindApplied, headTrace, int64(took), int64(st.EdgeComputations))
 		}
@@ -734,18 +675,7 @@ func (l *Loop) run() {
 			l.rec.Record(flight.KindPublished, headTrace, int64(attempt),
 				int64(completedAt.Sub(headEnqueued)))
 		}
-		l.rec.CompleteTrace(bt)
 		res.Trace = bt
-		if slow := l.opts.SlowBatch; err == nil && slow > 0 && l.rec != nil {
-			if e2e := completedAt.Sub(headEnqueued); e2e > slow {
-				l.rec.SlowBatch(headTrace, e2e, slow)
-				l.opts.logger().Warn("graphbolt: slow batch",
-					"trace", headTrace, "seq", attempt, "e2e", e2e,
-					"threshold", slow, "batches", len(tickets),
-					"queue_wait", bt.Phases.QueueWait, "journal", journal,
-					"apply", applyPhase)
-			}
-		}
 
 		for _, t := range tickets {
 			t.done <- res
@@ -842,7 +772,7 @@ func (l *Loop) supervise(rec Recoverer, cause error) bool {
 type edgeKey struct{ from, to graph.VertexID }
 
 // popLocked dequeues the next batch and, unless coalescing is disabled,
-// merges compatible successors up to Options.MaxBatchEdges. It returns
+// merges compatible successors up to DefaultMaxBatchEdges. It returns
 // the batch to apply, the tickets it covers, the covered trace IDs
 // (head first) and each batch's time in queue. Every folded sibling
 // gets a coalesced event naming the absorbing head trace. The head
@@ -867,7 +797,7 @@ func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration) {
 	merged := false
 	for len(l.q) > 0 {
 		nb := l.q[0].b
-		if size+len(nb.Add)+len(nb.Del) > l.opts.MaxBatchEdges {
+		if size+len(nb.Add)+len(nb.Del) > DefaultMaxBatchEdges {
 			break
 		}
 		if nb.Validate() != nil {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/flight"
 	"repro/internal/graph"
 	"repro/internal/serve"
 )
@@ -54,6 +53,16 @@ func (s *stubApplier) batches() []graph.Batch {
 func edge(from, to graph.VertexID) graph.Edge { return graph.Edge{From: from, To: to, Weight: 1} }
 
 func addBatch(es ...graph.Edge) graph.Batch { return graph.Batch{Add: es} }
+
+// fanBatch adds n distinct edges from, from → 0..n-1, so tests can size
+// batches against DefaultMaxBatchEdges.
+func fanBatch(from graph.VertexID, n int) graph.Batch {
+	b := graph.Batch{Add: make([]graph.Edge, n)}
+	for i := range b.Add {
+		b.Add[i] = edge(from, graph.VertexID(i))
+	}
+	return b
+}
 
 // queueFirstBatch submits one batch and waits until the loop is inside
 // its apply call, so everything submitted afterwards stays queued until
@@ -144,10 +153,12 @@ func TestCoalescingGuardSplitsDeleteAfterAdd(t *testing.T) {
 
 func TestCoalescingRespectsSizeCap(t *testing.T) {
 	s := newStubApplier()
-	l := serve.NewLoop(s, serve.Options{QueueDepth: 16, MaxBatchEdges: 2})
+	l := serve.NewLoop(s, serve.Options{QueueDepth: 16})
 	queueFirstBatch(t, l, s, addBatch(edge(0, 1)))
+	// Half-cap batches: two fill an apply, a third would cross the cap.
+	half := serve.DefaultMaxBatchEdges / 2
 	for i := 0; i < 4; i++ {
-		if _, err := l.Submit(nil, addBatch(edge(1, graph.VertexID(2+i)))); err != nil {
+		if _, err := l.Submit(nil, fanBatch(graph.VertexID(1+i), half)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,11 +168,11 @@ func TestCoalescingRespectsSizeCap(t *testing.T) {
 	}
 	got := s.batches()
 	if len(got) != 3 {
-		t.Fatalf("applied %d batches, want 3 (cap of 2 edges per apply)", len(got))
+		t.Fatalf("applied %d batches, want 3 (two half-cap batches per apply)", len(got))
 	}
 	for i, b := range got[1:] {
-		if len(b.Add) != 2 {
-			t.Fatalf("apply %d merged %d adds, want 2", i+1, len(b.Add))
+		if len(b.Add) != 2*half {
+			t.Fatalf("apply %d merged %d adds, want %d", i+1, len(b.Add), 2*half)
 		}
 	}
 }
@@ -181,87 +192,6 @@ func TestDisableCoalescing(t *testing.T) {
 	}
 	if got := s.batches(); len(got) != 4 {
 		t.Fatalf("applied %d batches, want 4 (coalescing disabled)", len(got))
-	}
-}
-
-func TestRejectPolicyFailsFastWhenFull(t *testing.T) {
-	s := newStubApplier()
-	l := serve.NewLoop(s, serve.Options{QueueDepth: 2, Policy: serve.Reject})
-	queueFirstBatch(t, l, s, addBatch(edge(0, 1)))
-	for i := 0; i < 2; i++ {
-		if _, err := l.Submit(nil, addBatch(edge(0, 2))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := l.Submit(nil, addBatch(edge(0, 3))); !errors.Is(err, serve.ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	close(s.gate)
-	if err := l.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQueueFullIsRetryable: the Reject policy's queue-full refusal is
-// a *RetryableError carrying a positive backoff hint.
-func TestQueueFullIsRetryable(t *testing.T) {
-	s := newStubApplier()
-	l := serve.NewLoop(s, serve.Options{QueueDepth: 1, Policy: serve.Reject})
-	defer func() { close(s.gate); l.Close(nil) }()
-
-	queueFirstBatch(t, l, s, addBatch(edge(0, 1)))
-	if _, err := l.Submit(nil, addBatch(edge(0, 2))); err != nil {
-		t.Fatalf("submit into free slot refused: %v", err)
-	}
-	_, err := l.Submit(nil, addBatch(edge(0, 3)))
-	if !errors.Is(err, serve.ErrQueueFull) {
-		t.Fatalf("err = %v, want ErrQueueFull", err)
-	}
-	after, ok := serve.RetryAfter(err)
-	if !ok || after <= 0 {
-		t.Fatalf("RetryAfter = %v, %v; want positive hint", after, ok)
-	}
-}
-
-// TestSlowBatchCapture: with a positive SlowBatch threshold, an apply
-// whose end-to-end latency exceeds it is counted and dumped with the
-// head batch's trace as focus; a zero threshold captures nothing.
-func TestSlowBatchCapture(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		slow time.Duration
-		want uint64
-	}{
-		{"threshold-1ms", time.Millisecond, 1},
-		{"off", 0, 0},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := newStubApplier()
-			rec := flight.New(flight.Options{Logger: discardLogger()})
-			l := serve.NewLoop(s, serve.Options{Flight: rec, SlowBatch: tc.slow, Logger: discardLogger()})
-			tk := queueFirstBatch(t, l, s, addBatch(edge(0, 1)))
-			time.Sleep(5 * time.Millisecond) // the apply is held ≥ 5ms, past the 1ms threshold
-			close(s.gate)
-			if _, err := tk.Wait(nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := l.Close(nil); err != nil {
-				t.Fatal(err)
-			}
-			if got := rec.SlowBatches(); got != tc.want {
-				t.Fatalf("SlowBatches() = %d, want %d", got, tc.want)
-			}
-			d := rec.LastDump()
-			if tc.want == 0 {
-				if d != nil {
-					t.Fatalf("capture off, but a dump was taken: %+v", d)
-				}
-				return
-			}
-			if d == nil || d.Focus != tk.Trace() {
-				t.Fatalf("slow-batch dump = %+v, want focus on head trace %d", d, tk.Trace())
-			}
-		})
 	}
 }
 

@@ -30,7 +30,6 @@ var (
 		"graphbolt_flight_dropped_total",
 		"graphbolt_flight_dumps_total",
 		"graphbolt_flight_events_total",
-		"graphbolt_flight_slow_batches_total",
 		"graphbolt_health_transitions_total",
 		"graphbolt_parallel_chunk_claims_total",
 		"graphbolt_parallel_inline_loops_total",
@@ -53,7 +52,6 @@ var (
 		"graphbolt_serve_queries_total",
 		"graphbolt_serve_recoveries_total",
 		"graphbolt_serve_recovery_attempts_total",
-		"graphbolt_serve_rejected_batches_total",
 		"graphbolt_serve_submitted_batches_total",
 		"graphbolt_shard_cross_batches_total",
 		"graphbolt_shard_single_batches_total",

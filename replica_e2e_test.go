@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -106,9 +107,11 @@ func TestReplicaEndToEnd(t *testing.T) {
 	strm := replicaStream(t, nBatches)
 	engOpts := graphbolt.Options{MaxIterations: 6, Retain: nBatches + 1}
 
-	// Leader: durable server (coalescing off: one journal record per
-	// batch is what gives followers generation parity) feeding a
-	// replication log, with the query API mounted beside the stream.
+	// Leader: durable server feeding a replication log, with the query
+	// API mounted beside the stream. Coalescing is off so that journal
+	// seq equals stream position: the resume and record-count checks
+	// below count in stream batches. Parity itself does not need it
+	// (TestReplicaParityCoalescingLeader).
 	leaderEng, err := graphbolt.NewEngine[float64, float64](strm.Base, graphbolt.NewPageRank(), engOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +120,6 @@ func TestReplicaEndToEnd(t *testing.T) {
 		Heartbeat: 5 * time.Millisecond,
 		Logger:    quietLogger(),
 	})
-	defer rlog.Close()
 	d, err := graphbolt.OpenDurable(leaderEng, t.TempDir(), graphbolt.DurableOptions{OnRecord: rlog.Append})
 	if err != nil {
 		t.Fatal(err)
@@ -132,6 +134,9 @@ func TestReplicaEndToEnd(t *testing.T) {
 	mux.Handle("/v1/", graphbolt.QueryHandler(srv))
 	ts := httptest.NewServer(mux)
 	defer ts.Close()
+	// Runs before ts.Close: ending the log's follower streams lets it
+	// return when a Fatalf fires while a follower still streams.
+	defer rlog.Close()
 
 	ctx := context.Background()
 	submit := func(batches []graphbolt.Batch) {
@@ -249,6 +254,115 @@ func TestReplicaEndToEnd(t *testing.T) {
 	}
 	if err := srv.Close(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestReplicaParityCoalescingLeader runs the configuration of the
+// replicated benchmark workload: a durable leader server with coalescing
+// on (the default) streaming to a follower. One apply is one journal
+// record and one generation on both sides, so every generation the
+// follower serves must equal the leader's bit for bit even when an
+// apply merged several submitted batches.
+func TestReplicaParityCoalescingLeader(t *testing.T) {
+	nBatches := 40
+	if testing.Short() {
+		nBatches = 16
+	}
+	strm := replicaStream(t, nBatches)
+	engOpts := graphbolt.Options{MaxIterations: 6, Retain: nBatches + 1}
+
+	leaderEng, err := graphbolt.NewEngine[float64, float64](strm.Base, graphbolt.NewPageRank(), engOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlog := graphbolt.NewReplicationLog(graphbolt.ReplicationLogOptions{
+		Heartbeat: 5 * time.Millisecond,
+		Logger:    quietLogger(),
+	})
+	d, err := graphbolt.OpenDurable(leaderEng, t.TempDir(), graphbolt.DurableOptions{OnRecord: rlog.Append})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rlog.SetFloor(d.Recovery().SnapshotSeq)
+	// The first apply's callback parks the apply goroutine until the
+	// rest of the burst is queued, so the queued batches coalesce.
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
+	var parked sync.Once
+	srv := graphbolt.NewDurableServer(d, graphbolt.ServerOptions{
+		Logger:  quietLogger(),
+		OnApply: func(graphbolt.Applied) { parked.Do(func() { <-hold }) },
+	})
+	ctx := context.Background()
+	defer srv.Close(ctx)
+	defer release() // runs before srv.Close, which waits for the apply goroutine
+	ts := httptest.NewServer(rlog.Handler())
+	defer ts.Close()
+	defer rlog.Close() // runs before ts.Close, ending open streams
+
+	feng, err := graphbolt.NewEngine[float64, float64](strm.Base, graphbolt.NewPageRank(), engOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := graphbolt.NewFollower(feng, nil, ts.URL, graphbolt.FollowerOptions{
+		Client: ts.Client(),
+		Logger: quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start(ctx)
+	defer f.Close(ctx)
+
+	tickets := make([]*graphbolt.SubmitTicket, len(strm.Batches))
+	for i, b := range strm.Batches {
+		if tickets[i], err = srv.Submit(ctx, b); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	release()
+	merged := 0
+	for i, tk := range tickets {
+		ap, err := tk.Wait(ctx)
+		if err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+		merged = max(merged, ap.Batches)
+	}
+	if merged < 2 {
+		t.Fatal("no apply merged two or more batches; the burst did not coalesce")
+	}
+	leaderSnap, err := srv.Sync(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Seq() >= uint64(nBatches) {
+		t.Fatalf("leader journaled %d records for %d batches: nothing coalesced", d.Seq(), nBatches)
+	}
+	waitApplied(t, f, d.Seq())
+
+	oldest, newest := f.RetainedGenerations()
+	if newest != leaderSnap.Generation {
+		t.Fatalf("follower newest generation %d, leader %d", newest, leaderSnap.Generation)
+	}
+	for g := oldest; g <= newest; g++ {
+		ls, err := leaderEng.SnapshotAt(g)
+		if err != nil {
+			t.Fatalf("leader SnapshotAt(%d): %v", g, err)
+		}
+		fs, err := f.SnapshotAt(g)
+		if err != nil {
+			t.Fatalf("follower SnapshotAt(%d): %v", g, err)
+		}
+		if ls.Graph.NumEdges() != fs.Graph.NumEdges() || len(ls.Values) != len(fs.Values) {
+			t.Fatalf("gen %d: leader %d edges/%d values, follower %d/%d", g,
+				ls.Graph.NumEdges(), len(ls.Values), fs.Graph.NumEdges(), len(fs.Values))
+		}
+		for v := range ls.Values {
+			if math.Float64bits(ls.Values[v]) != math.Float64bits(fs.Values[v]) {
+				t.Fatalf("gen %d vertex %d: leader %v, follower %v", g, v, ls.Values[v], fs.Values[v])
+			}
+		}
 	}
 }
 

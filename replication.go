@@ -20,15 +20,17 @@ import (
 //	})
 //	d, _ := graphbolt.OpenDurable(eng, dir, graphbolt.DurableOptions{OnRecord: rlog.Append})
 //	rlog.SetFloor(d.Recovery().SnapshotSeq)
-//	srv := graphbolt.NewDurableServer(d, graphbolt.ServerOptions{DisableCoalescing: true})
+//	srv := graphbolt.NewDurableServer(d, graphbolt.ServerOptions{})
 //	mux.Handle("GET /v1/wal", rlog.Handler())
 //	mux.Handle("GET /v1/checkpoint", graphbolt.CheckpointHandler(d))
 //	mux.Handle("/v1/", graphbolt.QueryHandler(srv))
 //
-// DisableCoalescing matters: with coalescing on, one journal record can
-// cover several submitted batches, which is fine for durability but
-// breaks the one-record-per-generation bookkeeping the lag metrics and
-// SnapshotAt parity arguments rely on.
+// Coalescing keeps leader/follower parity: one apply is one journal
+// record and one generation, on the leader and on every follower that
+// replays it, however many submitted batches the apply merged. The CLI
+// turns coalescing off on its durable path for another reason: it
+// resumes an interrupted stream at position d.Seq(), which needs one
+// journal record per stream batch.
 //
 // Follower wiring (also available as `graphbolt -follow <leader-url>`):
 //

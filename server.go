@@ -26,24 +26,8 @@ import (
 // stream.
 type ResultSnapshot[V any] = core.ResultSnapshot[V]
 
-// SubmitPolicy selects what Server.Submit does when the ingest queue is
-// full.
-type SubmitPolicy = serve.Policy
-
-const (
-	// SubmitBlock makes Submit wait for queue space (the default):
-	// backpressure propagates to producers.
-	SubmitBlock = serve.Block
-	// SubmitReject makes Submit fail fast with ErrQueueFull.
-	SubmitReject = serve.Reject
-)
-
 // Ingest failure sentinels, for errors.Is.
 var (
-	// ErrQueueFull reports a Submit rejected under SubmitReject. The
-	// returned error wraps this sentinel in a *RetryableError carrying a
-	// backoff hint; extract it with RetryAfter.
-	ErrQueueFull = serve.ErrQueueFull
 	// ErrServerClosed reports a Submit or Wait after Close.
 	ErrServerClosed = serve.ErrClosed
 	// ErrDegraded reports a Submit refused (or a held batch failed)
@@ -53,13 +37,14 @@ var (
 	ErrDegraded = serve.ErrDegraded
 )
 
-// RetryableError is the shape of a load-induced Submit refusal
-// (ErrQueueFull under SubmitReject): a sentinel for errors.Is plus a
-// suggested client backoff. See RetryAfter.
+// RetryableError is the shape of a transient write refusal: a sentinel
+// for errors.Is plus a suggested client backoff. Follower.Submit
+// returns one wrapping ErrFollower; Server.Submit never does (a full
+// queue blocks it). See RetryAfter.
 type RetryableError = serve.RetryableError
 
 // RetryAfter extracts the backoff hint from a Submit error, reporting
-// whether the error is a retryable (load-induced, transient) refusal:
+// whether the error is a retryable (transient) refusal:
 //
 //	if after, ok := graphbolt.RetryAfter(err); ok {
 //	    time.Sleep(after)
@@ -113,23 +98,23 @@ type SubmitTicket = serve.Ticket
 // with NewFlightRecorder, set it on ServerOptions.Flight (and
 // DurableOptions.Flight for journal and fsync events), and mount its
 // Handler at /debug/flight. The ring is dumped to the log on
-// transitions to Degraded/Failed and on slow batches. A nil
-// *FlightRecorder is valid and inert.
+// transitions to Degraded/Failed. A nil *FlightRecorder is valid and
+// inert.
 type FlightRecorder = flight.Recorder
 
-// FlightOptions configures a FlightRecorder (ring depth, retained trace
-// count, dump throttling, logger, metrics registry).
+// FlightOptions configures a FlightRecorder (ring depth, logger,
+// metrics registry).
 type FlightOptions = flight.Options
 
-// NewFlightRecorder builds a flight recorder. Zero options take the
-// documented defaults (4096-event ring, 256 retained traces, 1s dump
-// throttle).
+// NewFlightRecorder builds a flight recorder. A zero Depth takes the
+// 4096-event default.
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder { return flight.New(opts) }
 
 // BatchTrace is the completed lifecycle record of one apply call: the
 // head batch's trace ID, every coalesced sibling's ID, and the
 // per-phase latency breakdown (queue wait, coalesce, validate, journal,
-// apply, publish). Look one up with Server.Trace.
+// apply, publish). Every ticket the apply covers receives it as
+// Applied.Trace.
 type BatchTrace = flight.BatchTrace
 
 // TracePhases is the per-phase latency breakdown on a BatchTrace.
@@ -144,16 +129,13 @@ type FlightDump = flight.Dump
 
 // ServerOptions configures a Server's ingest pipeline.
 type ServerOptions struct {
-	// QueueDepth bounds the number of queued (unapplied) batches.
-	// Default serve.DefaultQueueDepth (64).
+	// QueueDepth bounds the number of queued (unapplied) batches; Submit
+	// waits for a free slot. Default serve.DefaultQueueDepth (64).
+	// Coalescing merges queued batches into one apply of at most
+	// serve.DefaultMaxBatchEdges (4096) edges.
 	QueueDepth int
-	// MaxBatchEdges caps the edge count of a coalesced batch. Default
-	// serve.DefaultMaxBatchEdges (4096).
-	MaxBatchEdges int
 	// DisableCoalescing applies every submitted batch individually.
 	DisableCoalescing bool
-	// Policy selects SubmitBlock (default) or SubmitReject.
-	Policy SubmitPolicy
 	// Metrics, when non-nil, receives ingest and read-path
 	// instrumentation (queue depth, coalesced batches, read staleness).
 	// Nil means instrumentation is off.
@@ -168,27 +150,19 @@ type ServerOptions struct {
 	// immutable — and are evicted by LRU within the budget and when
 	// their generation falls out of the engine's history ring.
 	QueryCacheBytes int64
-	// QuarantineDepth bounds the ring of retained poison-batch records
-	// (Quarantined); the running total keeps counting past it. 0 means
-	// serve.DefaultQuarantineDepth (32).
-	QuarantineDepth int
 	// Backoff paces recovery retries while the server is degraded. The
 	// zero value uses the defaults documented on BackoffPolicy.
 	Backoff BackoffPolicy
-	// Logger receives degraded-mode, quarantine and slow-batch warnings;
-	// nil uses slog.Default().
+	// Logger receives degraded-mode and quarantine warnings; nil uses
+	// slog.Default().
 	Logger *slog.Logger
-	// Flight, when non-nil, records every batch's lifecycle into the
-	// flight ring and completes per-phase BatchTraces retrievable via
-	// Server.Trace. Pass the same recorder to DurableOptions.Flight so
-	// journal and fsync events land in the same ring. Trace IDs are
-	// assigned whether or not a recorder is set.
+	// Flight, when non-nil, records every batch's lifecycle events into
+	// the flight ring and dumps it on transitions to Degraded/Failed.
+	// Pass the same recorder to DurableOptions.Flight so journal and
+	// fsync events land in the same ring. Trace IDs and the per-phase
+	// BatchTrace on Applied.Trace are produced whether or not a recorder
+	// is set.
 	Flight *FlightRecorder
-	// SlowBatch, when positive, is the end-to-end latency (enqueue to
-	// publication) above which a batch is captured as slow: a throttled
-	// flight dump focused on its trace plus a warning naming the trace
-	// ID. Zero or negative leaves capture off. Ignored without Flight.
-	SlowBatch time.Duration
 	// Shards, when > 1, partitions the apply step: the graph is split by
 	// destination-vertex ownership into Shards subgraphs, each with its
 	// own engine, and every batch the ingest loop dequeues is split by
@@ -315,16 +289,12 @@ func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Ap
 	userCb := opts.OnApply
 	s.loop = serve.NewLoop(a, serve.Options{
 		QueueDepth:        opts.QueueDepth,
-		MaxBatchEdges:     opts.MaxBatchEdges,
 		DisableCoalescing: opts.DisableCoalescing,
-		Policy:            opts.Policy,
 		Metrics:           reg,
-		QuarantineDepth:   opts.QuarantineDepth,
 		Backoff:           opts.Backoff,
 		Health:            s.health,
 		Logger:            opts.Logger,
 		Flight:            opts.Flight,
-		SlowBatch:         opts.SlowBatch,
 		OnApply: func(ap Applied) {
 			// Cache eviction follows ring retention: entries for
 			// generations SnapshotAt can no longer serve are dead weight.
@@ -344,9 +314,9 @@ func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Ap
 }
 
 // Submit enqueues a mutation batch for the single-writer apply loop.
-// Under SubmitBlock it waits for queue space (bounded by ctx, which may
-// be nil); under SubmitReject it fails fast with ErrQueueFull; while
-// the server is degraded it fails fast with ErrDegraded. The returned
+// When the queue is full it waits for space (bounded by ctx, which may
+// be nil); while the server is degraded it fails fast with
+// ErrDegraded. The returned
 // ticket resolves once the batch's apply call completes; fire-and-forget
 // callers may discard it. Malformed batches are not applied: their
 // ticket fails wrapping ErrInvalidBatch and the batch is quarantined
@@ -513,16 +483,6 @@ func (s *Server[V, A]) QueueDepth() int { return s.loop.Depth() }
 // call.
 func (s *Server[V, A]) Flight() *FlightRecorder { return s.loop.Flight() }
 
-// Trace returns the completed lifecycle record covering trace ID id —
-// assigned at Submit, returned by SubmitTicket.Trace and on
-// Applied.Trace — whether id was the head of its apply or coalesced
-// into a sibling's. It reports false when no flight recorder is
-// configured or the trace has aged out of the recorder's bounded
-// history (FlightOptions.TraceDepth).
-func (s *Server[V, A]) Trace(id uint64) (BatchTrace, bool) {
-	return s.Flight().Trace(id)
-}
-
 // FlightHandler returns an http.Handler serving the flight ring as JSON
 // (filterable with ?trace=ID, ?kind=NAME, ?dump=last), for mounting at
 // /debug/flight:
@@ -560,7 +520,7 @@ func (s *Server[V, A]) Health() *HealthTracker { return s.health }
 func (s *Server[V, A]) HealthHandler() http.Handler { return health.Handler(s.health) }
 
 // Quarantined returns the retained poison-batch records, oldest first
-// (a bounded ring: the most recent ServerOptions.QuarantineDepth).
+// (a bounded ring: the most recent serve.DefaultQuarantineDepth, 32).
 // Each record carries the offending batch, its submission sequence,
 // the validation error and the rejection time.
 func (s *Server[V, A]) Quarantined() []PoisonBatch { return s.loop.Quarantined() }
