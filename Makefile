@@ -57,9 +57,16 @@ bench:
 # randomized batches through a durable server while fsync failures, torn
 # writes and scripted poison batches fire underneath, asserting the
 # server ends Healthy, quarantines exactly the poisons, and matches a
-# from-scratch run on the surviving stream.
+# from-scratch run on the surviving stream. The second line covers the
+# fsync that runs on its own goroutine while the engine stages a batch,
+# twenty times over: while a held fsync is in flight nothing is
+# published, no ticket resolves and no follower receives the record
+# (TestHeldFsync*); an fsync that fails after the stage step publishes
+# nothing, and Recover rebuilds the engine from the checkpoint and the
+# journal bit-equal to an uninterrupted run (TestFsyncFailureAfterStage).
 chaos:
 	$(GO) test -race -run TestChaosSoak -v $(SUITE_FLAGS) .
+	$(GO) test -race -count=20 -run 'TestHeldFsync|TestFsyncFailureAfterStage|TestAppendAsyncHeldFsync' $(SUITE_FLAGS) . ./internal/durable/ ./internal/wal/
 
 # shard runs the sharded-serving suite under the race detector: the
 # differential equivalence harness (2- and 4-shard servers over 100+

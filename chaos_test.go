@@ -230,13 +230,29 @@ func TestChaosSoak(t *testing.T) {
 	if got := d2.Seq(); got != nValid {
 		t.Fatalf("recovered journal Seq = %d, want %d (quarantined batches never journaled)", got, nValid)
 	}
-	valuesClose(t, eng2.Values(), finalSnap.Values, 1e-9, "recovered vs live")
+	valuesBitEqual(t, eng2.Values(), finalSnap.Values, "recovered vs live")
+}
+
+// valuesBitEqual compares two value slices bit for bit. A run is a
+// function of its batch sequence, so two runs of the same surviving
+// stream in the same mode agree exactly; a skipped or double-applied
+// record shows however small its effect.
+func valuesBitEqual(t *testing.T, got, want []float64, label string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values vs %d", label, len(got), len(want))
+	}
+	for v := range got {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+			t.Fatalf("%s: vertex %d: %v vs %v", label, v, got[v], want[v])
+		}
+	}
 }
 
 // valuesClose compares two value slices within absolute tolerance eps
-// (difftest.Approx); tolerances cover parallel reduction reordering
-// (1e-9) or accumulated float drift across execution modes (1e-6) — a
-// leaked poison batch or lost journal record shifts values by far more.
+// (difftest.Approx); the tolerance covers accumulated float drift
+// between execution modes — a leaked poison batch or lost journal
+// record shifts values by far more.
 func valuesClose(t *testing.T, got, want []float64, eps float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {

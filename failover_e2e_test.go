@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -12,7 +13,6 @@ import (
 
 	graphbolt "repro"
 	"repro/internal/backoff"
-	"repro/internal/core/difftest"
 	"repro/internal/health"
 	"repro/internal/obs"
 )
@@ -108,11 +108,7 @@ func compareAckedGenerations[A any](t *testing.T, leader *graphbolt.Engine[float
 		if len(ls.Values) != len(fs.Values) {
 			t.Fatalf("gen %d: %d leader values, %d follower values", g, len(ls.Values), len(fs.Values))
 		}
-		for v := range ls.Values {
-			if !difftest.Approx(ls.Values[v], fs.Values[v], 0, 1e-7) {
-				t.Fatalf("gen %d vertex %d: leader %v, follower %v", g, v, ls.Values[v], fs.Values[v])
-			}
-		}
+		valuesBitEqual(t, fs.Values, ls.Values, fmt.Sprintf("gen %d follower vs leader", g))
 		if g == newest {
 			newestCompared = true
 		}

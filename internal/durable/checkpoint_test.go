@@ -81,7 +81,7 @@ func TestOpenCheckpointShipsRecoverableState(t *testing.T) {
 	if seq != 3 || follower.Seq() != 3 {
 		t.Fatalf("installed seq %d, follower at %d; want 3", seq, follower.Seq())
 	}
-	valuesMatch(t, follower.Values(), leader.Values(), 1e-12, "install")
+	valuesMatch(t, follower.Values(), leader.Values(), "install")
 	if lg, fg := leader.Snapshot().Generation, follower.Snapshot().Generation; fg != lg {
 		t.Fatalf("follower generation %d, leader %d — re-seed must resume the counter", fg, lg)
 	}
@@ -108,7 +108,7 @@ func TestOpenCheckpointShipsRecoverableState(t *testing.T) {
 	if recovered.Seq() != leader.Seq() {
 		t.Fatalf("recovered seq %d, leader at %d", recovered.Seq(), leader.Seq())
 	}
-	valuesMatch(t, recovered.Values(), leader.Values(), 1e-12, "recover after install")
+	valuesMatch(t, recovered.Values(), leader.Values(), "recover after install")
 }
 
 // TestInstallCheckpointRefusesStale: a checkpoint that does not advance
@@ -298,5 +298,5 @@ func TestInstallCheckpointCrashBeforeTruncate(t *testing.T) {
 	if sk := r.Recovery().Skipped; sk != 2 {
 		t.Fatalf("recovery skipped %d journal records, want 2", sk)
 	}
-	valuesMatch(t, r.Values(), leader.Values(), 1e-12, "crash before truncate")
+	valuesMatch(t, r.Values(), leader.Values(), "crash before truncate")
 }

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/core"
-	"repro/internal/core/difftest"
 	"repro/internal/faultio"
 	"repro/internal/gen"
 	"repro/internal/graph"
@@ -17,13 +16,16 @@ import (
 	"repro/internal/wal"
 )
 
-func valuesMatch(t *testing.T, got, want []float64, eps float64, label string) {
+// valuesMatch compares bit for bit: a run is a function of its batch
+// sequence, so a recovered, rebuilt or re-seeded engine that skipped or
+// double-applied a record differs somewhere, however small the effect.
+func valuesMatch(t *testing.T, got, want []float64, label string) {
 	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: length %d vs %d", label, len(got), len(want))
 	}
 	for v := range got {
-		if !difftest.Approx(got[v], want[v], 0, eps) {
+		if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
 			t.Fatalf("%s: vertex %d: got %v want %v", label, v, got[v], want[v])
 		}
 	}
@@ -33,7 +35,7 @@ func valuesMatch(t *testing.T, got, want []float64, eps float64, label string) {
 // durability design: for EVERY prefix length k, a run that is killed
 // after batch k, recovered from disk, and then fed the rest of the
 // stream must end with the same values as a run that never crashed.
-func checkRecoveryEquivalence(t *testing.T, batches []graph.Batch, newEngine func() *core.Engine[float64, float64], eps float64) {
+func checkRecoveryEquivalence(t *testing.T, batches []graph.Batch, newEngine func() *core.Engine[float64, float64]) {
 	t.Helper()
 	want := newEngine()
 	want.Run()
@@ -70,7 +72,7 @@ func checkRecoveryEquivalence(t *testing.T, batches []graph.Batch, newEngine fun
 				t.Fatal(err)
 			}
 		}
-		valuesMatch(t, recovered.Values(), want.Values(), eps, "recovery equivalence")
+		valuesMatch(t, recovered.Values(), want.Values(), "recovery equivalence")
 		recovered.Close()
 	}
 }
@@ -88,7 +90,7 @@ func TestRecoveryEquivalencePageRank(t *testing.T) {
 		}
 		return e
 	}
-	checkRecoveryEquivalence(t, s.Batches, newEngine, 1e-7)
+	checkRecoveryEquivalence(t, s.Batches, newEngine)
 }
 
 func TestRecoveryEquivalenceSSSP(t *testing.T) {
@@ -104,7 +106,7 @@ func TestRecoveryEquivalenceSSSP(t *testing.T) {
 		}
 		return e
 	}
-	checkRecoveryEquivalence(t, s.Batches, newEngine, 1e-9)
+	checkRecoveryEquivalence(t, s.Batches, newEngine)
 }
 
 func testStream(t *testing.T) (*graph.Graph, []graph.Batch) {
@@ -164,7 +166,7 @@ func TestCrashBetweenCheckpointAndTruncate(t *testing.T) {
 	if info.Skipped != 4 || info.Replayed != 0 {
 		t.Fatalf("recovery info %+v, want all 4 journal records skipped as pre-checkpoint", info)
 	}
-	valuesMatch(t, recovered.Values(), before, 0, "post-checkpoint recovery")
+	valuesMatch(t, recovered.Values(), before, "post-checkpoint recovery")
 	// The recovered engine keeps streaming normally.
 	if _, err := recovered.ApplyBatch(batches[4]); err != nil {
 		t.Fatal(err)
@@ -404,7 +406,7 @@ func TestAilmentRecoverEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	valuesMatch(t, d.Values(), want.Values(), 1e-9, "degraded-episode equivalence")
+	valuesMatch(t, d.Values(), want.Values(), "degraded-episode equivalence")
 
 	// The journal must also be clean: a reopen replays to the same state.
 	d.Close()
@@ -416,7 +418,7 @@ func TestAilmentRecoverEquivalence(t *testing.T) {
 	if re.Seq() != uint64(len(batches)) {
 		t.Fatalf("reopened seq = %d, want %d", re.Seq(), len(batches))
 	}
-	valuesMatch(t, re.Values(), want.Values(), 1e-9, "reopen equivalence")
+	valuesMatch(t, re.Values(), want.Values(), "reopen equivalence")
 }
 
 // TestCheckpointFailureReportedOutOfBand pins the no-double-apply rule:

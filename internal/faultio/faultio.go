@@ -171,6 +171,10 @@ type Fsync struct {
 	err   error
 	calls int64
 	fails int64
+
+	// gate, while non-nil, holds every Check until it is closed; held
+	// announces each check it holds.
+	gate, held chan struct{}
 }
 
 // NewFsync returns an injector with no faults armed.
@@ -191,9 +195,37 @@ func (s *Fsync) FailEveryKth(k int, err error) *Fsync {
 	return s
 }
 
+// Hold holds every Check from now on open until release is called — the
+// model for a slow disk, which lets a test observe everything that
+// happens while an fsync is in flight. held receives once for each check
+// that starts waiting (it buffers one). A held check that a FailEveryKth
+// armed before the release fails. release is idempotent.
+func (s *Fsync) Hold() (held <-chan struct{}, release func()) {
+	gate, h := make(chan struct{}), make(chan struct{}, 1)
+	s.mu.Lock()
+	s.gate, s.held = gate, h
+	s.mu.Unlock()
+	return h, sync.OnceFunc(func() {
+		s.mu.Lock()
+		s.gate, s.held = nil, nil
+		s.mu.Unlock()
+		close(gate)
+	})
+}
+
 // Check is called before each fsync; a non-nil result means the fsync
 // must fail with that error.
 func (s *Fsync) Check() error {
+	s.mu.Lock()
+	gate, held := s.gate, s.held
+	s.mu.Unlock()
+	if gate != nil {
+		select {
+		case held <- struct{}{}:
+		default:
+		}
+		<-gate
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.calls++

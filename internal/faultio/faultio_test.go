@@ -161,3 +161,32 @@ func TestFlipBitDoesNotMutateInput(t *testing.T) {
 		t.Fatalf("input slice mutated: %v", src)
 	}
 }
+
+// TestFsyncHold pins the slow-disk gate: a held Check announces itself
+// and does not return until release, a failure armed while it is held
+// applies to it, and after release checks pass straight through.
+func TestFsyncHold(t *testing.T) {
+	s := NewFsync()
+	held, release := s.Hold()
+	done := make(chan error, 1)
+	go func() { done <- s.Check() }()
+	<-held
+	select {
+	case err := <-done:
+		t.Fatalf("held Check returned %v before release", err)
+	default:
+	}
+	s.FailEveryKth(1, nil)
+	release()
+	if err := <-done; !errors.Is(err, ErrInjected) {
+		t.Fatalf("held Check = %v, want the failure armed while it was held", err)
+	}
+	s.FailEveryKth(0, nil)
+	release() // idempotent
+	if err := s.Check(); err != nil {
+		t.Fatalf("Check after release = %v", err)
+	}
+	if s.Calls() != 2 || s.Failures() != 1 {
+		t.Fatalf("Calls=%d Failures=%d, want 2, 1", s.Calls(), s.Failures())
+	}
+}

@@ -27,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"repro/internal/flight"
@@ -145,7 +146,8 @@ type RecoveryInfo struct {
 
 // WAL is a file-backed write-ahead log. Not safe for concurrent use;
 // the durable engine serializes access the same way the core engine
-// serializes ApplyBatch.
+// serializes ApplyBatch. The one goroutine of its own, AppendAsync's
+// fsync, owns the log until its wait returns.
 type WAL struct {
 	f    *os.File
 	w    io.Writer // == f in production; tests substitute a fault injector
@@ -331,15 +333,31 @@ func (w *WAL) Recovery() RecoveryInfo { return w.info }
 func (w *WAL) Size() int64 { return w.size }
 
 // Append journals one batch under the given sequence number and applies
-// the sync policy. The frame is written with a single Write call. Any
-// failure — write error, short write, failed fsync — marks the log
+// the sync policy: AppendAsync followed by its wait.
+func (w *WAL) Append(seq uint64, b graph.Batch) error {
+	wait, err := w.AppendAsync(seq, b)
+	if err != nil {
+		return err
+	}
+	return wait()
+}
+
+// AppendAsync writes one batch's frame under the given sequence number
+// with a single Write call and, when the sync policy calls for an fsync,
+// starts it on its own goroutine. wait returns that fsync's result (nil
+// at once when none was due); the record is durable only once wait
+// returns nil. The caller may do unrelated work before calling wait but
+// must call it before any other method of the log: until then the fsync
+// goroutine owns the log.
+//
+// Any failure — write error, short write, failed fsync — marks the log
 // damaged: the on-disk tail is untrustworthy (possibly torn, possibly
 // holding an unacknowledged record that a retry would duplicate), so
 // further appends fail with ErrDamaged until Repair truncates back to
 // the last consistent length.
-func (w *WAL) Append(seq uint64, b graph.Batch) error {
+func (w *WAL) AppendAsync(seq uint64, b graph.Batch) (wait func() error, err error) {
 	if w.damaged {
-		return fmt.Errorf("wal: append seq %d: %w", seq, ErrDamaged)
+		return nil, fmt.Errorf("wal: append seq %d: %w", seq, ErrDamaged)
 	}
 	w.recovered = nil
 	start := w.size
@@ -348,33 +366,35 @@ func (w *WAL) Append(seq uint64, b graph.Batch) error {
 	w.size += int64(n)
 	if err != nil {
 		w.markDamaged(start)
-		return fmt.Errorf("wal: append seq %d: %w", seq, err)
+		return nil, fmt.Errorf("wal: append seq %d: %w", seq, err)
 	}
 	if n < len(frame) {
 		w.markDamaged(start)
-		return fmt.Errorf("wal: append seq %d: short write (%d of %d bytes)", seq, n, len(frame))
+		return nil, fmt.Errorf("wal: append seq %d: short write (%d of %d bytes)", seq, n, len(frame))
 	}
 	w.lastFrame = int64(len(frame))
 	w.met.appends.Inc()
 	w.met.appendBytes.Add(int64(n))
 	w.met.size.Set(float64(w.size))
-	switch w.opts.Sync {
-	case SyncEveryBatch:
-		if err := w.Sync(); err != nil {
+	due := w.opts.Sync == SyncEveryBatch ||
+		w.opts.Sync == SyncInterval && time.Since(w.lastSync) >= w.opts.Interval
+	if !due {
+		w.good = w.size
+		return noWait, nil
+	}
+	done := make(chan error, 1)
+	go func() { done <- w.Sync() }()
+	return sync.OnceValue(func() error {
+		if err := <-done; err != nil {
 			w.markDamaged(start)
 			return err
 		}
-	case SyncInterval:
-		if time.Since(w.lastSync) >= w.opts.Interval {
-			if err := w.Sync(); err != nil {
-				w.markDamaged(start)
-				return err
-			}
-		}
-	}
-	w.good = w.size
-	return nil
+		w.good = w.size
+		return nil
+	}), nil
 }
+
+func noWait() error { return nil }
 
 // markDamaged latches the damaged state with good as the last length
 // at which the log was known consistent.
@@ -408,7 +428,8 @@ func (w *WAL) Repair() error {
 // Unappend removes the record most recently written by Append — used
 // when the in-memory apply that followed the journal write failed, so
 // recovery does not replay a batch the engine could not process. Valid
-// only immediately after a successful Append.
+// only immediately after a successful Append, or an AppendAsync whose
+// wait returned nil.
 func (w *WAL) Unappend() error {
 	if w.lastFrame == 0 {
 		return fmt.Errorf("wal: nothing to unappend")
@@ -430,6 +451,13 @@ func (w *WAL) Unappend() error {
 	}
 	w.good = w.size
 	return nil
+}
+
+// Records scans the log's current contents from the start and returns
+// the records of its valid prefix, without moving the append position.
+func (w *WAL) Records() ([]Record, error) {
+	recs, _, _, err := Scan(io.NewSectionReader(w.f, 0, w.size))
+	return recs, err
 }
 
 // Sync flushes the log to stable storage.

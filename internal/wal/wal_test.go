@@ -359,6 +359,80 @@ func TestFsyncFailureRollsBackAppend(t *testing.T) {
 	recordsEqual(t, reopened.Recovered(), testBatches()[:2], 1)
 }
 
+// TestAppendAsyncHeldFsync pins the split append: AppendAsync returns
+// with the frame written while its fsync is still held open, wait
+// returns that fsync's result, and a failed fsync damages the log so
+// that Repair drops the record. With no fsync due, wait returns at once.
+func TestAppendAsyncHeldFsync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	fsync := faultio.NewFsync()
+	w, err := Open(path, Options{Hooks: Hooks{BeforeSync: fsync.Check}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	b := testBatches()
+
+	held, release := fsync.Hold()
+	wait, err := w.AppendAsync(1, b[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	done := make(chan error, 1)
+	go func() { done <- wait() }()
+	select {
+	case err := <-done:
+		t.Fatalf("wait returned %v while the fsync was held", err)
+	default:
+	}
+	release()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil {
+		t.Fatalf("second wait = %v, want the same nil", err)
+	}
+
+	held, release = fsync.Hold()
+	wait, err = w.AppendAsync(2, b[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-held
+	fsync.FailEveryKth(1, nil)
+	release()
+	if err := wait(); !errors.Is(err, faultio.ErrInjected) {
+		t.Fatalf("wait on a failed fsync = %v", err)
+	}
+	if !w.damaged {
+		t.Fatal("failed fsync did not damage the log")
+	}
+	fsync.FailEveryKth(0, nil)
+	if err := w.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := w.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordsEqual(t, recs, b[:1], 1)
+
+	none, err := Open(filepath.Join(t.TempDir(), "none.log"), Options{Sync: SyncNone, Hooks: Hooks{BeforeSync: fsync.Check}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer none.Close()
+	calls := fsync.Calls()
+	wait, err = none.AppendAsync(1, b[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wait(); err != nil || fsync.Calls() != calls {
+		t.Fatalf("SyncNone: wait = %v, fsyncs %d → %d, want nil and none", err, calls, fsync.Calls())
+	}
+}
+
 // TestRepairWhileFsyncStillFailing pins retryability: Repair under a
 // still-failing fsync reports the error, leaves the log damaged, and
 // succeeds once the fault clears.
