@@ -49,7 +49,8 @@ func main() {
 	dopts := graphbolt.DurableOptions{CheckpointEvery: 2}
 
 	// Durable run: OpenDurable performs the initial computation, then
-	// each batch is journaled before it is applied.
+	// each batch is journaled, and its result is published only once
+	// the record is durable.
 	d, err := graphbolt.OpenDurable(newEngine(), dir, dopts)
 	if err != nil {
 		log.Fatal(err)

@@ -178,8 +178,9 @@ type (
 )
 
 // DurableEngine wraps an Engine with a write-ahead log and periodic
-// checkpoints: every batch is journaled before it mutates memory, and
-// OpenDurable recovers the exact pre-crash state from disk.
+// checkpoints: every batch is journaled before its result is
+// published, and OpenDurable recovers the exact pre-crash state from
+// disk.
 type DurableEngine[V, A any] = durable.Engine[V, A]
 
 // DurableOptions configures journaling and checkpoint cadence.

@@ -71,11 +71,12 @@ func (e *Engine[V, A]) Snapshot() *ResultSnapshot[V] {
 	return e.snap.Load()
 }
 
-// publish copies the live result state into a fresh ResultSnapshot and
-// swaps it in atomically. Called by the single writer at the end of
-// every successful Run/ApplyBatch/ReadSnapshot; the O(V) value copy is
-// what buys readers lock-free access to a stable generation.
-func (e *Engine[V, A]) publish() {
+// Publish copies the live result state into a fresh ResultSnapshot and
+// swaps it in atomically, as the next generation: it makes the state
+// Stage left visible to readers. Called by the single writer at the end
+// of every successful Run/ApplyBatch/ReadSnapshot; the O(V) value copy
+// is what buys readers lock-free access to a stable generation.
+func (e *Engine[V, A]) Publish() {
 	gen := uint64(1)
 	if prev := e.snap.Load(); prev != nil {
 		gen = prev.Generation + 1

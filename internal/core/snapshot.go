@@ -209,7 +209,7 @@ func (e *Engine[V, A]) ReadSnapshot(r io.Reader) error {
 	if st.Generation > 0 {
 		e.publishGen(st.Generation)
 	} else {
-		e.publish()
+		e.Publish()
 	}
 	return nil
 }

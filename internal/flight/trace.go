@@ -13,8 +13,9 @@ type Phases struct {
 	Coalesce time.Duration `json:"coalesce"`
 	// Validate is edge validation time at dequeue.
 	Validate time.Duration `json:"validate"`
-	// Journal is WAL append time (including fsync) charged during the
-	// apply call.
+	// Journal is WAL append time charged during the apply call: the
+	// frame write plus the time spent waiting on the fsync after the
+	// engine staged the batch (the rest of the fsync overlaps Apply).
 	Journal time.Duration `json:"journal"`
 	// Apply is engine refinement time, excluding Journal.
 	Apply time.Duration `json:"apply"`

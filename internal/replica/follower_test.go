@@ -162,8 +162,9 @@ func TestDurableFollowerHealsJournalFault(t *testing.T) {
 	ts := httptest.NewServer(h.mux)
 	defer ts.Close()
 
-	// The 4th fsync fails, once: the hook runs on the apply goroutine,
-	// so disarming from inside it is race-free.
+	// The 4th fsync fails, once. The hook runs on the WAL's fsync
+	// goroutine; faultio.Fsync takes its own lock, so disarming from
+	// inside it is race-free.
 	fsync := faultio.NewFsync().FailEveryKth(4, nil)
 	dir := t.TempDir()
 	d, err := durable.Open(newTestEngine(t, 8), dir, durable.Options{

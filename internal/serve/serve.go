@@ -10,8 +10,9 @@
 // goroutine; the loop dequeues batches, optionally coalesces compatible
 // neighbors up to a size cap, and applies them one at a time to the
 // wrapped engine. Wrapping a durable.Engine preserves its
-// journal-before-mutate ordering, because the journaling happens inside
-// the same single-threaded apply call.
+// journal-before-publish ordering, because the journaling, the fsync
+// wait and the publish all happen inside the same single-threaded apply
+// call: no ticket resolves before its record is durable.
 //
 // Coalescing merges a contiguous run of queued batches into one
 // ApplyBatch call, amortizing refinement cost under bursty ingest. Two
@@ -33,8 +34,9 @@
 //     a poison batch never reaches the engine.
 //
 //   - Infrastructure faults (the applier implements Recoverer and
-//     reports an Ailment): the engine's in-memory state is intact but
-//     its storage is refusing writes. The loop enters degraded mode —
+//     reports an Ailment): the published state is intact but storage
+//     is refusing writes (Recover restores the applier's private state
+//     if a failed fsync left a staged batch in it). The loop enters degraded mode —
 //     Submit fails fast with ErrDegraded while reads keep serving —
 //     holds the in-flight batch, and retries Recover under capped
 //     exponential backoff until the fault clears, then replays the held

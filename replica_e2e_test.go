@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -15,7 +16,6 @@ import (
 
 	graphbolt "repro"
 	"repro/internal/backoff"
-	"repro/internal/core/difftest"
 	"repro/internal/faultio"
 	"repro/internal/gen"
 	"repro/internal/obs"
@@ -59,8 +59,8 @@ func waitApplied[V, A any](t *testing.T, f *graphbolt.Follower[V, A], seq uint64
 	}
 }
 
-// compareGenerations asserts follower snapshots match the leader's for
-// every generation in the follower's retained window.
+// compareGenerations asserts follower snapshots match the leader's, bit
+// for bit, for every generation in the follower's retained window.
 func compareGenerations[A any](t *testing.T, leader *graphbolt.Engine[float64, A], f *graphbolt.Follower[float64, A]) {
 	t.Helper()
 	oldest, newest := f.RetainedGenerations()
@@ -80,14 +80,7 @@ func compareGenerations[A any](t *testing.T, leader *graphbolt.Engine[float64, A
 			t.Fatalf("gen %d: structure diverged: leader %d/%d, follower %d/%d", g,
 				ls.Graph.NumVertices(), ls.Graph.NumEdges(), fs.Graph.NumVertices(), fs.Graph.NumEdges())
 		}
-		if len(ls.Values) != len(fs.Values) {
-			t.Fatalf("gen %d: %d leader values, %d follower values", g, len(ls.Values), len(fs.Values))
-		}
-		for v := range ls.Values {
-			if !difftest.Approx(ls.Values[v], fs.Values[v], 0, 1e-7) {
-				t.Fatalf("gen %d vertex %d: leader %v, follower %v", g, v, ls.Values[v], fs.Values[v])
-			}
-		}
+		valuesBitEqual(t, fs.Values, ls.Values, fmt.Sprintf("gen %d follower vs leader", g))
 	}
 }
 

@@ -190,8 +190,9 @@ type ServerOptions struct {
 // generation.
 //
 // Construct with NewServer (in-memory engine) or NewDurableServer
-// (journaled engine — the journal-before-mutate ordering is preserved
-// because journaling happens inside the single-writer apply loop).
+// (journaled engine — the journal-before-publish ordering is preserved
+// because journaling, the fsync wait and the publish happen inside the
+// single-writer apply loop).
 type Server[V, A any] struct {
 	loop   *serve.Loop
 	view   readView[V]
@@ -239,7 +240,7 @@ func NewServer[V, A any](eng *Engine[V, A], opts ServerOptions) *Server[V, A] {
 }
 
 // NewDurableServer wraps a durable engine opened with OpenDurable:
-// every batch is journaled before it mutates memory, inside the
+// every batch is journaled before its result is published, inside the
 // single-writer apply loop. Close also closes the journal.
 func NewDurableServer[V, A any](d *DurableEngine[V, A], opts ServerOptions) *Server[V, A] {
 	if opts.Shards > 1 {
