@@ -17,10 +17,14 @@ vet:
 	$(GO) vet ./...
 
 # The second line checks the engine's one-writer-per-word rule with more
-# workers than the host may have CPUs.
+# workers than the host may have CPUs. The third repeats the graph's
+# snapshot-sharing tests ten times: Apply writes the chain's shared tail
+# chunk while readers scan older snapshots and other forks of the chain
+# apply to it.
 race:
 	$(GO) test -race -shuffle=on ./internal/...
 	$(GO) test -race -cpu 2,4,8 -run 'BitIdentical|DirectionsAgree|GoldenWorkCounters|GoldenValueHashes|ForVertices|MatchLigraAtEveryLevel|WitnessMatchesFullRepull|StoppedRunHasConverged' ./internal/core
+	$(GO) test -race -count=10 -run 'ReadersOfOldSnapshots|ConcurrentForks|ChainedApply' ./internal/graph
 
 # check-race runs the whole module under the race detector, including
 # the root-package serving stress test (concurrent readers vs the

@@ -114,8 +114,9 @@ type Options struct {
 	Metrics *obs.Registry
 
 	// Flight, when non-nil, receives the engine's phase events ("run",
-	// "apply_batch", "refine", "hybrid") as KindPhase entries stamped
-	// with the batch on the apply path. Not part of checkpointed state.
+	// "apply_batch", and within it "graph_apply", "refine", "hybrid") as
+	// KindPhase entries stamped with the batch on the apply path. Not
+	// part of checkpointed state.
 	Flight *flight.Recorder
 }
 

@@ -45,6 +45,7 @@ func (e *Engine[V, A]) Stage(b graph.Batch) (Stats, error) {
 		start := time.Now()
 		oldG := e.g
 		newG, res := oldG.Apply(b)
+		e.opts.Flight.Phase("graph_apply", start, time.Since(start))
 
 		switch {
 		case !e.ran:

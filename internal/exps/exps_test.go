@@ -151,3 +151,36 @@ func TestTakeBatchTrims(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleGraphApplyIsFlat: at -scale 0.1, a 1-edge graph.Apply on the
+// largest graph (V = 104 857) costs at most twice what it costs on the
+// smallest (V = 1 638): the mutation costs its batch, not the graph. It
+// checks the graph.Apply-alone column; inside ApplyBatch the large graph
+// is out of cache, which no layout removes. The cells are medians of
+// wall-clock times on a shared host, so a ratio over 2 is measured again,
+// up to three times; a term that grows with V fails every attempt.
+func TestScaleGraphApplyIsFlat(t *testing.T) {
+	cfg := Config{Scale: 0.1, Iterations: 5, Seed: 9}
+	var small, large ScaleRow
+	for attempt := 0; attempt < 3; attempt++ {
+		small, large = ScaleRow{}, ScaleRow{}
+		for _, row := range ScaleRows(cfg) {
+			if row.Batch != 1 {
+				continue
+			}
+			if small.Vertices == 0 || row.Vertices < small.Vertices {
+				small = row
+			}
+			if row.Vertices > large.Vertices {
+				large = row
+			}
+		}
+		if large.Alone <= 2*small.Alone {
+			return
+		}
+		t.Logf("attempt %d: 1-edge graph.Apply %v at V=%d, %v at V=%d",
+			attempt, small.Alone, small.Vertices, large.Alone, large.Vertices)
+	}
+	t.Fatalf("1-edge graph.Apply %v at V=%d is over twice its %v at V=%d",
+		large.Alone, large.Vertices, small.Alone, small.Vertices)
+}

@@ -26,10 +26,10 @@ func Table9(cfg Config) error {
 		g := s.Base
 		n := int64(g.NumVertices())
 		m := g.NumEdges()
-		// Shared baseline: both adjacency directions (targets 4B and
-		// weights 8B per edge, a 48B list header per vertex) plus two
-		// value arrays and one aggregate array per vertex.
-		graphBytes := 2 * (m*(4+8) + n*48)
+		// Shared baseline: both adjacency directions as the graph
+		// stores them (graph.Graph.Bytes) plus two value arrays and one
+		// aggregate array per vertex.
+		graphBytes := g.Bytes()
 
 		perAlgo := []struct {
 			name     string
@@ -86,6 +86,7 @@ func All() []Experiment {
 		{"table9", "memory overhead of dependency tracking", Table9},
 		{"ablation", "design-choice ablations: pruning, delta vs R+P", Ablation},
 		{"tagfrac", "tag-propagation reset fraction vs actual change (§2.2)", TagFraction},
+		{"scale", "small-batch graph.Apply vs the rest of ApplyBatch as |V| grows", Scale},
 	}
 }
 

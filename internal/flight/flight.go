@@ -10,9 +10,9 @@
 // published — can be reconstructed after the fact. Events that do not
 // belong to a batch (health transitions, repair attempts) carry trace 0.
 // The engine and the durable layer time their phases ("run",
-// "apply_batch", "refine", "hybrid", "recovery", "checkpoint") straight
-// into the ring through Phase, so one event stream time-correlates all
-// of it and no phase is timed anywhere else.
+// "apply_batch", "graph_apply", "refine", "hybrid", "recovery",
+// "checkpoint") straight into the ring through Phase, so one event
+// stream time-correlates all of it and no phase is timed anywhere else.
 //
 // The ring overwrites its oldest entries when full: the recorder is a
 // flight recorder, not a log — it preserves the most recent window

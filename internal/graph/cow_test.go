@@ -142,11 +142,11 @@ func TestApplySharesUntouchedPages(t *testing.T) {
 		Add: []Edge{{src, dst, 2}},
 		Del: []Edge{{From: VertexID(2 * pageSize), To: VertexID(7 * pageSize)}}, // matches nothing
 	})
-	for pi := range g.out {
-		if shared, want := ng.out[pi] == g.out[pi], pi != int(src>>pageShift); shared != want {
+	for pi := range g.out.pages {
+		if shared, want := ng.out.pages[pi] == g.out.pages[pi], pi != int(src>>pageShift); shared != want {
 			t.Errorf("out page %d shared = %v, want %v", pi, shared, want)
 		}
-		if shared, want := ng.in[pi] == g.in[pi], pi != int(dst>>pageShift); shared != want {
+		if shared, want := ng.in.pages[pi] == g.in.pages[pi], pi != int(dst>>pageShift); shared != want {
 			t.Errorf("in page %d shared = %v, want %v", pi, shared, want)
 		}
 	}

@@ -4,15 +4,20 @@
 // the next snapshot in time proportional to the batch.
 //
 // Each direction is a paged, copy-on-write adjacency: a page table of
-// fixed-size vertex pages whose entries are immutable per-vertex
-// (targets, weights) lists. Apply copies the page table, clones the pages
-// of the vertices a batch names and re-merges only those vertices' lists;
-// every other page and list is shared with the snapshot it came from.
-// This departs from §4.1 of the paper, which rewrites the whole CSR in
-// two passes: that rewrite is amortised over 1K-100K-edge batches on
-// 10^9-edge graphs, whereas a serving batch here is tens of edges, so
-// anything proportional to |E| per batch is the whole write path (see
-// DESIGN.md §5, "Mutation application").
+// fixed-size vertex pages whose entries are spans (chunk, offset, length)
+// into append-only edge chunks that the snapshots of one chain share.
+// Pages hold no pointers. Apply copies the page table, clones the pages
+// of the vertices a batch names, and writes only those vertices' merged
+// lists past the end of the chain's tail chunk, where no existing
+// snapshot looks; every other page and list is shared with the snapshot
+// it came from. A replaced list stays in its chunk as dead entries; once
+// they outnumber half the live ones, Apply evicts the mostly-dead chunks
+// from the new snapshot and moves the lists still in them. This departs
+// from §4.1 of the paper, which rewrites the whole CSR in two passes:
+// that rewrite is amortised over 1K-100K-edge batches on 10^9-edge
+// graphs, whereas a serving batch here is tens of edges, so anything
+// proportional to |E| per batch is the whole write path (see DESIGN.md
+// §5, "Mutation application").
 //
 // Adjacency lists are kept sorted by (neighbor id, weight), which makes
 // deletion a merge, lookup a binary search, and triangle counting a
@@ -23,7 +28,9 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/parallel"
 )
@@ -37,54 +44,132 @@ type Edge struct {
 	Weight   float64
 }
 
-// pageShift sets the page size, the unit of copy-on-write. A 20-edge
-// batch clones up to 40 pages at 48 bytes x pageSize each and copies two
-// page tables of 8 bytes x V/pageSize. BenchmarkApplySmallBatch at page
-// sizes 16/32/64/128 measured 29/33/45/72 us per batch at V=10^4 (page
-// clones dominate) and 470/260/150/140 us at V=10^6 (page tables, and
-// the GC cycles their garbage buys, dominate): 64 is the smallest size
-// that is flat at the large end. Neighbor scans do not care
-// (BenchmarkNeighborScan reads the same from 16 to 128).
+// pageShift sets the page size, the unit of copy-on-write. A page holds
+// spans, not pointers: cloning one is a 12 x pageSize-byte copy the GC
+// neither scans nor write-barriers. A batch clones up to one page per
+// touched vertex and direction, and copies two page tables of 8 bytes x
+// V/pageSize. A chain of batches on a uniform graph of average degree 8
+// (2-vCPU host) read, at shifts 6/7/8/9, 5.5/5.2/4.5/5.6 us per 1-edge
+// batch and 55/59/66/83 us per 20-edge batch at V=2^14, and 61/30/19/16
+// us per 1-edge batch at V=2^20, where the page tables dominate. 256 is
+// the size at which a 1-edge batch grows least from 2^14 to 2^20 without
+// small batches paying for big page clones. Neighbor scans do not care.
 const (
-	pageShift = 6
+	pageShift = 8
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
 )
 
-// list is one vertex's neighbors in one direction, sorted by (target,
-// weight), with parallel weights. A list is never written after the
-// snapshot that created it is returned.
-type list struct {
-	targets []VertexID
-	weights []float64
-}
+// Edge chunks. A chunk holds chunkEntries (target, weight) entries; a
+// list longer than ownChunkOver gets a chunk of exactly its length, so a
+// list never wastes more than a quarter of a chunk when it does not fit
+// the tail. Dead entries are reclaimed once they exceed half the live
+// ones and compactFloor (see adjacency.compactIfDead).
+const (
+	chunkEntries = 1 << 14
+	ownChunkOver = chunkEntries / 4
+	compactFloor = 2 * chunkEntries
+)
 
-// page holds the lists of pageSize consecutive vertices. Like a list, a
-// page is immutable once its snapshot is returned; entries past the
-// vertex count are empty.
-type page [pageSize]list
+// span locates one vertex's list in one direction: n entries from off in
+// chunk number chunk. The zero span is the empty list; it is never
+// resolved, so an empty list does not depend on any chunk.
+type span struct{ chunk, off, n uint32 }
+
+// page holds the spans of pageSize consecutive vertices. A page is
+// immutable once its snapshot is returned; entries past the vertex count
+// are empty.
+type page [pageSize]span
 
 // emptyPage backs every page no edge has touched yet (vertex growth
 // allocates page-table slots, not pages). It is never written.
 var emptyPage page
 
-// adjacency is one direction of the graph: the page table. Neighbors of v
-// are a[v>>pageShift][v&pageMask] — two dependent loads, no allocation.
-type adjacency []*page
+// chunk is one slot of a snapshot's chunk list: a pair of parallel entry
+// arrays and the log of the vertices whose lists were written to them,
+// all shared with the other snapshots of the chain, and this snapshot's
+// count of the entries that its lists use (live) and that were written
+// for its lineage (stored: live, dead, and an unused end abandoned when
+// the chunk stopped being a tail). An entry is written once, past the
+// store's used mark, and never again; the owner log only grows. A zero
+// slot is a chunk this snapshot does not hold.
+type chunk struct {
+	ts           []VertexID
+	ws           []float64
+	owners       []VertexID
+	live, stored uint32
+}
+
+// store is what the snapshots of one chain share in one direction: the
+// chunk counter and two tail chunks, one that Apply appends merged lists
+// to and one that compaction moves surviving lists to. A list that
+// survived a compaction belongs to a vertex batches have not touched for
+// a while; appended apart from freshly merged lists, it is not moved
+// again with them (on an RMAT stream of 20-edge batches, one shared tail
+// made Apply 25 % slower). The store holds no list of chunks, so a
+// retained old snapshot keeps alive only the chunks its own list names.
+type store struct {
+	mu    sync.Mutex
+	next  uint32 // the number the next new chunk gets
+	tails [2]tail
+}
+
+// The two tails of a store.
+const (
+	merged = iota
+	survivors
+)
+
+// tail is a chunk that lists are being appended to.
+type tail struct {
+	num  uint32
+	c    chunk // arrays and owners only; the counts live in each snapshot's list
+	used int   // entries of c handed out; everything past it is unreferenced
+}
+
+// adjacency is one direction of a snapshot. Neighbors of v are the span
+// pages[v>>pageShift][v&pageMask] resolved in chunks — three dependent
+// loads, no allocation.
+type adjacency struct {
+	pages  []*page
+	chunks []chunk // indexed by chunk number
+	st     *store
+	stored int64 // the chunks' stored counts summed; stored - NumEdges is dead space
+}
 
 func numPages(n int) int { return (n + pageSize - 1) >> pageShift }
 
-func (a adjacency) list(v VertexID) *list {
-	return &a[v>>pageShift][v&pageMask]
+func (a *adjacency) span(v VertexID) span {
+	return a.pages[v>>pageShift][v&pageMask]
 }
 
-func (a adjacency) degree(v VertexID) int {
-	return len(a.list(v).targets)
+func (a *adjacency) degree(v VertexID) int {
+	return int(a.span(v).n)
 }
 
-func (a adjacency) neighbors(v VertexID) ([]VertexID, []float64) {
-	l := a.list(v)
-	return l.targets, l.weights
+func (a *adjacency) neighbors(v VertexID) ([]VertexID, []float64) {
+	s := a.span(v)
+	if s.n == 0 {
+		return nil, nil
+	}
+	c := &a.chunks[s.chunk]
+	lo, hi := s.off, s.off+s.n
+	// Full slice expressions: a list must not see its neighbor's entries
+	// as spare capacity.
+	return c.ts[lo:hi:hi], c.ws[lo:hi:hi]
+}
+
+// bytes is the memory this direction holds: the page table, the
+// non-empty pages and the stored entries (a 4-byte target and an 8-byte
+// weight each).
+func (a *adjacency) bytes() int64 {
+	b := 8*int64(len(a.pages)) + 12*a.stored
+	for _, pg := range a.pages {
+		if pg != &emptyPage {
+			b += 12 * pageSize // a span is three uint32s
+		}
+	}
+	return b
 }
 
 // Graph is an immutable snapshot of a directed weighted graph. Apply
@@ -120,6 +205,12 @@ func (g *Graph) OutNeighbors(v VertexID) ([]VertexID, []float64) {
 func (g *Graph) InNeighbors(v VertexID) ([]VertexID, []float64) {
 	return g.in.neighbors(v)
 }
+
+// Bytes returns the memory the snapshot's adjacency holds in both
+// directions: page tables, non-empty pages, and every entry stored in
+// its chunks, live or dead. Pages and chunks shared with other snapshots
+// of the chain count in each of them.
+func (g *Graph) Bytes() int64 { return g.out.bytes() + g.in.bytes() }
 
 // HasEdge reports whether at least one edge (u,v) exists.
 func (g *Graph) HasEdge(u, v VertexID) bool {
@@ -167,6 +258,9 @@ func Build(n int, edges []Edge) (*Graph, error) {
 			return nil, fmt.Errorf("graph: edge %d: %w", i, err)
 		}
 	}
+	if int64(len(edges)) > math.MaxUint32 {
+		return nil, fmt.Errorf("graph: %d edges exceed a chunk's %d entries", len(edges), uint32(math.MaxUint32))
+	}
 	g := &Graph{n: n, m: int64(len(edges))}
 	g.out = buildAdjacency(n, edges, false)
 	g.in = buildAdjacency(n, edges, true)
@@ -184,11 +278,10 @@ func MustBuild(n int, edges []Edge) *Graph {
 }
 
 // buildAdjacency counting-sorts the edges into one targets and one
-// weights array per direction and slices every vertex's list out of them.
-// Lists that later batches replace leave their range of those arrays
-// dead but reachable while any original list survives, so a snapshot
-// chain retains at most one Build-sized copy of dead space per direction
-// (12 bytes x len(edges)); rebuilding (a checkpoint restore) drops it.
+// weights array per direction, chunk 0 of a fresh store, and points every
+// vertex's span into it. A chain built from this snapshot writes its
+// lists to later chunks; chunk 0's replaced ranges are dead space until
+// a compaction (or a rebuild, a checkpoint restore) drops them.
 func buildAdjacency(n int, edges []Edge, transpose bool) adjacency {
 	key := func(e Edge) (VertexID, VertexID) {
 		if transpose {
@@ -218,26 +311,35 @@ func buildAdjacency(n int, edges []Edge, transpose bool) adjacency {
 		lo, hi := offsets[v], offsets[v+1]
 		sortNeighborRange(targets[lo:hi], weights[lo:hi])
 	})
+	var owners []VertexID
+	for v := 0; v < n; v++ {
+		if offsets[v] < offsets[v+1] {
+			owners = append(owners, VertexID(v))
+		}
+	}
+	a := adjacency{
+		pages:  make([]*page, numPages(n)),
+		chunks: []chunk{{targets, weights, owners, uint32(len(edges)), uint32(len(edges))}},
+		st:     &store{next: 1},
+		stored: int64(len(edges)),
+	}
 	// Pages are allocated in vertex order, one after the other, so a scan
 	// over all vertices walks memory forward.
-	a := make(adjacency, numPages(n))
-	for pi := range a {
+	for pi := range a.pages {
 		first := pi << pageShift
 		last := min(first+pageSize, n)
 		if offsets[first] == offsets[last] {
-			a[pi] = &emptyPage
+			a.pages[pi] = &emptyPage
 			continue
 		}
 		pg := new(page)
 		for v := first; v < last; v++ {
-			// Empty lists stay nil: an empty slice would still pin the
-			// arrays. Full slice expressions: a list must not see its
-			// neighbor's range as spare capacity.
+			// An empty list stays the zero span.
 			if lo, hi := offsets[v], offsets[v+1]; lo < hi {
-				pg[v&pageMask] = list{targets[lo:hi:hi], weights[lo:hi:hi]}
+				pg[v&pageMask] = span{0, uint32(lo), uint32(hi - lo)}
 			}
 		}
-		a[pi] = pg
+		a.pages[pi] = pg
 	}
 	return a
 }
