@@ -2,8 +2,10 @@ GO ?= go
 FUZZTIME ?= 30s
 
 # Per-package statement-coverage floors enforced by `make cover`.
-COVER_FLOOR_core  = 70
-COVER_FLOOR_serve = 70
+COVER_FLOOR_core    = 70
+COVER_FLOOR_serve   = 70
+COVER_FLOOR_replica = 80
+COVER_FLOOR_durable = 75
 
 .PHONY: build test check check-race race vet fmt bench fuzz cover chaos flight shard replica failover
 
@@ -143,8 +145,10 @@ cover:
 			if (cov == "") next; \
 			printf "%-40s %6.1f%%\n", pkg, cov; \
 			floor = 0; \
-			if (pkg == "repro/internal/core")  floor = $(COVER_FLOOR_core); \
-			if (pkg == "repro/internal/serve") floor = $(COVER_FLOOR_serve); \
+			if (pkg == "repro/internal/core")    floor = $(COVER_FLOOR_core); \
+			if (pkg == "repro/internal/serve")   floor = $(COVER_FLOOR_serve); \
+			if (pkg == "repro/internal/replica") floor = $(COVER_FLOOR_replica); \
+			if (pkg == "repro/internal/durable") floor = $(COVER_FLOOR_durable); \
 			if (floor > 0 && cov + 0 < floor) { \
 				printf "FAIL: %s coverage %.1f%% is under the %d%% floor\n", pkg, cov, floor; \
 				bad = 1; \

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"slices"
 	"testing"
 	"time"
 
@@ -119,10 +120,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 
 	var (
-		validTickets  []*graphbolt.SubmitTicket
-		poisonTickets []*graphbolt.SubmitTicket
-		poisonSeqs    []uint64 // accepted-submission ordinals of the poisons
-		submitted     uint64
+		tickets    []*graphbolt.SubmitTicket // every accepted submission, in order
+		poisonSeqs []uint64                  // accepted-submission ordinals of the poisons
 	)
 	for i, b := range strm.Batches[:nBatches] {
 		// Scripted faults, armed from the producer goroutine while the
@@ -134,13 +133,10 @@ func TestChaosSoak(t *testing.T) {
 			inj.FailNWrites(2, nil) // transient outage: next two writes refused
 		}
 		if i%29 == 7 {
-			k := len(poisonSeqs)
-			poisonTickets = append(poisonTickets, submit(mkPoison(k)))
-			submitted++
-			poisonSeqs = append(poisonSeqs, submitted)
+			tickets = append(tickets, submit(mkPoison(len(poisonSeqs))))
+			poisonSeqs = append(poisonSeqs, uint64(len(tickets)))
 		}
-		validTickets = append(validTickets, submit(b))
-		submitted++
+		tickets = append(tickets, submit(b))
 	}
 
 	// Disarm the disk before draining: every held batch must now land.
@@ -148,16 +144,22 @@ func TestChaosSoak(t *testing.T) {
 	if _, err := srv.Sync(ctx); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	for i, tk := range validTickets {
-		if _, err := tk.Wait(ctx); err != nil {
-			t.Fatalf("valid batch %d resolved with %v", i+1, err)
+	// Exactly the scripted poisons were rejected, identified by their
+	// submission ordinals, each wrapping the validation sentinel; every
+	// other batch applied.
+	var rejected []uint64
+	for i, tk := range tickets {
+		_, err := tk.Wait(ctx)
+		switch {
+		case err == nil:
+		case errors.Is(err, graphbolt.ErrInvalidBatch):
+			rejected = append(rejected, uint64(i+1))
+		default:
+			t.Fatalf("submission %d resolved with %v", i+1, err)
 		}
 	}
-	for i, tk := range poisonTickets {
-		_, err := tk.Wait(ctx)
-		if !errors.Is(err, graphbolt.ErrInvalidBatch) {
-			t.Fatalf("poison batch %d resolved with %v, want ErrInvalidBatch", i+1, err)
-		}
+	if !slices.Equal(rejected, poisonSeqs) {
+		t.Fatalf("rejected submissions %v, want the poisons %v", rejected, poisonSeqs)
 	}
 
 	// The server must end Healthy. An out-of-band checkpoint ailment can
@@ -173,24 +175,7 @@ func TestChaosSoak(t *testing.T) {
 		t.Fatalf("loop reported terminal failure: %v", err)
 	}
 
-	// Exactly the scripted poisons were quarantined, keyed by their
-	// submission ordinals, each wrapping the validation sentinel.
-	if got := srv.QuarantinedTotal(); got != uint64(len(poisonSeqs)) {
-		t.Fatalf("QuarantinedTotal() = %d, want %d", got, len(poisonSeqs))
-	}
-	q := srv.Quarantined()
-	if len(q) != len(poisonSeqs) {
-		t.Fatalf("Quarantined() holds %d records, want %d", len(q), len(poisonSeqs))
-	}
-	for i, pb := range q {
-		if pb.Seq != poisonSeqs[i] {
-			t.Fatalf("quarantine record %d has Seq %d, want %d", i, pb.Seq, poisonSeqs[i])
-		}
-		if !errors.Is(pb.Err, graphbolt.ErrInvalidBatch) {
-			t.Fatalf("quarantine record %d error %v does not wrap ErrInvalidBatch", i, pb.Err)
-		}
-	}
-	nValid := uint64(len(validTickets))
+	nValid := uint64(len(tickets) - len(poisonSeqs))
 	if got := srv.Generation(); got != gen0+nValid {
 		t.Fatalf("Generation() = %d, want %d (one per surviving batch)", got, gen0+nValid)
 	}

@@ -43,10 +43,10 @@
 // loops) reports into the one registry the command builds.
 //
 // With -retain N, the last N published generations stay addressable for
-// point-in-time reads (Server.SnapshotAt, Server.Diff); -query-cache B
-// gives the server a B-byte per-generation cache memoizing derived
-// reads, with hit/miss/bytes visible under graphbolt_qcache_* in
-// /metrics:
+// point-in-time reads (Server.SnapshotAt; /v1/snapshot/{gen} and ?gen=
+// over -api-addr); -query-cache B gives the server a B-byte
+// per-generation cache memoizing derived reads, with hit/miss/bytes
+// visible under graphbolt_qcache_* in /metrics:
 //
 //	graphbolt -graph base.el -stream stream.el -readers 4 -retain 16 -query-cache 1048576
 //
@@ -60,7 +60,7 @@
 //	graphbolt -graph base.el -stream stream.el -flight
 //
 // With -api-addr, the HTTP/JSON query API — /v1/snapshot,
-// /v1/snapshot/{gen}, /v1/topk, /v1/value/{vertex}, /v1/diff — plus
+// /v1/snapshot/{gen}, /v1/topk, /v1/value/{vertex} — plus
 // /healthz and the /metrics family is served on that address, for
 // scalar-valued algorithms. When -wal-dir is also set, the same listener
 // serves the replication stream at GET /v1/wal: every journaled record,
@@ -198,7 +198,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.Int64Var(&c.queryCache, "query-cache", 0, "per-generation query cache budget in bytes (0 = off)")
 	fs.BoolVar(&c.flightOn, "flight", false, "enable the batch-lifecycle flight recorder: trace IDs on every batch, /debug/flight, dumps on degrade")
 	fs.IntVar(&c.flightDepth, "flight-depth", 0, "flight recorder ring capacity in events (0 = default 4096; with -flight)")
-	fs.StringVar(&c.apiAddr, "api-addr", "", "serve the HTTP/JSON query API (/v1/snapshot, /v1/topk, /v1/value, /v1/diff) on this address; with -wal-dir also the replication stream at /v1/wal")
+	fs.StringVar(&c.apiAddr, "api-addr", "", "serve the HTTP/JSON query API (/v1/snapshot, /v1/topk, /v1/value) on this address; with -wal-dir also the replication stream at /v1/wal")
 	fs.StringVar(&c.follow, "follow", "", "run as a read replica tailing this leader URL's /v1/wal stream (e.g. http://leader:8080); refuses writes, serves the query API on -api-addr")
 	fs.DurationVar(&c.stallTimeout, "stall-timeout", 0, "follower stream-stall watchdog: drop and re-dial a connection that carries neither records nor heartbeats for this long (0 = default 15s; negative disables; with -follow)")
 	if err := fs.Parse(args); err != nil {

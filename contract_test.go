@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -175,24 +176,32 @@ func contractPoisonQuarantinedOnce(t *testing.T, shards int) {
 		{From: 0, To: 2, Weight: 1},
 		{From: 5, To: 7, Weight: math.NaN()},
 	}}
+	// rejected collects the 1-based ordinals of the submissions whose
+	// tickets failed validation.
+	var rejected []int
+	subs := 0
+	submitWait := func(b graphbolt.Batch) error {
+		subs++
+		_, err := srv.SubmitWait(ctx, b)
+		if errors.Is(err, graphbolt.ErrInvalidBatch) {
+			rejected = append(rejected, subs)
+		}
+		return err
+	}
 	for i := 0; i < 6; i++ {
 		if i == 3 {
-			if _, err := srv.SubmitWait(ctx, poison); !errors.Is(err, graphbolt.ErrInvalidBatch) {
+			if err := submitWait(poison); !errors.Is(err, graphbolt.ErrInvalidBatch) {
 				t.Fatalf("poison SubmitWait = %v, want ErrInvalidBatch", err)
 			}
 		}
 		b := randomClosedBatch(rng, mirror, pools)
 		mirror = mirror.apply(b)
-		if _, err := srv.SubmitWait(ctx, b); err != nil {
+		if err := submitWait(b); err != nil {
 			t.Fatalf("SubmitWait batch %d: %v", i, err)
 		}
 	}
-	if got := srv.QuarantinedTotal(); got != 1 {
-		t.Fatalf("QuarantinedTotal() = %d, want 1", got)
-	}
-	q := srv.Quarantined()
-	if len(q) != 1 || !errors.Is(q[0].Err, graphbolt.ErrInvalidBatch) {
-		t.Fatalf("Quarantined() = %+v, want one ErrInvalidBatch record", q)
+	if want := []int{4}; !slices.Equal(rejected, want) {
+		t.Fatalf("rejected submissions %v, want only the poison %v", rejected, want)
 	}
 	if st := srv.Health().State(); st != graphbolt.HealthHealthy {
 		t.Fatalf("health = %v after a quarantined poison, want Healthy", st)

@@ -148,19 +148,14 @@ func TestFailoverCompactionChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var d *graphbolt.DurableEngine[float64, float64]
+	leaderDir := graphbolt.CheckpointDir(t.TempDir())
 	rlog := graphbolt.NewReplicationLog(graphbolt.ReplicationLogOptions{
-		Retain:    5,
-		Heartbeat: 2 * time.Millisecond,
-		Logger:    quietLogger(),
-		CheckpointSeq: func() (uint64, bool) {
-			if d == nil {
-				return 0, false
-			}
-			return d.CheckpointSeq()
-		},
+		Retain:        5,
+		Heartbeat:     2 * time.Millisecond,
+		Logger:        quietLogger(),
+		CheckpointSeq: leaderDir.CheckpointSeq,
 	})
-	d, err = graphbolt.OpenDurable(leaderEng, t.TempDir(), graphbolt.DurableOptions{
+	d, err := graphbolt.OpenDurable(leaderEng, string(leaderDir), graphbolt.DurableOptions{
 		OnRecord:        rlog.Append,
 		CheckpointEvery: 3,
 	})
@@ -172,7 +167,7 @@ func TestFailoverCompactionChaos(t *testing.T) {
 
 	mux := http.NewServeMux()
 	mux.Handle("GET /v1/wal", rlog.Handler())
-	mux.Handle("GET /v1/checkpoint", graphbolt.CheckpointHandler(d))
+	mux.Handle("GET /v1/checkpoint", graphbolt.CheckpointHandler(leaderDir))
 	chaos := &chaosProxy{inner: mux, leaderSeq: rlog.Last}
 	ts := httptest.NewServer(chaos)
 	defer ts.Close()

@@ -243,7 +243,7 @@ func TestFlightRecorderE2E(t *testing.T) {
 	// Phase 3 — /debug/flight serves the same events filtered by trace.
 	req := httptest.NewRequest("GET", "/debug/flight?trace="+strconv.FormatUint(tkBad.Trace(), 10), nil)
 	rw := httptest.NewRecorder()
-	srv.FlightHandler().ServeHTTP(rw, req)
+	srv.Flight().Handler().ServeHTTP(rw, req)
 	if rw.Code != 200 {
 		t.Fatalf("/debug/flight status %d: %s", rw.Code, rw.Body.String())
 	}

@@ -28,9 +28,8 @@
 //
 //	srv := graphbolt.NewServer(eng, graphbolt.ServerOptions{})
 //	srv.Submit(ctx, batch)                               // async ingest
-//	srv.Query(func(s *graphbolt.ResultSnapshot[float64]) {
-//		_ = s.Values[3]                                  // consistent at s.Generation
-//	})
+//	s := srv.Snapshot()                                  // lock-free, immutable
+//	_ = s.Values[3]                                      // consistent at s.Generation
 //	srv.Close(ctx)                                       // drain and stop
 //
 // Algorithms are expressed against the incremental programming model of
@@ -223,11 +222,11 @@ var (
 	// endpoint, NaN or infinite weight).
 	ErrInvalidEdge = graph.ErrInvalidEdge
 	// ErrInvalidBatch tags every batch validation failure — the error
-	// names the offending edge's index and endpoints. A server
-	// quarantines such batches (see Server.Quarantined) rather than
-	// failing; the submitter's ticket carries this sentinel.
+	// names the offending edge's index and endpoints. A server rejects
+	// such batches at dequeue rather than failing; the submitter's
+	// ticket carries this sentinel.
 	ErrInvalidBatch = graph.ErrInvalidBatch
-	// ErrGenerationNotRetained reports a SnapshotAt/Diff generation
+	// ErrGenerationNotRetained reports a SnapshotAt/DiffSnapshots generation
 	// outside the retained history window.
 	ErrGenerationNotRetained = core.ErrGenerationNotRetained
 )

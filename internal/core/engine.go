@@ -205,9 +205,6 @@ func (e *Engine[V, A]) Rebuild(base *graph.Graph, replay func(*Engine[V, A]) err
 // keeps addressable via SnapshotAt (1 when retention is off).
 func (e *Engine[V, A]) RetainDepth() int { return e.retain() }
 
-// Program returns the program the engine executes.
-func (e *Engine[V, A]) Program() Program[V, A] { return e.p }
-
 // Graph returns the graph of the published snapshot (the live graph
 // from the writer's perspective; for lock-free reads concurrent with
 // ApplyBatch, prefer Snapshot, which pairs the graph with its values).

@@ -152,13 +152,6 @@ func (e *Engine[V, A]) DiffSnapshots(from, to uint64) (*SnapshotDiff[V], error) 
 	if err != nil {
 		return nil, err
 	}
-	return diffSnapshots(e.p, fs, ts, from, to), nil
-}
-
-// diffSnapshots computes the changed-vertex diff between two resolved
-// snapshots under p's Changed predicate — the shared core behind
-// Engine.DiffSnapshots and MultiView.DiffSnapshots.
-func diffSnapshots[V, A any](p Program[V, A], fs, ts *ResultSnapshot[V], from, to uint64) *SnapshotDiff[V] {
 	d := &SnapshotDiff[V]{
 		From:        from,
 		To:          to,
@@ -173,12 +166,12 @@ func diffSnapshots[V, A any](p Program[V, A], fs, ts *ResultSnapshot[V], from, t
 		if v < len(vals) {
 			return vals[v]
 		}
-		return p.InitValue(VertexID(v))
+		return e.p.InitValue(VertexID(v))
 	}
 	changed := bitset.New(n)
 	// For's DefaultGrain chunks are whole 512-vertex blocks: one writer per word of changed.
 	parallel.For(n, func(v int) {
-		if p.Changed(valueAt(fs.Values, v), valueAt(ts.Values, v)) {
+		if e.p.Changed(valueAt(fs.Values, v), valueAt(ts.Values, v)) {
 			changed.Set(VertexID(v))
 		}
 	})
@@ -189,5 +182,5 @@ func diffSnapshots[V, A any](p Program[V, A], fs, ts *ResultSnapshot[V], from, t
 		d.Before[i] = valueAt(fs.Values, int(v))
 		d.After[i] = valueAt(ts.Values, int(v))
 	}
-	return d
+	return d, nil
 }

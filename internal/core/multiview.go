@@ -10,9 +10,9 @@ import (
 
 // MultiView merges the published snapshots of N per-shard engines into
 // one composite read view with the exact semantics of a single engine's
-// snapshot stream: Snapshot, SnapshotAt, RetainedGenerations, Wait (via
-// Generation ordering) and DiffSnapshots all behave as if one engine
-// had applied the merged mutation stream.
+// snapshot stream: Snapshot, SnapshotAt, RetainedGenerations and Wait
+// (via Generation ordering) all behave as if one engine had applied the
+// merged mutation stream.
 //
 // The partition applier owns publication: after every shard engine has
 // applied its share of a batch (no batch partially applied), it calls
@@ -132,18 +132,4 @@ func (m *MultiView[V, A]) RetainedGenerations() (oldest, newest uint64) {
 		oldest = newest - k + 1
 	}
 	return oldest, newest
-}
-
-// DiffSnapshots compares two retained merged generations under the
-// program's Changed predicate, exactly like Engine.DiffSnapshots.
-func (m *MultiView[V, A]) DiffSnapshots(from, to uint64) (*SnapshotDiff[V], error) {
-	fs, err := m.SnapshotAt(from)
-	if err != nil {
-		return nil, err
-	}
-	ts, err := m.SnapshotAt(to)
-	if err != nil {
-		return nil, err
-	}
-	return diffSnapshots(m.engines[0].p, fs, ts, from, to), nil
 }

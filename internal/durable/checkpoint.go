@@ -85,35 +85,6 @@ func openCheckpointFile(dir string) (*CheckpointFile, error) {
 	return &CheckpointFile{f: f, seq: seq, size: st.Size()}, nil
 }
 
-// OpenCheckpoint opens the engine's latest on-disk checkpoint for
-// reading (ErrNoCheckpoint if none has been written yet). Safe from any
-// goroutine, concurrently with the writer checkpointing: the handle
-// pins whichever complete checkpoint the atomic rename had published at
-// open time.
-func (d *Engine[V, A]) OpenCheckpoint() (*CheckpointFile, error) {
-	return openCheckpointFile(d.dir)
-}
-
-// CheckpointSeq returns the sequence number covered by the latest
-// on-disk checkpoint and whether one exists. Safe from any goroutine —
-// the replication log's compaction responses call it from HTTP handlers
-// to hint followers where to re-seed from.
-func (d *Engine[V, A]) CheckpointSeq() (uint64, bool) {
-	p := d.ckptSeq.Load()
-	if p == nil {
-		return 0, false
-	}
-	return *p, true
-}
-
-// noteCheckpoint records (race-safely) that a checkpoint covering seq
-// is now on disk. Called by the single writer after recover, Checkpoint
-// and InstallCheckpoint.
-func (d *Engine[V, A]) noteCheckpoint(seq uint64) {
-	s := seq
-	d.ckptSeq.Store(&s)
-}
-
 // CheckpointDir exposes the checkpoint of a durable directory without
 // holding the engine that owns it — the serving process mounts its
 // checkpoint endpoint before (or without) keeping a handle to the
@@ -123,13 +94,17 @@ func (d *Engine[V, A]) noteCheckpoint(seq uint64) {
 type CheckpointDir string
 
 // OpenCheckpoint opens the directory's latest checkpoint
-// (ErrNoCheckpoint if none exists).
+// (ErrNoCheckpoint if none exists). Safe from any goroutine,
+// concurrently with the writer checkpointing: the handle pins whichever
+// complete checkpoint the atomic rename had published at open time.
 func (dir CheckpointDir) OpenCheckpoint() (*CheckpointFile, error) {
 	return openCheckpointFile(string(dir))
 }
 
 // CheckpointSeq reports the sequence covered by the directory's latest
-// checkpoint, false if none exists or it is unreadable.
+// checkpoint, false if none exists or it is unreadable. Safe from any
+// goroutine — the replication log's compaction responses call it from
+// HTTP handlers to hint followers where to re-seed from.
 func (dir CheckpointDir) CheckpointSeq() (uint64, bool) {
 	cf, err := openCheckpointFile(string(dir))
 	if err != nil {
@@ -141,7 +116,7 @@ func (dir CheckpointDir) CheckpointSeq() (uint64, bool) {
 
 // InstallCheckpoint re-seeds the engine from a checkpoint streamed from
 // elsewhere — the follower half of checkpoint shipping. The stream must
-// be a complete framed checkpoint as served by OpenCheckpoint. On
+// be a complete framed checkpoint as served by CheckpointDir. On
 // success the engine's state is exactly the leader's at the returned
 // sequence number, the checkpoint is durably on disk, and the local
 // journal is truncated (its records are ≤ the new base and would be
@@ -181,7 +156,6 @@ func (d *Engine[V, A]) InstallCheckpoint(r io.Reader) (uint64, error) {
 	}
 	d.seq, d.snapSeq = seq, seq
 	d.since = 0
-	d.noteCheckpoint(seq)
 	if err := d.w.Reset(); err != nil {
 		d.ailment = err
 		return seq, err

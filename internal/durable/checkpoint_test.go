@@ -12,10 +12,11 @@ import (
 )
 
 // TestOpenCheckpointShipsRecoverableState is the checkpoint-shipping
-// round trip: the bytes OpenCheckpoint streams from a leader, fed to
-// InstallCheckpoint on a fresh follower, must leave the follower at the
-// leader's exact sequence, values and snapshot generation — and the
-// installed checkpoint must survive the follower's own crash recovery.
+// round trip: the bytes CheckpointDir.OpenCheckpoint streams from a
+// leader's directory, fed to InstallCheckpoint on a fresh follower,
+// must leave the follower at the leader's exact sequence, values and
+// snapshot generation — and the installed checkpoint must survive the
+// follower's own crash recovery.
 func TestOpenCheckpointShipsRecoverableState(t *testing.T) {
 	base, batches := testStream(t)
 
@@ -25,10 +26,11 @@ func TestOpenCheckpointShipsRecoverableState(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer leader.Close()
-	if _, err := leader.OpenCheckpoint(); !errors.Is(err, ErrNoCheckpoint) {
+	src := CheckpointDir(leaderDir)
+	if _, err := src.OpenCheckpoint(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("OpenCheckpoint before any checkpoint: %v, want ErrNoCheckpoint", err)
 	}
-	if _, ok := leader.CheckpointSeq(); ok {
+	if _, ok := src.CheckpointSeq(); ok {
 		t.Fatal("CheckpointSeq reports a checkpoint before any was written")
 	}
 	for _, b := range batches[:3] {
@@ -40,7 +42,7 @@ func TestOpenCheckpointShipsRecoverableState(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cf, err := leader.OpenCheckpoint()
+	cf, err := src.OpenCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,10 +50,7 @@ func TestOpenCheckpointShipsRecoverableState(t *testing.T) {
 	if cf.Seq() != 3 {
 		t.Fatalf("checkpoint covers seq %d, want 3", cf.Seq())
 	}
-	if seq, ok := leader.CheckpointSeq(); !ok || seq != 3 {
-		t.Fatalf("CheckpointSeq = %d, %v; want 3, true", seq, ok)
-	}
-	if seq, ok := CheckpointDir(leaderDir).CheckpointSeq(); !ok || seq != 3 {
+	if seq, ok := src.CheckpointSeq(); !ok || seq != 3 {
 		t.Fatalf("CheckpointDir.CheckpointSeq = %d, %v; want 3, true", seq, ok)
 	}
 	shipped, err := io.ReadAll(cf)
@@ -130,7 +129,7 @@ func TestInstallCheckpointRefusesStale(t *testing.T) {
 	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	cf, err := d.OpenCheckpoint()
+	cf, err := CheckpointDir(dir).OpenCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +176,7 @@ func TestInstallCheckpointRejectsCorruption(t *testing.T) {
 	if err := leader.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	cf, err := leader.OpenCheckpoint()
+	cf, err := CheckpointDir(leaderDir).OpenCheckpoint()
 	if err != nil {
 		t.Fatal(err)
 	}

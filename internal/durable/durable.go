@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -137,10 +136,6 @@ type Engine[V, A any] struct {
 	info    RecoveryInfo
 	met     durableMetrics
 
-	// ckptSeq mirrors snapSeq for concurrent readers (CheckpointSeq);
-	// nil until a checkpoint exists. Only the single writer stores.
-	ckptSeq atomic.Pointer[uint64]
-
 	// ailment is the storage fault keeping the engine from accepting
 	// writes (journal damage, failed checkpoint). While set, ApplyBatch
 	// fails fast; Recover repairs and clears it. The published state
@@ -205,9 +200,6 @@ func (d *Engine[V, A]) recover() error {
 	info.WAL = d.w.Recovery()
 	d.info = info
 	d.seq, d.snapSeq, d.since = seq, info.SnapshotSeq, info.Replayed
-	if info.FromSnapshot {
-		d.noteCheckpoint(info.SnapshotSeq)
-	}
 	if d.opts.OnRecord != nil {
 		for _, rec := range recs {
 			if rec.Seq > d.snapSeq {
@@ -456,7 +448,6 @@ func (d *Engine[V, A]) Checkpoint() error {
 	// records with seq ≤ the checkpoint's sequence number.
 	d.snapSeq = d.seq
 	d.since = 0
-	d.noteCheckpoint(d.snapSeq)
 	if err := d.w.Reset(); err != nil {
 		d.ailment = err
 		return err

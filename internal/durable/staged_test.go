@@ -166,7 +166,7 @@ func TestFsyncFailureAfterStage(t *testing.T) {
 			for i := range failAt {
 				next(i)
 			}
-			if _, found := d.CheckpointSeq(); found != (tc.every > 0) {
+			if _, found := CheckpointDir(dir).CheckpointSeq(); found != (tc.every > 0) {
 				t.Fatalf("checkpoint on disk: %v, want %v", found, tc.every > 0)
 			}
 

@@ -66,8 +66,8 @@ const (
 	// KindValidated: the head batch passed validation at dequeue.
 	// A = validation nanoseconds, B = total edge count.
 	KindValidated
-	// KindQuarantined: the batch failed validation and entered the poison
-	// ring. A = submission sequence number.
+	// KindQuarantined: the batch failed validation at dequeue and was
+	// rejected on its ticket. A = submission sequence number.
 	KindQuarantined
 	// KindJournaled: the batch was appended to the write-ahead log.
 	// A = journal nanoseconds (including fsync), B = WAL sequence number.

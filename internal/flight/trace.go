@@ -5,7 +5,11 @@ import "time"
 // Phases is the per-phase latency breakdown of one applied batch — the
 // per-batch processing-time decomposition of the paper's §6 evaluation,
 // measured from our own pipeline. Journal and Apply are disjoint: Apply
-// is the engine refinement time with the WAL append subtracted out.
+// is the engine's ApplyBatch call with the journal time subtracted out.
+// The serve loop can only subtract what the durable layer charged to
+// its recorder, so Journal is non-zero only when one recorder is set on
+// both the loop and the durable engine; otherwise it is 0 and the WAL
+// append counts in Apply.
 type Phases struct {
 	// QueueWait is Submit-enqueue to dequeue for the head batch.
 	QueueWait time.Duration `json:"queue_wait"`
@@ -13,14 +17,18 @@ type Phases struct {
 	Coalesce time.Duration `json:"coalesce"`
 	// Validate is edge validation time at dequeue.
 	Validate time.Duration `json:"validate"`
-	// Journal is WAL append time charged during the apply call: the
-	// frame write plus the time spent waiting on the fsync after the
-	// engine staged the batch (the rest of the fsync overlaps Apply).
+	// Journal is WAL append time charged to the recorder during the
+	// apply call: the frame write plus the time spent waiting on the
+	// fsync after the engine staged the batch (the rest of the fsync
+	// overlaps Apply). 0 when no recorder receives the journal events.
 	Journal time.Duration `json:"journal"`
-	// Apply is engine refinement time, excluding Journal.
+	// Apply is the engine's ApplyBatch call, excluding Journal: graph
+	// mutation, refinement and the engine's own publish (the O(V) value
+	// copy into the new snapshot), which happens before ApplyBatch
+	// returns.
 	Apply time.Duration `json:"apply"`
-	// Publish is from apply return to snapshot publication and ticket
-	// resolution.
+	// Publish is from ApplyBatch's return to ticket resolution: the
+	// loop's bookkeeping and the flight events, not the snapshot copy.
 	Publish time.Duration `json:"publish"`
 }
 

@@ -24,7 +24,6 @@ import (
 type Source[V any] interface {
 	Snapshot() *core.ResultSnapshot[V]
 	SnapshotAt(gen uint64) (*core.ResultSnapshot[V], error)
-	Diff(from, to uint64) (*core.SnapshotDiff[V], error)
 	RetainedGenerations() (oldest, newest uint64)
 	Cache() *qcache.Cache
 }
@@ -60,17 +59,6 @@ type ValueResponse[V any] struct {
 	Value      jsonValue[V]   `json:"value"`
 }
 
-// DiffResponse is the JSON shape of /v1/diff.
-type DiffResponse[V any] struct {
-	From        uint64           `json:"from"`
-	To          uint64           `json:"to"`
-	Changed     []graph.VertexID `json:"changed"`
-	Before      []jsonValue[V]   `json:"before"`
-	After       []jsonValue[V]   `json:"after"`
-	VertexDelta int              `json:"vertex_delta"`
-	EdgeDelta   int64            `json:"edge_delta"`
-}
-
 // jsonValue carries a vertex value through JSON. Finite values encode
 // as themselves; the float values JSON has no literal for — the +Inf an
 // SSSP snapshot holds for every unreachable vertex, -Inf, NaN — encode
@@ -98,21 +86,12 @@ func (j *jsonValue[V]) UnmarshalJSON(b []byte) error {
 	return json.Unmarshal(b, &j.V)
 }
 
-func jsonValues[V any](vs []V) []jsonValue[V] {
-	out := make([]jsonValue[V], len(vs))
-	for i, v := range vs {
-		out[i].V = v
-	}
-	return out
-}
-
 // API returns the HTTP/JSON query surface over src:
 //
 //	GET /v1/snapshot            newest snapshot metadata
 //	GET /v1/snapshot/{gen}      metadata for a retained generation
 //	GET /v1/topk?k=N[&gen=G]    top-N vertices by value (qcache-memoized)
 //	GET /v1/value/{vertex}[?gen=G]  one vertex's value
-//	GET /v1/diff?from=F&to=T    changed vertices between two generations
 //
 // Errors are JSON ({"error", "detail"}): 400 for malformed parameters,
 // 404 for a vertex outside the snapshot, 410 (Gone) for a generation
@@ -181,30 +160,6 @@ func API[V cmp.Ordered](src Source[V]) http.Handler {
 		}
 		writeJSON(w, ValueResponse[V]{Generation: s.Generation, Vertex: graph.VertexID(v), Value: jsonValue[V]{val}})
 	})
-	mux.HandleFunc("GET /v1/diff", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		from, err1 := strconv.ParseUint(q.Get("from"), 10, 64)
-		to, err2 := strconv.ParseUint(q.Get("to"), 10, 64)
-		if q.Get("from") == "" || q.Get("to") == "" || err1 != nil || err2 != nil {
-			httpError(w, http.StatusBadRequest, "malformed diff parameters",
-				"both from and to must be generation numbers")
-			return
-		}
-		d, err := src.Diff(from, to)
-		if err != nil {
-			snapshotError(w, err)
-			return
-		}
-		resp := DiffResponse[V]{
-			From: d.From, To: d.To,
-			Changed: d.Changed, Before: jsonValues(d.Before), After: jsonValues(d.After),
-			VertexDelta: d.VertexDelta, EdgeDelta: d.EdgeDelta,
-		}
-		if resp.Changed == nil {
-			resp.Changed = []graph.VertexID{}
-		}
-		writeJSON(w, resp)
-	})
 	return mux
 }
 
@@ -233,7 +188,7 @@ func resolveSnapshot[V any](w http.ResponseWriter, src Source[V], genParam strin
 	return s, true
 }
 
-// snapshotError maps SnapshotAt/Diff failures onto status codes: a
+// snapshotError maps SnapshotAt failures onto status codes: a
 // generation outside the retention window is 410 Gone — evicted
 // snapshots never return, so clients should stop asking — with the
 // engine's ErrGenerationNotRetained detail preserved in the body.

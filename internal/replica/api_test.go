@@ -49,9 +49,6 @@ func (s engineSource) Snapshot() *core.ResultSnapshot[float64] { return s.eng.Sn
 func (s engineSource) SnapshotAt(gen uint64) (*core.ResultSnapshot[float64], error) {
 	return s.eng.SnapshotAt(gen)
 }
-func (s engineSource) Diff(from, to uint64) (*core.SnapshotDiff[float64], error) {
-	return s.eng.DiffSnapshots(from, to)
-}
 func (s engineSource) RetainedGenerations() (oldest, newest uint64) {
 	return s.eng.RetainedGenerations()
 }
@@ -125,7 +122,7 @@ func TestAPISnapshotEndpoints(t *testing.T) {
 // is permanently gone, not that they erred.
 func TestAPIEvictedGenerationIs410(t *testing.T) {
 	ts := apiServer(t)
-	for _, path := range []string{"/v1/snapshot/1", "/v1/topk?gen=1", "/v1/value/0?gen=1", "/v1/diff?from=1&to=4"} {
+	for _, path := range []string{"/v1/snapshot/1", "/v1/topk?gen=1", "/v1/value/0?gen=1"} {
 		code, body := getJSON(t, ts, path, nil)
 		if code != http.StatusGone {
 			t.Errorf("%s: status %d, want 410", path, code)
@@ -149,10 +146,6 @@ func TestAPIMalformedRequestsAre400(t *testing.T) {
 		"/v1/topk?gen=xyz",
 		"/v1/value/notanumber",
 		"/v1/value/0?gen=xyz",
-		"/v1/diff?from=1",
-		"/v1/diff?to=2",
-		"/v1/diff?from=a&to=b",
-		"/v1/diff",
 	} {
 		if code, _ := getJSON(t, ts, path, nil); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", path, code)
@@ -215,7 +208,6 @@ func TestAPINonFiniteValues(t *testing.T) {
 	var (
 		val  ValueResponse[float64]
 		topk TopKResponse[float64]
-		diff DiffResponse[float64]
 	)
 	for _, c := range []struct {
 		path  string
@@ -227,9 +219,8 @@ func TestAPINonFiniteValues(t *testing.T) {
 		{"/v1/topk?k=3", &topk, func() bool {
 			return len(topk.Top) == 3 && topk.Top[0].Value.V == inf && topk.Top[1].Value.V == inf && topk.Top[2].Value.V == 3
 		}},
-		{"/v1/diff?from=1&to=2", &diff, func() bool {
-			return len(diff.Changed) == 1 && diff.Changed[0] == 3 && diff.Before[0].V == inf && diff.After[0].V == 3
-		}},
+		{"/v1/value/3?gen=1", &val, func() bool { return val.Value.V == inf }},
+		{"/v1/value/3", &val, func() bool { return val.Value.V == 3 }},
 	} {
 		resp, err := ts.Client().Get(ts.URL + c.path)
 		if err != nil {
@@ -264,22 +255,6 @@ func TestAPIEncodeFailureIs500(t *testing.T) {
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
 		t.Fatalf("status %d body %q (decode: %v), want a JSON 500", rec.Code, rec.Body, err)
-	}
-}
-
-// TestAPIDiff: diff between the retained window's ends reports the
-// changed vertices with parallel before/after arrays.
-func TestAPIDiff(t *testing.T) {
-	ts := apiServer(t)
-	var d DiffResponse[float64]
-	if code, _ := getJSON(t, ts, "/v1/diff?from=3&to=4", &d); code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if d.From != 3 || d.To != 4 {
-		t.Fatalf("diff = %+v", d)
-	}
-	if len(d.Changed) != len(d.Before) || len(d.Changed) != len(d.After) {
-		t.Fatalf("parallel arrays diverge: %d/%d/%d", len(d.Changed), len(d.Before), len(d.After))
 	}
 }
 

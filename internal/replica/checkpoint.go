@@ -16,7 +16,7 @@ import (
 const SeqHeader = "X-Graphbolt-Checkpoint-Seq"
 
 // CheckpointSource yields the leader's latest on-disk checkpoint.
-// durable.Engine and durable.CheckpointDir both implement it.
+// durable.CheckpointDir implements it over a durable directory.
 type CheckpointSource interface {
 	OpenCheckpoint() (*durable.CheckpointFile, error)
 }

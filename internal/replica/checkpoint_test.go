@@ -12,10 +12,12 @@ import (
 )
 
 // leaderDurable opens a durable PageRank engine over the chain graph in
-// a temp dir and applies n batches.
-func leaderDurable(t *testing.T, n int) *durable.Engine[float64, float64] {
+// a temp dir and applies n batches. It returns the engine and its
+// directory.
+func leaderDurable(t *testing.T, n int) (*durable.Engine[float64, float64], durable.CheckpointDir) {
 	t.Helper()
-	d, err := durable.Open(newTestEngine(t, 8), t.TempDir(), durable.Options{})
+	dir := t.TempDir()
+	d, err := durable.Open(newTestEngine(t, 8), dir, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,15 +28,15 @@ func leaderDurable(t *testing.T, n int) *durable.Engine[float64, float64] {
 			t.Fatal(err)
 		}
 	}
-	return d
+	return d, durable.CheckpointDir(dir)
 }
 
 // TestCheckpointHandler: 404 before any checkpoint, then a streamable
 // framed checkpoint with seq header and ETag; If-None-Match
 // short-circuits; non-GET is refused.
 func TestCheckpointHandler(t *testing.T) {
-	d := leaderDurable(t, 3)
-	ts := httptest.NewServer(CheckpointHandler(d))
+	d, dir := leaderDurable(t, 3)
+	ts := httptest.NewServer(CheckpointHandler(dir))
 	defer ts.Close()
 
 	resp, err := ts.Client().Get(ts.URL)

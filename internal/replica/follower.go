@@ -648,11 +648,6 @@ func (f *Follower[V, A]) SnapshotAt(gen uint64) (*core.ResultSnapshot[V], error)
 	return f.eng.SnapshotAt(gen)
 }
 
-// Diff compares two retained generations.
-func (f *Follower[V, A]) Diff(from, to uint64) (*core.SnapshotDiff[V], error) {
-	return f.eng.DiffSnapshots(from, to)
-}
-
 // RetainedGenerations reports the retained generation window.
 func (f *Follower[V, A]) RetainedGenerations() (oldest, newest uint64) {
 	return f.eng.RetainedGenerations()

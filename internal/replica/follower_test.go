@@ -46,7 +46,8 @@ func newLeaderHarness(t *testing.T, logOpts LogOptions) *leaderHarness {
 	t.Helper()
 	logOpts.Logger = discardLogger()
 	h := &leaderHarness{log: NewLog(logOpts)}
-	d, err := durable.Open(newTestEngine(t, 8), t.TempDir(), durable.Options{
+	dir := durable.CheckpointDir(t.TempDir())
+	d, err := durable.Open(newTestEngine(t, 8), string(dir), durable.Options{
 		OnRecord: h.log.Append,
 	})
 	if err != nil {
@@ -57,11 +58,11 @@ func newLeaderHarness(t *testing.T, logOpts LogOptions) *leaderHarness {
 	h.d = d
 	h.log.SetFloor(d.Recovery().SnapshotSeq)
 	if h.log.ckptSeq == nil {
-		h.log.ckptSeq = d.CheckpointSeq
+		h.log.ckptSeq = dir.CheckpointSeq
 	}
 	h.mux = http.NewServeMux()
 	h.mux.Handle("GET /v1/wal", h.log.Handler())
-	h.mux.Handle("GET /v1/checkpoint", CheckpointHandler(d))
+	h.mux.Handle("GET /v1/checkpoint", CheckpointHandler(dir))
 	return h
 }
 

@@ -34,8 +34,7 @@ type LogOptions struct {
 	// leader's latest on-disk checkpoint (false when none exists yet).
 	// Compaction refusals (410) include it so a follower — or the human
 	// debugging one — can see whether a checkpoint re-seed can bridge
-	// the gap. durable.Engine.CheckpointSeq and
-	// durable.CheckpointDir.CheckpointSeq both fit.
+	// the gap. durable.CheckpointDir(dir).CheckpointSeq fits.
 	CheckpointSeq func() (uint64, bool)
 }
 

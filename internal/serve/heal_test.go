@@ -265,37 +265,6 @@ func TestSubmitCancelledContext(t *testing.T) {
 	}
 }
 
-// TestQuarantineRingBounded: the ring keeps only the newest
-// DefaultQuarantineDepth records while the total keeps counting.
-func TestQuarantineRingBounded(t *testing.T) {
-	const depth = serve.DefaultQuarantineDepth
-	s := newStubApplier()
-	close(s.gate)
-	l := serve.NewLoop(s, serve.Options{Logger: quiet()})
-	for i := 0; i < depth+1; i++ {
-		tk, err := l.Submit(nil, graph.Batch{Add: []graph.Edge{{From: graph.VertexID(i), To: graph.MaxVertexID + 1, Weight: 1}}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := tk.Wait(nil); err == nil {
-			t.Fatal("poison batch applied")
-		}
-	}
-	q := l.Quarantined()
-	if len(q) != depth || l.QuarantinedTotal() != depth+1 {
-		t.Fatalf("ring holds %d, total %d; want %d, %d", len(q), l.QuarantinedTotal(), depth, depth+1)
-	}
-	// Oldest evicted: submissions 2..depth+1 remain, in order.
-	for i, pb := range q {
-		if pb.Seq != uint64(i+2) {
-			t.Fatalf("ring slot %d holds submission %d, want %d", i, pb.Seq, i+2)
-		}
-	}
-	if err := l.Close(nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuarantineEquivalence is the BSP-equivalence property the
 // quarantine exists for: an engine that ingested a stream with poison
 // batches interleaved must end bit-for-bit where an engine that never
@@ -325,30 +294,33 @@ func TestQuarantineEquivalence(t *testing.T) {
 	eng := newEngine()
 	eng.Run()
 	l := serve.NewLoop(eng, serve.Options{DisableCoalescing: true, Logger: quiet()})
-	nPoison := 0
+	var poisonTickets []*serve.Ticket
+	submitPoison := func(i int) {
+		tk, err := l.Submit(nil, poison(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		poisonTickets = append(poisonTickets, tk)
+	}
 	for i, b := range st.Batches {
 		if i%2 == 0 {
-			if _, err := l.Submit(nil, poison(i)); err != nil {
-				t.Fatal(err)
-			}
-			nPoison++
+			submitPoison(i)
 		}
 		if _, err := l.Submit(nil, b); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := l.Submit(nil, poison(999)); err != nil {
-		t.Fatal(err)
-	}
-	nPoison++
+	submitPoison(999)
 	if err := l.Sync(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := l.QuarantinedTotal(); got != uint64(nPoison) {
-		t.Fatalf("quarantined %d batches, want %d", got, nPoison)
+	for i, tk := range poisonTickets {
+		if _, err := tk.Wait(nil); !errors.Is(err, graph.ErrInvalidBatch) {
+			t.Fatalf("poison %d resolved with %v, want ErrInvalidBatch", i, err)
+		}
 	}
 
 	// Baseline: the same engine fed only the valid batches, directly.

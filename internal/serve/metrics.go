@@ -17,7 +17,6 @@ type loopMetrics struct {
 	applyErrors      *obs.Counter
 	queueWait        *obs.Histogram
 	quarantined      *obs.Counter
-	quarantineSize   *obs.Gauge
 	recoveryAttempts *obs.Counter
 	recoveries       *obs.Counter
 	recoveryBackoff  *obs.Histogram
@@ -44,8 +43,6 @@ func newLoopMetrics(r *obs.Registry) loopMetrics {
 			"Time batches spent queued before their apply call started.", obs.DefTimeBuckets),
 		quarantined: r.Counter("graphbolt_serve_quarantined_batches_total",
 			"Poison batches rejected at dequeue and quarantined."),
-		quarantineSize: r.Gauge("graphbolt_serve_quarantine_size",
-			"Poison batches currently retained in the quarantine ring."),
 		recoveryAttempts: r.Counter("graphbolt_serve_recovery_attempts_total",
 			"Recover calls made while in degraded mode."),
 		recoveries: r.Counter("graphbolt_serve_recoveries_total",

@@ -28,10 +28,11 @@
 // latching on the first error:
 //
 //   - Poison batches (graph.ErrInvalidBatch): the batch itself is
-//     malformed. It is rejected on its ticket, recorded in a bounded
-//     quarantine ring (Quarantined), and the loop moves on — one bad
-//     producer cannot take down ingest. Validation runs at dequeue, so
-//     a poison batch never reaches the engine.
+//     malformed. Its ticket fails wrapping the validation error, the
+//     rejection is logged, counted and recorded as a flight event, and
+//     the loop moves on — one bad producer cannot take down ingest.
+//     Validation runs at dequeue, so a poison batch never reaches the
+//     engine.
 //
 //   - Infrastructure faults (the applier implements Recoverer and
 //     reports an Ailment): the published state is intact but storage
@@ -92,12 +93,10 @@ type Recoverer interface {
 // default for Options.QueueDepth). DefaultMaxBatchEdges caps the total
 // edge count (Add+Del) of a coalesced batch: merging stops at the cap,
 // and a single submitted batch larger than the cap is still applied
-// whole — batches are never split. DefaultQuarantineDepth bounds the
-// poison-batch ring; the oldest record is evicted when it overflows.
+// whole — batches are never split.
 const (
-	DefaultQueueDepth      = 64
-	DefaultMaxBatchEdges   = 4096
-	DefaultQuarantineDepth = 32
+	DefaultQueueDepth    = 64
+	DefaultMaxBatchEdges = 4096
 )
 
 // Typed failure sentinels, for errors.Is.
@@ -195,7 +194,10 @@ type Options struct {
 	// published — into the flight ring and forces a dump on transitions
 	// to Degraded/Failed when Health is also set. Trace IDs and the
 	// per-phase BatchTrace on Applied are produced whether or not a
-	// recorder is present.
+	// recorder is present, but only a recorder separates the journal
+	// time: without one (or when the applier journals to another
+	// recorder) Phases.Journal is 0 and the WAL append counts in
+	// Phases.Apply.
 	Flight *flight.Recorder
 }
 
@@ -235,21 +237,11 @@ type Applied struct {
 	// Trace is the completed lifecycle record for this apply: the head
 	// batch's trace ID, every coalesced sibling's ID, and the per-phase
 	// latency breakdown. Populated whether or not a flight recorder is
-	// configured (trace IDs are loop-owned); Trace.ID is never 0.
+	// configured (trace IDs are loop-owned); Trace.ID is never 0. Its
+	// Phases.Journal is non-zero only when the applier journals to the
+	// loop's own recorder (Options.Flight); otherwise the journal time is
+	// part of Phases.Apply.
 	Trace flight.BatchTrace
-}
-
-// PoisonBatch is one quarantined batch: rejected at dequeue, never
-// applied, retained for diagnosis.
-type PoisonBatch struct {
-	// Seq is the batch's 1-based submission number.
-	Seq uint64
-	// Batch is the rejected batch, as submitted.
-	Batch graph.Batch
-	// Err is why it was rejected (wraps graph.ErrInvalidBatch).
-	Err error
-	// At is when it was quarantined.
-	At time.Time
 }
 
 // Ticket tracks one submitted batch through the loop.
@@ -301,17 +293,15 @@ type Loop struct {
 	rec      *flight.Recorder // nil-safe; nil records nothing
 	traceSeq atomic.Uint64    // trace IDs are loop-owned, 1-based
 
-	mu         sync.Mutex
-	cond       *sync.Cond
-	q          []pending
-	closed     bool
-	failure    error
-	degraded   error // ErrDegraded-wrapped cause while in degraded mode
-	inflight   bool
-	seq        uint64 // successful applies
-	submits    uint64 // accepted submissions (keys quarantine records)
-	quarantine []PoisonBatch
-	nQuar      uint64 // total ever quarantined (ring evicts)
+	mu       sync.Mutex
+	cond     *sync.Cond
+	q        []pending
+	closed   bool
+	failure  error
+	degraded error // ErrDegraded-wrapped cause while in degraded mode
+	inflight bool
+	seq      uint64 // successful applies
+	submits  uint64 // accepted submissions (names a quarantined batch)
 
 	closeOnce sync.Once
 	closeCh   chan struct{} // closed by Close; interrupts recovery backoff
@@ -364,8 +354,8 @@ func batchWeight(b graph.Batch) int {
 // when the queue is full. The returned Ticket resolves when the batch's
 // apply call completes; fire-and-forget callers may discard it. Batch
 // validation happens at dequeue, on the apply goroutine: a malformed
-// batch resolves its ticket with the validation error and is
-// quarantined rather than failing the loop.
+// batch resolves its ticket with the validation error rather than
+// failing the loop.
 //
 // A nil ctx means no deadline; an already-cancelled ctx returns its
 // error without enqueuing. Submitting after Close returns ErrClosed; in
@@ -490,52 +480,16 @@ func (l *Loop) Seq() uint64 {
 	return l.seq
 }
 
-// Depth returns the current queue length.
-func (l *Loop) Depth() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.q)
-}
-
 // Err returns the loop's terminal failure, or nil. A failed loop no
 // longer accepts submissions: the wrapped engine's in-memory state is
 // undefined after a mid-apply panic, so it must be discarded — a
 // durable engine can be reopened from its checkpoint and journal.
-// Quarantined batches and degraded episodes are not terminal and never
-// appear here.
+// Rejected (poison) batches and degraded episodes are not terminal and
+// never appear here.
 func (l *Loop) Err() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.failure
-}
-
-// Quarantined returns the retained poison batches, oldest first (the
-// ring keeps the most recent DefaultQuarantineDepth records).
-func (l *Loop) Quarantined() []PoisonBatch {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]PoisonBatch(nil), l.quarantine...)
-}
-
-// QuarantinedTotal returns the number of batches ever quarantined,
-// including records the ring has evicted.
-func (l *Loop) QuarantinedTotal() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nQuar
-}
-
-// quarantineLocked records a poison batch in the bounded ring.
-// l.mu must be held.
-func (l *Loop) quarantineLocked(pb PoisonBatch) {
-	if len(l.quarantine) >= DefaultQuarantineDepth {
-		copy(l.quarantine, l.quarantine[1:])
-		l.quarantine = l.quarantine[:len(l.quarantine)-1]
-	}
-	l.quarantine = append(l.quarantine, pb)
-	l.nQuar++
-	l.met.quarantined.Inc()
-	l.met.quarantineSize.Set(float64(len(l.quarantine)))
 }
 
 // run is the single-writer apply goroutine.
@@ -568,8 +522,8 @@ func (l *Loop) run() {
 			return
 		}
 		// Authoritative validation happens here, at the head of the
-		// queue: a poison batch is quarantined and its ticket rejected
-		// without ever reaching the engine — or latching the loop.
+		// queue: a poison batch's ticket is rejected without the batch
+		// ever reaching the engine — or latching the loop.
 		dequeueAt := time.Now()
 		verr := l.q[0].b.Validate()
 		vDur := time.Since(dequeueAt)
@@ -578,7 +532,7 @@ func (l *Loop) run() {
 			l.q[0] = pending{}
 			l.q = l.q[1:]
 			rejErr := fmt.Errorf("serve: batch quarantined: %w", verr)
-			l.quarantineLocked(PoisonBatch{Seq: p.seq, Batch: p.b, Err: rejErr, At: time.Now()})
+			l.met.quarantined.Inc()
 			attempt := l.seq + 1
 			l.met.depth.Set(float64(len(l.q)))
 			l.cond.Broadcast()
@@ -647,9 +601,9 @@ func (l *Loop) run() {
 
 		// Complete the batch's lifecycle record: the phase breakdown plus
 		// the merged trace set, delivered to every covered ticket. Apply
-		// excludes the journal time the durable layer charged during the
-		// call, so the phases stay disjoint and their sum tracks the
-		// observed end-to-end latency.
+		// excludes the journal time the durable layer charged to l.rec
+		// during the call (none without a recorder), so the phases stay
+		// disjoint and their sum tracks the observed end-to-end latency.
 		if err == nil {
 			l.rec.Record(flight.KindApplied, headTrace, int64(took), int64(st.EdgeComputations))
 		}
@@ -780,7 +734,7 @@ type edgeKey struct{ from, to graph.VertexID }
 // gets a coalesced event naming the absorbing head trace. The head
 // batch has been validated by the caller; a candidate that fails
 // validation ends the merge run so it reaches the head of the queue —
-// and the quarantine — on its own. l.mu must be held.
+// and its rejection — on its own. l.mu must be held.
 func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration) {
 	now := time.Now()
 	first := l.q[0]
@@ -803,7 +757,7 @@ func (l *Loop) popLocked() (graph.Batch, []*Ticket, []uint64, []time.Duration) {
 			break
 		}
 		if nb.Validate() != nil {
-			break // poison: keep it un-merged for its own quarantine
+			break // poison: keep it un-merged for its own rejection
 		}
 		if addKeys == nil {
 			addKeys = make(map[edgeKey]struct{}, len(acc.Add))

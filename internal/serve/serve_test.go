@@ -3,13 +3,14 @@ package serve_test
 import (
 	"context"
 	"errors"
-	"log/slog"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/flight"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/serve"
 )
 
@@ -282,12 +283,25 @@ func TestTerminalApplyFailure(t *testing.T) {
 }
 
 // TestPoisonBatchQuarantined: a malformed batch is accepted by Submit
-// (validation is the apply goroutine's job), rejected on its ticket at
-// dequeue, quarantined, and the loop keeps serving afterwards.
+// (validation is the apply goroutine's job) and rejected at dequeue: its
+// ticket fails wrapping ErrInvalidBatch, the quarantine counter and
+// exactly one quarantined flight event record it under its submission
+// number, and the loop keeps serving afterwards.
 func TestPoisonBatchQuarantined(t *testing.T) {
 	s := newStubApplier()
 	close(s.gate)
-	l := serve.NewLoop(s, serve.Options{Logger: slog.New(slog.DiscardHandler)})
+	reg := obs.NewRegistry()
+	rec := flight.New(flight.Options{Logger: quiet()})
+	l := serve.NewLoop(s, serve.Options{Logger: quiet(), Metrics: reg, Flight: rec})
+	first, err := l.Submit(nil, addBatch(edge(0, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Wait(nil); err != nil {
+		t.Fatal(err)
+	}
+
+	// The poison is submission 2.
 	bad := graph.Batch{Add: []graph.Edge{{From: 0, To: graph.MaxVertexID + 1, Weight: 1}}}
 	tk, err := l.Submit(nil, bad)
 	if err != nil {
@@ -297,43 +311,46 @@ func TestPoisonBatchQuarantined(t *testing.T) {
 	if !errors.Is(err, graph.ErrInvalidEdge) || !errors.Is(err, graph.ErrInvalidBatch) {
 		t.Fatalf("ticket err = %v, want ErrInvalidBatch/ErrInvalidEdge", err)
 	}
-	if a.Seq != 1 || a.Batches != 1 {
-		t.Fatalf("quarantine Applied = %+v, want attempt Seq 1", a)
+	if a.Seq != 2 || a.Batches != 1 {
+		t.Fatalf("quarantine Applied = %+v, want attempt Seq 2", a)
 	}
-	if len(s.batches()) != 0 {
+	if len(s.batches()) != 1 {
 		t.Fatal("poison batch reached the applier")
 	}
 
-	// The loop is not latched: a valid batch still applies, and the
-	// quarantine retains the poison record.
-	good, err := l.Submit(nil, addBatch(edge(0, 1)))
+	// The loop is not latched: the next valid batch still applies.
+	good, err := l.Submit(nil, addBatch(edge(0, 2)))
 	if err != nil {
 		t.Fatalf("Submit after quarantine: %v", err)
 	}
 	if _, err := good.Wait(nil); err != nil {
 		t.Fatalf("apply after quarantine: %v", err)
 	}
-	q := l.Quarantined()
-	if len(q) != 1 || l.QuarantinedTotal() != 1 {
-		t.Fatalf("Quarantined() = %d records, total %d; want 1, 1", len(q), l.QuarantinedTotal())
-	}
-	if q[0].Seq != 1 || !errors.Is(q[0].Err, graph.ErrInvalidBatch) || q[0].At.IsZero() {
-		t.Fatalf("quarantine record = %+v", q[0])
-	}
-	if len(q[0].Batch.Add) != 1 || q[0].Batch.Add[0].To != graph.MaxVertexID+1 {
-		t.Fatalf("quarantine kept wrong batch: %+v", q[0].Batch)
-	}
 	if err := l.Close(nil); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.batches()) != 1 {
-		t.Fatalf("%d batches reached the applier, want 1", len(s.batches()))
+	if len(s.batches()) != 2 {
+		t.Fatalf("%d batches reached the applier, want 2", len(s.batches()))
+	}
+
+	if got := reg.Counter("graphbolt_serve_quarantined_batches_total", "").Value(); got != 1 {
+		t.Fatalf("graphbolt_serve_quarantined_batches_total = %d, want 1", got)
+	}
+	var quarantined []flight.Event
+	for _, ev := range rec.Snapshot() {
+		if ev.Kind == flight.KindQuarantined {
+			quarantined = append(quarantined, ev)
+		}
+	}
+	if len(quarantined) != 1 || quarantined[0].A != 2 || quarantined[0].Trace != tk.Trace() {
+		t.Fatalf("quarantined events = %+v, want one for submission 2, trace %d", quarantined, tk.Trace())
 	}
 }
 
 func TestSyncWaitsForDrain(t *testing.T) {
 	s := newStubApplier()
-	l := serve.NewLoop(s, serve.Options{QueueDepth: 16})
+	reg := obs.NewRegistry()
+	l := serve.NewLoop(s, serve.Options{QueueDepth: 16, Metrics: reg})
 	queueFirstBatch(t, l, s, addBatch(edge(0, 1)))
 	if _, err := l.Submit(nil, addBatch(edge(0, 2))); err != nil {
 		t.Fatal(err)
@@ -348,8 +365,8 @@ func TestSyncWaitsForDrain(t *testing.T) {
 	if err := l.Sync(nil); err != nil {
 		t.Fatal(err)
 	}
-	if l.Depth() != 0 {
-		t.Fatalf("Depth() = %d after Sync", l.Depth())
+	if d := reg.Gauge("graphbolt_serve_queue_depth", "").Value(); d != 0 {
+		t.Fatalf("graphbolt_serve_queue_depth = %v after Sync", d)
 	}
 	if err := l.Close(nil); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -274,14 +273,13 @@ func (w *WAL) recover() error {
 
 // Scan reads a WAL stream and returns the records of the longest valid
 // prefix, the byte length of that prefix (including the file header),
-// and what was found. Scanning stops — without error — at the first
-// torn or corrupt record; only ErrNotWAL (wrong header) and read
-// failures are errors.
+// and what was found. Frames are parsed by FrameReader.Next; scanning
+// stops — without error — at the first torn or corrupt record. Only
+// ErrNotWAL (wrong header) and read failures are errors.
 func Scan(r io.Reader) ([]Record, int64, RecoveryInfo, error) {
 	var info RecoveryInfo
-	br := r
 	var hdr [8]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		if err == io.EOF {
 			// Empty stream: valid, no records, header still to be written.
 			return nil, 0, info, nil
@@ -291,35 +289,43 @@ func Scan(r io.Reader) ([]Record, int64, RecoveryInfo, error) {
 	if hdr != fileMagic {
 		return nil, 0, info, ErrNotWAL
 	}
+	cr := &countingReader{r: r}
+	fr := NewFrameReader(cr)
 	var records []Record
 	valid := int64(len(fileMagic))
 	for {
-		var frame [frameHeaderSize]byte
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			break // clean EOF or torn frame header: prefix ends here
-		}
-		length := binary.LittleEndian.Uint32(frame[0:4])
-		wantCRC := binary.LittleEndian.Uint32(frame[4:8])
-		if length < 8 || length > maxRecordBytes {
-			break // corrupt length prefix
-		}
-		body := make([]byte, length)
-		if _, err := io.ReadFull(br, body); err != nil {
-			break // torn body
-		}
-		if crc32.Checksum(body, crcTable) != wantCRC {
-			break // bit rot or torn overwrite
-		}
-		seq := binary.LittleEndian.Uint64(body[:8])
-		batch, err := decodeBatch(body[8:])
+		rec, err := fr.Next()
 		if err != nil {
-			break // structurally invalid payload despite matching CRC
+			break // clean EOF or the first bad frame: the prefix ends here
 		}
-		records = append(records, Record{Seq: seq, Batch: batch})
-		valid += frameHeaderSize + int64(length)
+		records = append(records, rec)
+		valid = int64(len(fileMagic)) + cr.n
 		info.Records++
 	}
+	if cr.err != nil {
+		return nil, 0, info, fmt.Errorf("wal: scan: %w", cr.err)
+	}
 	return records, valid, info, nil
+}
+
+// countingReader counts the bytes read through it and keeps the first
+// read failure other than io.EOF, which a FrameReader would otherwise
+// report as a torn frame. FrameReader reads no further than the current
+// frame, so after each Next the count is the length of the frames
+// consumed.
+type countingReader struct {
+	r   io.Reader
+	n   int64
+	err error
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	if err != nil && err != io.EOF && c.err == nil {
+		c.err = err
+	}
+	return n, err
 }
 
 // Recovered returns the records salvaged by Open, in append order.

@@ -1,12 +1,14 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"repro/internal/faultio"
@@ -502,6 +504,18 @@ func TestResetClearsDamage(t *testing.T) {
 	}
 	if err := w.Append(2, testBatches()[1]); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestScanReadFailureIsAnError: a read that fails mid-stream is an I/O
+// fault, not a torn tail — Scan reports it instead of returning a
+// shorter valid prefix that Open would truncate the log to.
+func TestScanReadFailureIsAnError(t *testing.T) {
+	frame := EncodeFrame(1, graph.Batch{Add: []graph.Edge{{From: 0, To: 1, Weight: 1}}})
+	fault := errors.New("injected read fault")
+	r := io.MultiReader(bytes.NewReader(fileMagic[:]), bytes.NewReader(frame), iotest.ErrReader(fault))
+	if _, _, _, err := Scan(r); !errors.Is(err, fault) {
+		t.Fatalf("Scan over a failing reader = %v, want the read fault", err)
 	}
 }
 

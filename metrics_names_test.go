@@ -70,7 +70,6 @@ var (
 		"graphbolt_qcache_entries",
 		"graphbolt_replica_lag_generations",
 		"graphbolt_replica_lag_seconds",
-		"graphbolt_serve_quarantine_size",
 		"graphbolt_serve_queue_depth",
 		"graphbolt_shard_count",
 		"graphbolt_shard_merged_generation",

@@ -22,7 +22,7 @@ import (
 //	rlog.SetFloor(d.Recovery().SnapshotSeq)
 //	srv := graphbolt.NewDurableServer(d, graphbolt.ServerOptions{})
 //	mux.Handle("GET /v1/wal", rlog.Handler())
-//	mux.Handle("GET /v1/checkpoint", graphbolt.CheckpointHandler(d))
+//	mux.Handle("GET /v1/checkpoint", graphbolt.CheckpointHandler(graphbolt.CheckpointDir(dir)))
 //	mux.Handle("/v1/", graphbolt.QueryHandler(srv))
 //
 // Coalescing keeps leader/follower parity: one apply is one journal
@@ -92,12 +92,12 @@ func NewEngineApplier[V, A any](eng *Engine[V, A]) RecordApplier {
 // Leader wiring (alongside the /v1/wal mount above):
 //
 //	rlog := graphbolt.NewReplicationLog(graphbolt.ReplicationLogOptions{
-//		CheckpointSeq: d.CheckpointSeq, // 410 bodies advertise the checkpoint
+//		CheckpointSeq: graphbolt.CheckpointDir(dir).CheckpointSeq, // 410 bodies advertise the checkpoint
 //	})
-//	mux.Handle("GET /v1/checkpoint", graphbolt.CheckpointHandler(d))
+//	mux.Handle("GET /v1/checkpoint", graphbolt.CheckpointHandler(graphbolt.CheckpointDir(dir)))
 
-// CheckpointSource serves the newest on-disk checkpoint; a
-// *DurableEngine is one, and CheckpointDir adapts a bare directory.
+// CheckpointSource serves the newest on-disk checkpoint; CheckpointDir
+// adapts a durable directory as one.
 type CheckpointSource = replica.CheckpointSource
 
 // CheckpointFile is an open, header-verified checkpoint ready to

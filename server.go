@@ -21,9 +21,8 @@ import (
 
 // ResultSnapshot is the immutable, atomically published read view of a
 // completed computation: graph generation, vertex values, BSP level and
-// cumulative stats. Engine.Snapshot, Server.Snapshot and Server.Query
-// hand these out; readers may hold one indefinitely while mutations
-// stream.
+// cumulative stats. Engine.Snapshot and Server.Snapshot hand these
+// out; readers may hold one indefinitely while mutations stream.
 type ResultSnapshot[V any] = core.ResultSnapshot[V]
 
 // Ingest failure sentinels, for errors.Is.
@@ -72,10 +71,6 @@ type HealthInfo = health.Info
 // HealthTracker publishes health state transitions; obtain a server's
 // via Server.Health.
 type HealthTracker = health.Tracker
-
-// PoisonBatch records one quarantined batch: its submission sequence,
-// the offending batch, the validation error and when it was rejected.
-type PoisonBatch = serve.PoisonBatch
 
 // BackoffPolicy paces degraded-mode recovery retries: capped
 // exponential with jitter. The zero value uses sane defaults
@@ -161,14 +156,18 @@ type ServerOptions struct {
 	// Pass the same recorder to DurableOptions.Flight so journal and
 	// fsync events land in the same ring. Trace IDs and the per-phase
 	// BatchTrace on Applied.Trace are produced whether or not a recorder
-	// is set.
+	// is set, but Phases.Journal is non-zero only when this recorder is
+	// also DurableOptions.Flight: otherwise the journal time is counted
+	// in Phases.Apply. Apply also covers the engine's own publish (the
+	// O(V) value copy), so Publish is only the span from the apply's
+	// return to ticket resolution.
 	Flight *FlightRecorder
 	// Shards, when > 1, partitions the apply step: the graph is split by
 	// destination-vertex ownership into Shards subgraphs, each with its
 	// own engine, and every batch the ingest loop dequeues is split by
 	// edge owner, applied to the shard engines concurrently, joined (the
 	// cross-shard generation barrier) and published as one merged
-	// snapshot. Snapshot/SnapshotAt/Diff/Wait keep their exact semantics
+	// snapshot. Snapshot/SnapshotAt/Wait keep their exact semantics
 	// over the merged view for partition-closed streams. Everything else
 	// — queue, coalescing, backpressure, poison quarantine, terminal
 	// failures — is the one ingest loop's, server-wide. Sharding is
@@ -184,7 +183,7 @@ type ServerOptions struct {
 // Server is the concurrent serving facade over an engine: a
 // single-writer ingest loop (Submit) feeding mutations through a
 // bounded, coalescing queue, and a lock-free read path (Snapshot,
-// Query, Wait) over atomically published result snapshots. Any number
+// SnapshotAt, Wait) over atomically published result snapshots. Any number
 // of goroutines may read while batches stream; the BSP guarantee makes
 // every observed snapshot equal to a from-scratch run at its
 // generation.
@@ -215,7 +214,6 @@ type readView[V any] interface {
 	Snapshot() *core.ResultSnapshot[V]
 	SnapshotAt(gen uint64) (*core.ResultSnapshot[V], error)
 	RetainedGenerations() (oldest, newest uint64)
-	DiffSnapshots(from, to uint64) (*core.SnapshotDiff[V], error)
 }
 
 // NewServer wraps an in-memory engine. If the engine has not run yet,
@@ -320,8 +318,8 @@ func newServer[V, A any](view readView[V], a serve.Applier, shards *partition.Ap
 // ErrDegraded. The returned
 // ticket resolves once the batch's apply call completes; fire-and-forget
 // callers may discard it. Malformed batches are not applied: their
-// ticket fails wrapping ErrInvalidBatch and the batch is quarantined
-// (Quarantined) while the loop keeps serving.
+// ticket fails wrapping ErrInvalidBatch, the rejection is logged,
+// counted and recorded as a flight event, and the loop keeps serving.
 func (s *Server[V, A]) Submit(ctx context.Context, b Batch) (*SubmitTicket, error) {
 	return s.loop.Submit(ctx, b)
 }
@@ -350,15 +348,6 @@ func (s *Server[V, A]) Snapshot() *ResultSnapshot[V] {
 	return snap
 }
 
-// Query runs fn against the current result snapshot. The snapshot is
-// internally consistent — graph, values and level belong to the same
-// generation — and immutable, so fn needs no synchronization with the
-// writer. fn must not mutate the snapshot's values; use
-// ResultSnapshot.CopyValues for an owned slice.
-func (s *Server[V, A]) Query(fn func(*ResultSnapshot[V])) {
-	fn(s.Snapshot())
-}
-
 // Generation returns the generation of the current snapshot.
 func (s *Server[V, A]) Generation() uint64 {
 	return s.view.Snapshot().Generation
@@ -382,13 +371,6 @@ func (s *Server[V, A]) RetainedGenerations() (oldest, newest uint64) {
 	return s.view.RetainedGenerations()
 }
 
-// Diff compares two retained generations and reports the vertices whose
-// values changed between them, with before/after values and the vertex
-// and edge count deltas. Both generations must still be retained.
-func (s *Server[V, A]) Diff(from, to uint64) (*SnapshotDiff[V], error) {
-	return s.view.DiffSnapshots(from, to)
-}
-
 // Cache returns the server's per-generation query cache for use with
 // the qcache helpers (TopK, Value). It is nil when
 // ServerOptions.QueryCacheBytes is 0 — a valid argument to every
@@ -402,8 +384,8 @@ func (s *Server[V, A]) Cache() *QueryCache { return s.cache }
 type QuerySource[V any] = replica.Source[V]
 
 // QueryHandler returns the HTTP/JSON query API over a server:
-// /v1/snapshot, /v1/snapshot/{gen}, /v1/topk?k=N, /v1/value/{vertex}
-// and /v1/diff?from=&to=, with qcache-memoized reads and JSON errors
+// /v1/snapshot, /v1/snapshot/{gen}, /v1/topk?k=N and /v1/value/{vertex},
+// with qcache-memoized reads and JSON errors
 // (400 malformed, 404 unknown vertex, 405 non-GET, 410 evicted
 // generation, 503 before first publish). Mount it alongside the
 // observability mux:
@@ -475,25 +457,10 @@ func (s *Server[V, A]) Sync(ctx context.Context) (*ResultSnapshot[V], error) {
 	return s.view.Snapshot(), nil
 }
 
-// QueueDepth returns the number of batches currently queued for the
-// apply loop.
-func (s *Server[V, A]) QueueDepth() int { return s.loop.Depth() }
-
 // Flight returns the server's flight recorder, nil unless
 // ServerOptions.Flight was set. The nil recorder is inert and safe to
 // call.
 func (s *Server[V, A]) Flight() *FlightRecorder { return s.loop.Flight() }
-
-// FlightHandler returns an http.Handler serving the flight ring as JSON
-// (filterable with ?trace=ID, ?kind=NAME, ?dump=last), for mounting at
-// /debug/flight:
-//
-//	mux := obs.HandlerWith(reg, map[string]http.Handler{
-//	    "/debug/flight": srv.FlightHandler(),
-//	})
-//
-// Without a configured recorder the handler answers 404.
-func (s *Server[V, A]) FlightHandler() http.Handler { return s.Flight().Handler() }
 
 // Err returns the ingest loop's terminal failure, or nil. After a
 // terminal failure the wrapped engine must be discarded; a durable
@@ -519,16 +486,6 @@ func (s *Server[V, A]) Health() *HealthTracker { return s.health }
 //	    "/healthz": srv.HealthHandler(),
 //	})
 func (s *Server[V, A]) HealthHandler() http.Handler { return health.Handler(s.health) }
-
-// Quarantined returns the retained poison-batch records, oldest first
-// (a bounded ring: the most recent serve.DefaultQuarantineDepth, 32).
-// Each record carries the offending batch, its submission sequence,
-// the validation error and the rejection time.
-func (s *Server[V, A]) Quarantined() []PoisonBatch { return s.loop.Quarantined() }
-
-// QuarantinedTotal returns the running count of quarantined batches,
-// including records the ring has since evicted.
-func (s *Server[V, A]) QuarantinedTotal() uint64 { return s.loop.QuarantinedTotal() }
 
 // Shards returns the number of partition shards each batch fans out
 // over: 1 for a single engine.

@@ -46,7 +46,7 @@ func historyServer(t *testing.T, retain, batches int, cacheBytes int64) (*graphb
 	return srv, reg
 }
 
-func TestServerSnapshotAtAndDiff(t *testing.T) {
+func TestServerSnapshotAt(t *testing.T) {
 	srv, _ := historyServer(t, 4, 6, 0) // generations 1..7, retaining 4..7
 	oldest, newest := srv.RetainedGenerations()
 	if oldest != 4 || newest != 7 {
@@ -63,21 +63,6 @@ func TestServerSnapshotAtAndDiff(t *testing.T) {
 	}
 	if _, err := srv.SnapshotAt(2); !errors.Is(err, graphbolt.ErrGenerationNotRetained) {
 		t.Fatalf("SnapshotAt(evicted) = %v, want ErrGenerationNotRetained", err)
-	}
-	d, err := srv.Diff(oldest, newest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := srv.SnapshotAt(oldest)
-	b, _ := srv.SnapshotAt(newest)
-	if want := b.Graph.NumEdges() - a.Graph.NumEdges(); d.EdgeDelta != want {
-		t.Fatalf("EdgeDelta = %d, want %d", d.EdgeDelta, want)
-	}
-	if len(d.Changed) == 0 {
-		t.Fatal("three added edges changed no PageRank values")
-	}
-	if _, err := srv.Diff(1, newest); !errors.Is(err, graphbolt.ErrGenerationNotRetained) {
-		t.Fatalf("Diff(evicted, newest) = %v, want ErrGenerationNotRetained", err)
 	}
 }
 

@@ -32,7 +32,7 @@ type observedSnap struct {
 }
 
 // TestServerConcurrentReadersStress is the BSP-consistency stress test:
-// 8 reader goroutines hammer Snapshot/Query while 50+ mutation batches
+// 8 reader goroutines hammer Snapshot while 50+ mutation batches
 // stream through Submit. Every snapshot any reader observes must be
 // internally consistent (values sized to its own graph, generation
 // monotonic per reader) and — the paper's §2.2 guarantee — equal to a
@@ -92,12 +92,7 @@ func TestServerConcurrentReadersStress(t *testing.T) {
 					return
 				default:
 				}
-				var s *graphbolt.ResultSnapshot[float64]
-				if r%2 == 0 {
-					s = srv.Snapshot()
-				} else {
-					srv.Query(func(q *graphbolt.ResultSnapshot[float64]) { s = q })
-				}
+				s := srv.Snapshot()
 				if s == nil {
 					t.Error("reader observed nil snapshot")
 					return
@@ -257,7 +252,8 @@ func TestServerWaitContext(t *testing.T) {
 
 // TestDurableServer checks the journaled path: batches submitted through
 // the server are journaled inside the apply loop, so a reopen after
-// Close recovers the exact served state.
+// Close recovers the exact served state. Without a flight recorder the
+// tickets' phase breakdown charges the journal to Apply.
 func TestDurableServer(t *testing.T) {
 	dir := t.TempDir()
 	build := func() (*graphbolt.Engine[float64, float64], error) {
@@ -287,14 +283,28 @@ func TestDurableServer(t *testing.T) {
 		{Add: []graphbolt.Edge{{From: 4, To: 5, Weight: 1}}},
 		{Del: []graphbolt.Edge{{From: 0, To: 1}}},
 	}
+	var tickets []*graphbolt.SubmitTicket
 	for _, b := range batches {
-		if _, err := srv.Submit(ctx, b); err != nil {
+		tk, err := srv.Submit(ctx, b)
+		if err != nil {
 			t.Fatal(err)
 		}
+		tickets = append(tickets, tk)
 	}
 	snap, err := srv.Sync(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// With no flight recorder the loop cannot separate the journal time:
+	// Phases.Journal stays 0 and the WAL append counts in Phases.Apply.
+	for i, tk := range tickets {
+		ap, err := tk.Wait(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ph := ap.Trace.Phases; ph.Journal != 0 || ph.Apply <= 0 {
+			t.Fatalf("batch %d phases %+v, want Journal 0 and Apply > 0 without a recorder", i, ph)
+		}
 	}
 	if err := srv.Close(ctx); err != nil {
 		t.Fatal(err)
