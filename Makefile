@@ -6,6 +6,8 @@ COVER_FLOOR_core    = 70
 COVER_FLOOR_serve   = 70
 COVER_FLOOR_replica = 80
 COVER_FLOOR_durable = 75
+COVER_FLOOR_qcache  = 90
+COVER_FLOOR_graph   = 90
 
 .PHONY: build test check check-race race vet fmt bench fuzz cover chaos flight shard replica failover
 
@@ -149,6 +151,8 @@ cover:
 			if (pkg == "repro/internal/serve")   floor = $(COVER_FLOOR_serve); \
 			if (pkg == "repro/internal/replica") floor = $(COVER_FLOOR_replica); \
 			if (pkg == "repro/internal/durable") floor = $(COVER_FLOOR_durable); \
+			if (pkg == "repro/internal/qcache")  floor = $(COVER_FLOOR_qcache); \
+			if (pkg == "repro/internal/graph")   floor = $(COVER_FLOOR_graph); \
 			if (floor > 0 && cov + 0 < floor) { \
 				printf "FAIL: %s coverage %.1f%% is under the %d%% floor\n", pkg, cov, floor; \
 				bad = 1; \

@@ -45,8 +45,9 @@
 // With -retain N, the last N published generations stay addressable for
 // point-in-time reads (Server.SnapshotAt; /v1/snapshot/{gen} and ?gen=
 // over -api-addr); -query-cache B gives the server a B-byte
-// per-generation cache memoizing derived reads, with hit/miss/bytes
-// visible under graphbolt_qcache_* in /metrics:
+// per-generation cache memoizing /v1/topk, with hit/miss/bytes visible
+// under graphbolt_qcache_* in /metrics (a point read indexes the
+// snapshot and bypasses it):
 //
 //	graphbolt -graph base.el -stream stream.el -readers 4 -retain 16 -query-cache 1048576
 //
@@ -72,7 +73,7 @@
 // With -follow, the process runs as a read replica instead: it tails
 // the leader's /v1/wal stream, replays every record through the same
 // engine (re-journaling locally when -wal-dir is set, so a restart
-// resumes seq-exact from disk), refuses writes, and serves the same
+// resumes seq-exact from disk), takes no writes, and serves the same
 // query API on -api-addr. If the leader has compacted past the
 // follower's position, the follower re-seeds itself from the leader's
 // GET /v1/checkpoint and resumes the stream from there; -stall-timeout
@@ -113,7 +114,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/health"
 	"repro/internal/obs"
-	"repro/internal/qcache"
 	"repro/internal/replica"
 	"repro/internal/stream"
 	"repro/internal/wal"
@@ -195,11 +195,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fs.IntVar(&c.shards, "shards", 1, "fan each batch out over N partition shards, each with its own engine, joined before the merged snapshot publishes (incompatible with -wal-dir)")
 	fs.IntVar(&c.queueDepth, "queue-depth", 0, "ingest queue bound (0 = default)")
 	fs.IntVar(&c.retain, "retain", 1, "published generations kept addressable for point-in-time reads (SnapshotAt)")
-	fs.Int64Var(&c.queryCache, "query-cache", 0, "per-generation query cache budget in bytes (0 = off)")
+	fs.Int64Var(&c.queryCache, "query-cache", 0, "per-generation /v1/topk cache budget in bytes (0 = off)")
 	fs.BoolVar(&c.flightOn, "flight", false, "enable the batch-lifecycle flight recorder: trace IDs on every batch, /debug/flight, dumps on degrade")
 	fs.IntVar(&c.flightDepth, "flight-depth", 0, "flight recorder ring capacity in events (0 = default 4096; with -flight)")
 	fs.StringVar(&c.apiAddr, "api-addr", "", "serve the HTTP/JSON query API (/v1/snapshot, /v1/topk, /v1/value) on this address; with -wal-dir also the replication stream at /v1/wal")
-	fs.StringVar(&c.follow, "follow", "", "run as a read replica tailing this leader URL's /v1/wal stream (e.g. http://leader:8080); refuses writes, serves the query API on -api-addr")
+	fs.StringVar(&c.follow, "follow", "", "run as a read replica tailing this leader URL's /v1/wal stream (e.g. http://leader:8080); takes no writes, serves the query API on -api-addr")
 	fs.DurationVar(&c.stallTimeout, "stall-timeout", 0, "follower stream-stall watchdog: drop and re-dial a connection that carries neither records nor heartbeats for this long (0 = default 15s; negative disables; with -follow)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -525,13 +525,11 @@ func (a algorithm[V, A]) serve(c *cli, eng *core.Engine[V, A], d *durable.Engine
 				default:
 				}
 				s := srv.Snapshot()
-				queries.Add(1)
-				// Exercise the per-generation query cache with a point
-				// lookup on a rotating vertex: the first reader of each
-				// (generation, vertex) pair fills the entry, later ones
-				// hit (visible as graphbolt_qcache_* in /metrics).
-				if n := s.Graph.NumVertices(); n > 0 {
-					qcache.Value(srv.Cache(), s, graph.VertexID(int(queries.Load())%n))
+				q := queries.Add(1)
+				// A point read on a rotating vertex: one index into the
+				// immutable snapshot.
+				if n := len(s.Values); n > 0 {
+					_ = s.Values[int(q)%n]
 				}
 				stale := time.Since(s.PublishedAt).Nanoseconds()
 				for {

@@ -68,9 +68,6 @@ type Edge = graph.Edge
 // Batch is an atomic set of edge insertions and deletions.
 type Batch = graph.Batch
 
-// ApplyResult reports what a batch actually changed.
-type ApplyResult = graph.ApplyResult
-
 // VertexID identifies a vertex.
 type VertexID = graph.VertexID
 
@@ -92,9 +89,6 @@ type PullProgram[V, A any] = core.PullProgram[V, A]
 
 // Options configures an Engine.
 type Options = core.Options
-
-// Stats reports per-call work.
-type Stats = core.Stats
 
 // Mode selects the execution strategy.
 type Mode = core.Mode
@@ -185,9 +179,6 @@ type DurableEngine[V, A any] = durable.Engine[V, A]
 // DurableOptions configures journaling and checkpoint cadence.
 type DurableOptions = durable.Options
 
-// RecoveryInfo reports how OpenDurable reconstructed engine state.
-type RecoveryInfo = durable.RecoveryInfo
-
 // WALOptions configures the write-ahead log (sync policy).
 type WALOptions = wal.Options
 
@@ -235,9 +226,9 @@ var (
 // retained generations, with before/after values and structural deltas.
 type SnapshotDiff[V any] = core.SnapshotDiff[V]
 
-// QueryCache is the per-generation cache memoizing derived reads
-// (top-k, per-vertex lookups) over immutable snapshots.
-// Obtain one from Server.Cache; nil is valid and computes uncached.
+// QueryCache is the per-generation cache memoizing top-k reads over
+// immutable snapshots. Obtain one from Server.Cache; nil is valid and
+// computes uncached.
 type QueryCache = qcache.Cache
 
 // VertexValue pairs a vertex with its value in some snapshot, as
@@ -248,12 +239,6 @@ type VertexValue[V any] = qcache.VertexValue[V]
 // broken by ascending vertex id, memoized in c.
 func TopK[V cmp.Ordered](c *QueryCache, s *ResultSnapshot[V], k int) []VertexValue[V] {
 	return qcache.TopK(c, s, k)
-}
-
-// VertexValueAt returns one vertex's value in the snapshot (false when
-// the vertex is out of range), memoized in c.
-func VertexValueAt[V any](c *QueryCache, s *ResultSnapshot[V], v VertexID) (V, bool) {
-	return qcache.Value(c, s, v)
 }
 
 // Stream re-exports mutation-stream construction.

@@ -40,30 +40,41 @@ func ScaleRows(cfg Config) []ScaleRow {
 	cfg = cfg.withDefaults()
 	var rows []ScaleRow
 	for _, exp := range []int{14, 17, 20} {
-		n := cfg.scaled(1 << exp)
-		r := gen.NewRNG(cfg.Seed + uint64(exp))
-		edges := gen.Uniform(cfg.Seed^uint64(n), n, 8*n, gen.WeightUniform)
-		g := graph.MustBuild(n, edges)
+		g, batches := scaleGraph(cfg, exp)
 		for _, size := range []int{1, 100} {
-			var batches []graph.Batch
-			for i := 0; i < scaleBatches; i++ {
-				var b graph.Batch
-				for j := 0; j < size; j++ {
-					if j%4 == 3 {
-						e := edges[r.Intn(len(edges))]
-						b.Del = append(b.Del, graph.Edge{From: e.From, To: e.To})
-					} else {
-						b.Add = append(b.Add, graph.Edge{
-							From: graph.VertexID(r.Intn(n)), To: graph.VertexID(r.Intn(n)), Weight: 1 + r.Float64(),
-						})
-					}
-				}
-				batches = append(batches, b)
-			}
-			rows = append(rows, scaleCell(cfg, g, batches))
+			rows = append(rows, scaleCell(cfg, g, batches(size)))
 		}
 	}
 	return rows
+}
+
+// scaleGraph builds the experiment's graph at |V| = 2^exp times
+// Config.Scale, and the generator of its batches: each call returns
+// scaleBatches batches of size edges, a quarter of them deletions of
+// loaded edges.
+func scaleGraph(cfg Config, exp int) (*graph.Graph, func(size int) []graph.Batch) {
+	n := cfg.scaled(1 << exp)
+	r := gen.NewRNG(cfg.Seed + uint64(exp))
+	edges := gen.Uniform(cfg.Seed^uint64(n), n, 8*n, gen.WeightUniform)
+	batches := func(size int) []graph.Batch {
+		var bs []graph.Batch
+		for i := 0; i < scaleBatches; i++ {
+			var b graph.Batch
+			for j := 0; j < size; j++ {
+				if j%4 == 3 {
+					e := edges[r.Intn(len(edges))]
+					b.Del = append(b.Del, graph.Edge{From: e.From, To: e.To})
+				} else {
+					b.Add = append(b.Add, graph.Edge{
+						From: graph.VertexID(r.Intn(n)), To: graph.VertexID(r.Intn(n)), Weight: 1 + r.Float64(),
+					})
+				}
+			}
+			bs = append(bs, b)
+		}
+		return bs
+	}
+	return graph.MustBuild(n, edges), batches
 }
 
 // scaleCell runs one cell: the batches through graph.Apply alone, then
@@ -80,14 +91,9 @@ func scaleCell(cfg Config, g *graph.Graph, batches []graph.Batch) ScaleRow {
 	h := g
 	for round := 0; round < 10; round++ {
 		for _, b := range batches {
-			start := time.Now()
-			next, res := h.Apply(b)
-			alone = append(alone, time.Since(start))
-			undo := graph.Batch{Add: res.Deleted}
-			for _, e := range b.Add {
-				undo.Del = append(undo.Del, graph.Edge{From: e.From, To: e.To})
-			}
-			h, _ = next.Apply(undo)
+			var d time.Duration
+			h, d = applyAlone(h, b)
+			alone = append(alone, d)
 		}
 	}
 
@@ -127,6 +133,20 @@ func scaleCell(cfg Config, g *graph.Graph, batches []graph.Batch) ScaleRow {
 		GraphApply: median(applies),
 		Rest:       median(rests),
 	}
+}
+
+// applyAlone times h.Apply(b) and returns the graph after b is undone,
+// with the time.
+func applyAlone(h *graph.Graph, b graph.Batch) (*graph.Graph, time.Duration) {
+	start := time.Now()
+	next, res := h.Apply(b)
+	d := time.Since(start)
+	undo := graph.Batch{Add: res.Deleted}
+	for _, e := range b.Add {
+		undo.Del = append(undo.Del, graph.Edge{From: e.From, To: e.To})
+	}
+	h, _ = next.Apply(undo)
+	return h, d
 }
 
 func median(ds []time.Duration) time.Duration {

@@ -1,6 +1,6 @@
-// Package qcache memoizes derived reads — top-k rankings and per-vertex
-// lookups — over immutable result snapshots, keyed on the snapshot
-// generation.
+// Package qcache memoizes top-k rankings over immutable result
+// snapshots, keyed on the snapshot generation. A point read is not
+// memoized: indexing the snapshot's values is cheaper than any lookup.
 //
 // The design leans entirely on the engine's BSP publication contract: a
 // ResultSnapshot never changes after it is published, so a derived
@@ -11,9 +11,9 @@
 // wired to retention by the serving facade). A hit and a recompute are
 // observably identical by construction.
 //
-// One cache serves one engine's snapshots: keys are (generation, query,
-// argument), so mixing snapshots from different engines in one cache
-// would alias. All methods are safe for concurrent use.
+// One cache serves one engine's snapshots: keys are (generation, k), so
+// mixing snapshots from different engines in one cache would alias. All
+// methods are safe for concurrent use.
 package qcache
 
 import (
@@ -31,9 +31,7 @@ import (
 type Key struct {
 	// Gen is the snapshot generation the result was derived from.
 	Gen uint64
-	// Kind names the derived query ("topk", "value").
-	Kind string
-	// Arg is the query's scalar argument (k or vertex id).
+	// Arg is the query's argument: TopK's k.
 	Arg uint64
 }
 
@@ -214,7 +212,7 @@ func TopK[V cmp.Ordered](c *Cache, s *core.ResultSnapshot[V], k int) []VertexVal
 	if s == nil || k <= 0 {
 		return nil
 	}
-	return c.Do(Key{Gen: s.Generation, Kind: "topk", Arg: uint64(k)}, func() (any, int64) {
+	return c.Do(Key{Gen: s.Generation, Arg: uint64(k)}, func() (any, int64) {
 		// before is the result order: value descending, vertex ascending.
 		before := func(a, b VertexValue[V]) bool {
 			if a.Value != b.Value {
@@ -257,16 +255,4 @@ func TopK[V cmp.Ordered](c *Cache, s *core.ResultSnapshot[V], k int) []VertexVal
 		sort.Slice(top, func(i, j int) bool { return before(top[i], top[j]) })
 		return top, int64(len(top))*24 + 48
 	}).([]VertexValue[V])
-}
-
-// Value returns one vertex's value in the snapshot (false when the
-// vertex is outside the snapshot's range), memoized in c.
-func Value[V any](c *Cache, s *core.ResultSnapshot[V], v graph.VertexID) (V, bool) {
-	var zero V
-	if s == nil || int(v) >= len(s.Values) {
-		return zero, false
-	}
-	return c.Do(Key{Gen: s.Generation, Kind: "value", Arg: uint64(v)}, func() (any, int64) {
-		return s.Values[v], 64
-	}).(V), true
 }

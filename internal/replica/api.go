@@ -152,13 +152,12 @@ func API[V cmp.Ordered](src Source[V]) http.Handler {
 		if !ok {
 			return
 		}
-		val, ok := qcache.Value(src.Cache(), s, graph.VertexID(v))
-		if !ok {
+		if v >= uint64(len(s.Values)) {
 			httpError(w, http.StatusNotFound, "vertex not in snapshot",
 				"vertex "+strconv.FormatUint(v, 10)+" is outside generation "+strconv.FormatUint(s.Generation, 10))
 			return
 		}
-		writeJSON(w, ValueResponse[V]{Generation: s.Generation, Vertex: graph.VertexID(v), Value: jsonValue[V]{val}})
+		writeJSON(w, ValueResponse[V]{Generation: s.Generation, Vertex: graph.VertexID(v), Value: jsonValue[V]{s.Values[v]}})
 	})
 	return mux
 }

@@ -2,7 +2,6 @@ package replica
 
 import (
 	"encoding/json"
-	"errors"
 	"io"
 	"math"
 	"net/http"
@@ -15,7 +14,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/qcache"
-	"repro/internal/serve"
 )
 
 // newTestEngine builds a small PageRank engine over a chain graph with
@@ -282,33 +280,5 @@ func TestAPINothingPublished(t *testing.T) {
 		if code, _ := getJSON(t, ts, path, nil); code != http.StatusServiceUnavailable {
 			t.Errorf("%s: status %d, want 503", path, code)
 		}
-	}
-}
-
-// TestFollowerSubmitRefuses: the write path on a follower fails with
-// ErrFollower in the retryable shape — errors.Is sees the sentinel,
-// errors.As finds the RetryableError, and the backoff hint is positive.
-func TestFollowerSubmitRefuses(t *testing.T) {
-	l := NewLog(LogOptions{})
-	defer l.Close()
-	ts := httptest.NewServer(l.Handler())
-	defer ts.Close()
-	f, err := NewFollower(newTestEngine(t, 4), nil, ts.URL, FollowerOptions{Client: ts.Client()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.Submit(nil, graph.Batch{Add: []graph.Edge{{From: 0, To: 1, Weight: 1}}})
-	if !errors.Is(err, ErrFollower) {
-		t.Fatalf("Submit = %v, want ErrFollower", err)
-	}
-	var re *serve.RetryableError
-	if !errors.As(err, &re) {
-		t.Fatalf("Submit error %T is not a *serve.RetryableError", err)
-	}
-	if re.After <= 0 {
-		t.Fatalf("RetryAfter hint %v, want positive", re.After)
-	}
-	if after, ok := serve.RetryAfter(err); !ok || after <= 0 {
-		t.Fatalf("serve.RetryAfter = %v, %v", after, ok)
 	}
 }

@@ -9,12 +9,6 @@ import (
 	"repro/internal/durable"
 )
 
-// SeqHeader carries the sequence number a checkpoint response covers,
-// alongside the body. Followers prefer the in-band framed header (it is
-// CRC-protected); the HTTP header exists for curl-level diagnosis and
-// conditional fetches.
-const SeqHeader = "X-Graphbolt-Checkpoint-Seq"
-
 // CheckpointSource yields the leader's latest on-disk checkpoint.
 // durable.CheckpointDir implements it over a durable directory.
 type CheckpointSource interface {
@@ -26,9 +20,8 @@ type CheckpointSource interface {
 // complete framed checkpoint file — the wal checkpoint header followed
 // by the core snapshot, both CRC-protected — exactly as
 // durable.InstallCheckpoint expects it. 404 until the leader has
-// written a checkpoint. The covered sequence doubles as the ETag, so a
-// follower re-fetching after a failed install can short-circuit with
-// If-None-Match when the checkpoint has not advanced.
+// written a checkpoint. The sequence it covers travels only inside the
+// CRC-protected header in the body.
 func CheckpointHandler(src CheckpointSource) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
@@ -47,13 +40,6 @@ func CheckpointHandler(src CheckpointSource) http.Handler {
 			return
 		}
 		defer cf.Close()
-		etag := `"` + strconv.FormatUint(cf.Seq(), 10) + `"`
-		w.Header().Set("ETag", etag)
-		w.Header().Set(SeqHeader, strconv.FormatUint(cf.Seq(), 10))
-		if r.Header.Get("If-None-Match") == etag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Header().Set("Content-Length", strconv.FormatInt(cf.Size(), 10))
 		w.WriteHeader(http.StatusOK)

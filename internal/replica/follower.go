@@ -36,30 +36,24 @@ const DefaultStallTimeout = 30 * DefaultHeartbeat
 
 // RecordApplier is the follower's replay sink: ApplyRecord replays one
 // leader journal record, Seq reports the last applied sequence number
-// (the resume position). durable.Engine implements it directly — a
-// durable follower re-journals every record locally, so a restart
-// resumes from disk at the exact sequence it stopped at. An in-memory
-// follower uses the applier returned by NewEngineApplier and restarts
-// from zero.
+// (the resume position), and InstallCheckpoint re-seeds the applier
+// after the leader compacted past that position: it replaces the
+// applier's state with a complete framed checkpoint streamed from the
+// leader (wal checkpoint header + core snapshot, both CRC-verified
+// before anything is mutated) and returns the sequence number it
+// covers. durable.Engine implements it directly — a durable follower
+// re-journals every record locally, so a restart resumes from disk at
+// the exact sequence it stopped at, and an installed checkpoint lands
+// on disk before the local journal is truncated. An in-memory follower
+// uses the applier returned by NewEngineApplier, restarts from zero and
+// installs a checkpoint by swapping state behind the published
+// snapshot.
 //
-// The Follower guarantees ApplyRecord is called with strictly
-// consecutive sequence numbers from a single goroutine.
+// The Follower calls every method from a single goroutine, and
+// ApplyRecord with strictly consecutive sequence numbers.
 type RecordApplier interface {
 	ApplyRecord(rec wal.Record) error
 	Seq() uint64
-}
-
-// CheckpointInstaller is the optional re-seed extension of
-// RecordApplier: InstallCheckpoint replaces the applier's state with a
-// complete framed checkpoint streamed from the leader (wal checkpoint
-// header + core snapshot, both CRC-verified before anything is
-// mutated) and returns the sequence number it covers. durable.Engine
-// implements it with full crash safety (the checkpoint lands on disk
-// before the local journal is truncated); the in-memory engine applier
-// implements it by swapping state behind the published snapshot. A
-// follower whose applier lacks the interface treats log compaction as
-// terminal, as before.
-type CheckpointInstaller interface {
 	InstallCheckpoint(r io.Reader) (uint64, error)
 }
 
@@ -234,8 +228,8 @@ func NewDurableFollower[V, A any](d *durable.Engine[V, A], leaderURL string, opt
 // itself from the leader's checkpoint when the log has been compacted
 // past its position. It returns ctx.Err() on cancellation,
 // or a terminal error: the local applier rejected a record, or the
-// leader compacted the log and serves no checkpoint (or the applier
-// cannot install one) to bridge the gap. It runs the engine's initial
+// leader compacted the log and serves no checkpoint to bridge the gap.
+// It runs the engine's initial
 // computation first if the engine has never published (generation
 // parity with the leader requires both sides to start from the same
 // base graph).
@@ -472,7 +466,7 @@ func (f *Follower[V, A]) stream(ctx context.Context) (applied int, err error) {
 }
 
 // reseed bridges a compaction gap: fetch the leader's checkpoint,
-// install it through the applier's CheckpointInstaller path, and move
+// install it through the applier's InstallCheckpoint, and move
 // the resume position to its sequence. The never-skip/never-double
 // invariant holds across the jump because the checkpoint's state IS
 // the leader's state after applying every record ≤ its sequence — the
@@ -482,10 +476,6 @@ func (f *Follower[V, A]) stream(ctx context.Context) (applied int, err error) {
 // trouble, a checkpoint that has not yet advanced past our position,
 // a torn transfer).
 func (f *Follower[V, A]) reseed(ctx context.Context) (error, bool) {
-	inst, ok := f.ap.(CheckpointInstaller)
-	if !ok {
-		return fmt.Errorf("%w: applier %T cannot install checkpoints", ErrLogCompacted, f.ap), true
-	}
 	u := *f.base
 	u.Path, _ = url.JoinPath(u.Path, "/v1/checkpoint")
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
@@ -509,7 +499,7 @@ func (f *Follower[V, A]) reseed(ctx context.Context) (error, bool) {
 		return fmt.Errorf("replica: checkpoint fetch: leader returned %s", resp.Status), false
 	}
 	prev := f.applied.Load()
-	seq, err := inst.InstallCheckpoint(resp.Body)
+	seq, err := f.ap.InstallCheckpoint(resp.Body)
 	if err != nil {
 		return fmt.Errorf("replica: install checkpoint: %w", err), false
 	}
@@ -656,14 +646,3 @@ func (f *Follower[V, A]) RetainedGenerations() (oldest, newest uint64) {
 // Cache returns the follower's query cache (nil when caching is off) —
 // the same contract as Server.Cache, so the query API serves either.
 func (f *Follower[V, A]) Cache() *qcache.Cache { return f.cache }
-
-// Submit refuses: followers are read-only. The error wraps ErrFollower
-// in the serve layer's retryable shape so generic clients back off and
-// redirect to the leader.
-func (f *Follower[V, A]) Submit(context.Context, graph.Batch) (*serve.Ticket, error) {
-	return nil, &serve.RetryableError{
-		Sentinel: ErrFollower,
-		After:    serve.DefaultRetryAfter,
-		Detail:   fmt.Sprintf("this process follows %s; submit writes there", f.base),
-	}
-}

@@ -18,10 +18,10 @@
 //   - Log: the leader-side in-memory frame store, fed by
 //     durable.Options.OnRecord, serving GET /v1/wal?from=SEQ as a
 //     chunked long-poll stream (see wire.go for the format).
-//   - Follower: tails the stream, replays records in strict sequence
+//   - Follower: tails the stream and replays records in strict sequence
 //     order into a local applier (an in-memory engine or a durable one,
-//     which re-journals under the leader's sequence numbers), and
-//     refuses direct writes with ErrFollower.
+//     which re-journals under the leader's sequence numbers). It has no
+//     write path: its state is a replay prefix of the leader's journal.
 //   - API: the HTTP/JSON query surface (/v1/snapshot, /v1/topk, ...)
 //     served identically by leaders and followers, so a load balancer
 //     can spread reads without caring which process is which.
@@ -33,22 +33,14 @@ import (
 	"repro/internal/obs"
 )
 
-// ErrFollower reports a write submitted to a follower. Followers are
-// strictly read-only — their state is defined as a replay prefix of the
-// leader's journal, and a local write would fork it. The error is
-// wrapped in a *serve.RetryableError so clients back off and retry
-// against the leader.
-var ErrFollower = errors.New("replica: follower is read-only (submit writes to the leader)")
-
 // ErrLogCompacted reports a resume position below the leader's
 // replication log floor: the records were absorbed into a checkpoint
 // before the log attached, so the follower cannot be caught up by
 // streaming alone. Surfaced as HTTP 410 by the Log handler. A follower
-// whose applier can install checkpoints (durable engines and the
-// engine applier both can) recovers on its own by fetching the
-// leader's checkpoint from /v1/checkpoint and resuming the stream
-// from its sequence; the error is terminal only when the leader serves
-// no checkpoint to bridge the gap.
+// recovers on its own by fetching the leader's checkpoint from
+// /v1/checkpoint, installing it through its applier and resuming the
+// stream from its sequence; the error is terminal only when the leader
+// serves no checkpoint to bridge the gap.
 var ErrLogCompacted = errors.New("replica: replication log compacted before requested sequence")
 
 // ErrStreamStalled reports a connection the stall watchdog killed: the

@@ -109,55 +109,6 @@ var (
 	ErrDegraded = errors.New("serve: engine degraded, writes disabled")
 )
 
-// DefaultRetryAfter is the backoff hint attached to retryable refusals.
-const DefaultRetryAfter = 25 * time.Millisecond
-
-// RetryableError is the shape of a transient write refusal: a sentinel
-// for errors.Is plus a client backoff hint. The loop itself never
-// returns one (a full queue blocks Submit); a read replica refuses
-// writes in this shape, so clients back off RetryAfter, then resubmit
-// (to the leader).
-type RetryableError struct {
-	// Sentinel is the refusal's cause, for errors.Is.
-	Sentinel error
-	// After is the suggested backoff before resubmitting. Always
-	// positive.
-	After time.Duration
-	// Detail optionally elaborates the refusal.
-	Detail string
-}
-
-// Error formats the sentinel with the hint and detail.
-func (e *RetryableError) Error() string {
-	msg := fmt.Sprintf("%v (retry after %v)", e.Sentinel, e.After)
-	if e.Detail != "" {
-		msg += ": " + e.Detail
-	}
-	return msg
-}
-
-// Unwrap exposes the sentinel to errors.Is.
-func (e *RetryableError) Unwrap() error { return e.Sentinel }
-
-// RetryAfter returns the suggested client backoff.
-func (e *RetryableError) RetryAfter() time.Duration { return e.After }
-
-// RetryAfter extracts the backoff hint from a Submit error, reporting
-// whether err (or anything it wraps) is a retryable refusal. Callers
-// back off uniformly:
-//
-//	if after, ok := serve.RetryAfter(err); ok {
-//	    time.Sleep(after)
-//	    // resubmit
-//	}
-func RetryAfter(err error) (time.Duration, bool) {
-	var re *RetryableError
-	if errors.As(err, &re) {
-		return re.After, true
-	}
-	return 0, false
-}
-
 // Options configures a Loop.
 type Options struct {
 	// QueueDepth bounds the number of queued (unapplied) batches.

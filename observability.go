@@ -20,9 +20,6 @@ import (
 // gauges and fixed-bucket histograms with Prometheus text exposition.
 type MetricsRegistry = obs.Registry
 
-// MetricsSnapshot is a point-in-time copy of every metric, JSON-ready.
-type MetricsSnapshot = obs.Snapshot
-
 // NewMetricsRegistry builds an empty registry. Instrumentation is
 // instance-scoped: an engine, server, journal or flight recorder reports
 // into the registry its options name, and nowhere when they name none.

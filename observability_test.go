@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	graphbolt "repro"
+	"repro/internal/obs"
 )
 
 // TestFacadeMetrics: instrumentation goes only where each instance's
@@ -66,7 +67,7 @@ func TestFacadeMetrics(t *testing.T) {
 		}
 	}
 
-	before := []graphbolt.MetricsSnapshot{regs[0].Snapshot(), regs[1].Snapshot()}
+	before := []obs.Snapshot{regs[0].Snapshot(), regs[1].Snapshot()}
 	serve(nil, 3)
 	for i, reg := range regs {
 		if after := reg.Snapshot(); !reflect.DeepEqual(after, before[i]) {

@@ -52,14 +52,15 @@ func NewReplicationLog(opts ReplicationLogOptions) *ReplicationLog {
 }
 
 // Follower tails a leader's replication stream into a local engine and
-// serves the same read API; direct writes fail with ErrFollower.
+// serves the same read API. It has no write path: its state is a replay
+// prefix of the leader's journal.
 type Follower[V, A any] = replica.Follower[V, A]
 
 // FollowerOptions configures a Follower.
 type FollowerOptions = replica.FollowerOptions
 
-// RecordApplier is the follower's replay sink (a DurableEngine, or the
-// in-memory adapter from NewEngineApplier).
+// RecordApplier is the follower's replay sink: a DurableEngine, or, when
+// NewFollower gets nil, an in-memory adapter over the engine.
 type RecordApplier = replica.RecordApplier
 
 // NewFollower builds an in-memory follower over eng. ap may be nil (a
@@ -74,12 +75,6 @@ func NewFollower[V, A any](eng *Engine[V, A], ap RecordApplier, leaderURL string
 // the exact sequence number it last acked.
 func NewDurableFollower[V, A any](d *DurableEngine[V, A], leaderURL string, opts FollowerOptions) (*Follower[V, A], error) {
 	return replica.NewDurableFollower(d, leaderURL, opts)
-}
-
-// NewEngineApplier adapts a bare engine as a RecordApplier for
-// in-memory followers (sequence position starts at 0).
-func NewEngineApplier[V, A any](eng *Engine[V, A]) RecordApplier {
-	return replica.NewEngineApplier(eng)
 }
 
 // Checkpoint shipping: the re-seed path that lets a follower survive
@@ -100,44 +95,19 @@ func NewEngineApplier[V, A any](eng *Engine[V, A]) RecordApplier {
 // adapts a durable directory as one.
 type CheckpointSource = replica.CheckpointSource
 
-// CheckpointFile is an open, header-verified checkpoint ready to
-// stream; callers must Close it.
-type CheckpointFile = durable.CheckpointFile
-
 // CheckpointDir adapts a durable directory (no open engine needed) as
 // a CheckpointSource — e.g. to serve checkpoints from a leader process
 // that owns the directory.
 type CheckpointDir = durable.CheckpointDir
 
-// CheckpointInstaller is the re-seed sink: a RecordApplier that can
-// atomically replace its state with a shipped checkpoint. Both the
-// durable and in-memory appliers implement it.
-type CheckpointInstaller = replica.CheckpointInstaller
-
-// CompactedResponse is the JSON body of a 410 replication-stream
-// response: the log floor plus whether (and through which sequence) a
-// checkpoint can bridge the gap.
-type CompactedResponse = replica.CompactedResponse
-
-// CheckpointSeqHeader is the response header carrying the checkpoint's
-// covered sequence number on /v1/checkpoint responses.
-const CheckpointSeqHeader = replica.SeqHeader
-
-// DefaultStallTimeout is the follower's default stream-stall watchdog
-// threshold (FollowerOptions.StallTimeout).
-const DefaultStallTimeout = replica.DefaultStallTimeout
-
 // CheckpointHandler serves GET /v1/checkpoint from src: the newest
-// checkpoint streamed with ETag and CheckpointSeqHeader, 404 until one
-// exists.
+// checkpoint file, whose CRC-protected header carries the sequence it
+// covers, 404 until one exists.
 func CheckpointHandler(src CheckpointSource) http.Handler {
 	return replica.CheckpointHandler(src)
 }
 
 var (
-	// ErrFollower reports a write submitted to a read-only follower;
-	// Submit wraps it in a *RetryableError, so RetryAfter works on it.
-	ErrFollower = replica.ErrFollower
 	// ErrReplicationLogCompacted reports a follower resume position the
 	// leader's replication log no longer covers (HTTP 410 on the stream).
 	ErrReplicationLogCompacted = replica.ErrLogCompacted

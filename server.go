@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"sync"
-	"time"
 
 	"repro/internal/backoff"
 	"repro/internal/core"
@@ -35,21 +34,6 @@ var (
 	// keep working; resubmit after the server returns to HealthHealthy.
 	ErrDegraded = serve.ErrDegraded
 )
-
-// RetryableError is the shape of a transient write refusal: a sentinel
-// for errors.Is plus a suggested client backoff. Follower.Submit
-// returns one wrapping ErrFollower; Server.Submit never does (a full
-// queue blocks it). See RetryAfter.
-type RetryableError = serve.RetryableError
-
-// RetryAfter extracts the backoff hint from a Submit error, reporting
-// whether the error is a retryable (transient) refusal:
-//
-//	if after, ok := graphbolt.RetryAfter(err); ok {
-//	    time.Sleep(after)
-//	    // resubmit
-//	}
-func RetryAfter(err error) (time.Duration, bool) { return serve.RetryAfter(err) }
 
 // HealthState is the server's coarse operating state.
 type HealthState = health.State
@@ -105,23 +89,6 @@ type FlightOptions = flight.Options
 // 4096-event default.
 func NewFlightRecorder(opts FlightOptions) *FlightRecorder { return flight.New(opts) }
 
-// BatchTrace is the completed lifecycle record of one apply call: the
-// head batch's trace ID, every coalesced sibling's ID, and the
-// per-phase latency breakdown (queue wait, coalesce, validate, journal,
-// apply, publish). Every ticket the apply covers receives it as
-// Applied.Trace.
-type BatchTrace = flight.BatchTrace
-
-// TracePhases is the per-phase latency breakdown on a BatchTrace.
-type TracePhases = flight.Phases
-
-// FlightEvent is one recorded lifecycle event in the flight ring.
-type FlightEvent = flight.Event
-
-// FlightDump is one captured ring snapshot (reason, focus trace,
-// events oldest-first).
-type FlightDump = flight.Dump
-
 // ServerOptions configures a Server's ingest pipeline.
 type ServerOptions struct {
 	// QueueDepth bounds the number of queued (unapplied) batches; Submit
@@ -139,9 +106,8 @@ type ServerOptions struct {
 	// every apply call. Keep it fast; it runs on the write path.
 	OnApply func(Applied)
 	// QueryCacheBytes bounds the per-generation query cache memoizing
-	// derived reads (top-k, per-vertex lookups) against
-	// retained snapshots. 0 disables caching; queries still work, every
-	// read computes. Cached entries need no invalidation — snapshots are
+	// top-k reads against retained snapshots. 0 disables caching;
+	// queries still work, every read computes. Cached entries need no invalidation — snapshots are
 	// immutable — and are evicted by LRU within the budget and when
 	// their generation falls out of the engine's history ring.
 	QueryCacheBytes int64
@@ -372,20 +338,13 @@ func (s *Server[V, A]) RetainedGenerations() (oldest, newest uint64) {
 }
 
 // Cache returns the server's per-generation query cache for use with
-// the qcache helpers (TopK, Value). It is nil when
-// ServerOptions.QueryCacheBytes is 0 — a valid argument to every
-// helper; queries then compute uncached.
+// TopK. It is nil when ServerOptions.QueryCacheBytes is 0 — a valid
+// argument to TopK, which then computes uncached.
 func (s *Server[V, A]) Cache() *QueryCache { return s.cache }
-
-// QuerySource is the read surface the HTTP query API serves — both
-// *Server[V, A] and *Follower[V, A] (see replication.go) satisfy it,
-// which is what lets a load balancer spread reads across a leader and
-// its followers without telling them apart.
-type QuerySource[V any] = replica.Source[V]
 
 // QueryHandler returns the HTTP/JSON query API over a server:
 // /v1/snapshot, /v1/snapshot/{gen}, /v1/topk?k=N and /v1/value/{vertex},
-// with qcache-memoized reads and JSON errors
+// with qcache-memoized top-k reads and JSON errors
 // (400 malformed, 404 unknown vertex, 405 non-GET, 410 evicted
 // generation, 503 before first publish). Mount it alongside the
 // observability mux:
