@@ -8,6 +8,7 @@ COVER_FLOOR_replica = 80
 COVER_FLOOR_durable = 75
 COVER_FLOOR_qcache  = 90
 COVER_FLOOR_graph   = 90
+COVER_FLOOR_deps    = 90
 
 .PHONY: build test check check-race race vet fmt bench fuzz cover chaos flight shard replica failover
 
@@ -20,14 +21,15 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The second line checks the engine's one-writer-per-word rule with more
-# workers than the host may have CPUs. The third repeats the graph's
+# The second line checks the engine's one-writer-per-word rule, and the
+# dependency store's one writer per block of counters, with more workers
+# than the host may have CPUs. The third repeats the graph's
 # snapshot-sharing tests ten times: Apply writes the chain's shared tail
 # chunk while readers scan older snapshots and other forks of the chain
 # apply to it.
 race:
 	$(GO) test -race -shuffle=on ./internal/...
-	$(GO) test -race -cpu 2,4,8 -run 'BitIdentical|DirectionsAgree|GoldenWorkCounters|GoldenValueHashes|ForVertices|MatchLigraAtEveryLevel|WitnessMatchesFullRepull|StoppedRunHasConverged' ./internal/core
+	$(GO) test -race -cpu 2,4,8 -run 'BitIdentical|DirectionsAgree|GoldenWorkCounters|GoldenValueHashes|ForVertices|MatchLigraAtEveryLevel|WitnessMatchesFullRepull|StoppedRunHasConverged|HistoryAccountingIsExact' ./internal/core
 	$(GO) test -race -count=10 -run 'ReadersOfOldSnapshots|ConcurrentForks|ChainedApply' ./internal/graph
 
 # check-race runs the whole module under the race detector, including
@@ -132,6 +134,7 @@ fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzScan -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzDecodeBatch -fuzztime=$(FUZZTIME) ./internal/wal/
 	$(GO) test -run=^$$ -fuzz=FuzzReadSnapshot -fuzztime=$(FUZZTIME) ./internal/core/
+	$(GO) test -run=^$$ -fuzz=FuzzBuild -fuzztime=$(FUZZTIME) ./internal/graph/
 	$(GO) test -run=^$$ -fuzz=FuzzWireDecode -fuzztime=$(FUZZTIME) ./internal/replica/
 	$(GO) test -run=^$$ -fuzz=FuzzCheckpointDecode -fuzztime=$(FUZZTIME) ./internal/replica/
 
@@ -153,6 +156,7 @@ cover:
 			if (pkg == "repro/internal/durable") floor = $(COVER_FLOOR_durable); \
 			if (pkg == "repro/internal/qcache")  floor = $(COVER_FLOOR_qcache); \
 			if (pkg == "repro/internal/graph")   floor = $(COVER_FLOOR_graph); \
+			if (pkg == "repro/internal/deps")    floor = $(COVER_FLOOR_deps); \
 			if (floor > 0 && cov + 0 < floor) { \
 				printf "FAIL: %s coverage %.1f%% is under the %d%% floor\n", pkg, cov, floor; \
 				bad = 1; \

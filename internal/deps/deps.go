@@ -9,9 +9,28 @@
 // last entry return the last entry — exactly the stabilized value — and
 // lookups on an empty history report "identity", meaning the vertex
 // never received a contribution.
+//
+// The store keeps its entry count and footprint per block of 512
+// vertices, in plain fields on a cache line of their own: Append may run
+// concurrently for vertices of different blocks, never for two vertices
+// of one block. That is the unit the engine's parallel vertex loops hand
+// a worker (forVertices in internal/core), so a loop has one writer per
+// block, no shared counter and no atomic; Entries and HeapBytes sum the
+// blocks, and must not run concurrently with Append.
 package deps
 
-import "sync/atomic"
+// blockShift sets the accounting block: 1<<blockShift consecutive
+// vertices share one blockCounts. It equals blockVerts in internal/core.
+const blockShift = 9
+
+// blockCounts is one block's entries and footprint, padded to a cache
+// line so that workers appending to neighbouring blocks do not share one.
+type blockCounts struct {
+	entries, heapBytes int64
+	_                  [6]int64
+}
+
+func numBlocks(n int) int { return (n + 1<<blockShift - 1) >> blockShift }
 
 // Store holds per-vertex aggregation histories for levels 1..Horizon.
 // Level 0 is implicit (vertex initial values are recomputable, §3.3).
@@ -19,12 +38,10 @@ import "sync/atomic"
 type Store[A any] struct {
 	horizon  int
 	hist     [][]A
+	counts   []blockCounts // indexed by v>>blockShift
 	clone    func(A) A
 	bytes    func(A) int
 	identity func() A
-
-	heapBytes atomic.Int64
-	entries   atomic.Int64
 }
 
 // New creates a store for n vertices with the given horizon (the
@@ -41,6 +58,7 @@ func New[A any](n, horizon int, clone func(A) A, bytes func(A) int, identity fun
 	return &Store[A]{
 		horizon:  horizon,
 		hist:     make([][]A, n),
+		counts:   make([]blockCounts, numBlocks(n)),
 		clone:    clone,
 		bytes:    bytes,
 		identity: identity,
@@ -55,6 +73,9 @@ func (s *Store[A]) Horizon() int { return s.horizon }
 func (s *Store[A]) Grow(n int) {
 	for len(s.hist) < n {
 		s.hist = append(s.hist, nil)
+	}
+	for len(s.counts) < numBlocks(n) {
+		s.counts = append(s.counts, blockCounts{})
 	}
 }
 
@@ -81,26 +102,25 @@ func (s *Store[A]) Lookup(v uint32, level int) (agg A, ok bool) {
 // last+1, the gap is filled with copies of the previous entry to keep
 // the no-holes invariant; if level is already stored it is overwritten
 // (the refinement path). Levels beyond the horizon are ignored
-// (horizontal pruning).
+// (horizontal pruning). Appends for vertices of different 512-vertex
+// blocks may run concurrently; see the package comment.
 func (s *Store[A]) Append(v uint32, level int, agg A) {
 	if level < 1 || level > s.horizon {
 		return
 	}
 	h := s.hist[v]
 	if level <= len(h) {
-		// Overwrite (refinement): account the delta in footprint. Skip
-		// the shared counter when the size is unchanged, the common case:
-		// under parallel refinement its cache line is contended.
+		// Overwrite (refinement): account the delta in footprint.
 		if s.clone == nil {
 			h[level-1] = agg
 			return
 		}
-		if d := int64(s.bytes(agg)) - int64(s.bytes(h[level-1])); d != 0 {
-			s.heapBytes.Add(d)
-		}
+		s.counts[v>>blockShift].heapBytes += int64(s.bytes(agg)) - int64(s.bytes(h[level-1]))
 		h[level-1] = s.clone(agg)
 		return
 	}
+	c := &s.counts[v>>blockShift]
+	c.entries += int64(level - len(h))
 	for len(h) < level-1 {
 		var cp A
 		if len(h) == 0 {
@@ -108,15 +128,12 @@ func (s *Store[A]) Append(v uint32, level int, agg A) {
 		} else {
 			cp = s.copy(h[len(h)-1])
 		}
-		s.heapBytes.Add(int64(s.bytes(cp)))
-		s.entries.Add(1)
+		c.heapBytes += int64(s.bytes(cp))
 		h = append(h, cp)
 	}
 	cp := s.copy(agg)
-	s.heapBytes.Add(int64(s.bytes(cp)))
-	s.entries.Add(1)
-	h = append(h, cp)
-	s.hist[v] = h
+	c.heapBytes += int64(s.bytes(cp))
+	s.hist[v] = append(h, cp)
 }
 
 // copy deep-copies a.
@@ -128,16 +145,26 @@ func (s *Store[A]) copy(a A) A {
 }
 
 // HeapBytes reports the approximate heap footprint of all stored
-// aggregates (Table 9's memory-overhead metric).
+// aggregates (Table 9's memory-overhead metric). It sums one counter per
+// block of 512 vertices.
 func (s *Store[A]) HeapBytes() int64 {
-	return s.heapBytes.Load() + int64(len(s.hist))*24 // slice headers
+	total := int64(len(s.hist)) * 24 // slice headers
+	for i := range s.counts {
+		total += s.counts[i].heapBytes
+	}
+	return total
 }
 
 // Entries reports the number of aggregation values currently stored
 // across all vertex histories — the direct measure of how much the
 // horizontal/vertical pruning of §3.2 is saving versus |V|·iterations.
+// It sums one counter per block of 512 vertices.
 func (s *Store[A]) Entries() int64 {
-	return s.entries.Load()
+	var total int64
+	for i := range s.counts {
+		total += s.counts[i].entries
+	}
+	return total
 }
 
 // Export copies every vertex history out of the store, for engine
@@ -162,7 +189,7 @@ func (s *Store[A]) Export() [][]A {
 // horizon are truncated.
 func (s *Store[A]) Import(hist [][]A) {
 	s.hist = make([][]A, len(hist))
-	var total, entries int64
+	s.counts = make([]blockCounts, numBlocks(len(hist)))
 	for v, h := range hist {
 		if len(h) > s.horizon {
 			h = h[:s.horizon]
@@ -170,14 +197,13 @@ func (s *Store[A]) Import(hist [][]A) {
 		if len(h) == 0 {
 			continue
 		}
+		c := &s.counts[v>>blockShift]
 		cp := make([]A, len(h))
 		for i, a := range h {
 			cp[i] = s.copy(a)
-			total += int64(s.bytes(cp[i]))
+			c.heapBytes += int64(s.bytes(cp[i]))
 		}
-		entries += int64(len(cp))
+		c.entries += int64(len(cp))
 		s.hist[v] = cp
 	}
-	s.heapBytes.Store(total)
-	s.entries.Store(entries)
 }

@@ -1,6 +1,10 @@
 package deps
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/parallel"
+)
 
 // BenchmarkAppendScalar overwrites scalar entries, as refinement does,
 // with an identity clone and with the nil clone the engine passes for a
@@ -54,4 +58,24 @@ func BenchmarkAppendVector(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.Append(uint32(i%1024), i/1024%10+1, vec)
 	}
+}
+
+// BenchmarkAppendBlocks records ten levels for 2^16 vertices the way the
+// engine's initial run does: one parallel loop per level, each worker
+// claiming whole 512-vertex blocks. Run it with -cpu 1,2 to see what the
+// second core buys; ns/entry is the time per stored entry.
+func BenchmarkAppendBlocks(b *testing.B) {
+	const n, levels = 1 << 16, 10
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s := New[float64](n, levels, nil, func(float64) int { return 8 }, func() float64 { return 0 })
+		for level := 1; level <= levels; level++ {
+			parallel.ForWorker(n, 1<<blockShift, func(_, lo, hi int) {
+				for v := lo; v < hi; v++ {
+					s.Append(uint32(v), level, float64(level))
+				}
+			})
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n*levels), "ns/entry")
 }

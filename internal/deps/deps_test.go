@@ -308,3 +308,51 @@ func TestNilCloneMatchesIdentityClone(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestAccountingMatchesRecount: through gap fills, resizing overwrites
+// and growth across several 512-vertex blocks, Entries and HeapBytes
+// equal a recount over the histories, and so do an imported copy's.
+func TestAccountingMatchesRecount(t *testing.T) {
+	size := func(a []float64) int { return 24 + 8*len(a) }
+	newStore := func(n int) *Store[[]float64] {
+		return New[[]float64](n, 6,
+			func(a []float64) []float64 { return append([]float64(nil), a...) },
+			size,
+			func() []float64 { return nil },
+		)
+	}
+	recount := func(s *Store[[]float64]) (entries, heapBytes int64) {
+		heapBytes = 24 * int64(len(s.hist))
+		for _, h := range s.hist {
+			entries += int64(len(h))
+			for _, a := range h {
+				heapBytes += int64(size(a))
+			}
+		}
+		return entries, heapBytes
+	}
+	f := func(ops []struct {
+		V     uint16
+		Level uint8
+		Len   uint8
+	}) bool {
+		s := newStore(600)
+		for i, op := range ops {
+			if i == len(ops)/2 {
+				s.Grow(1500)
+			}
+			s.Append(uint32(int(op.V)%len(s.hist)), 1+int(op.Level%7), make([]float64, op.Len%4))
+		}
+		imported := newStore(0)
+		imported.Import(s.Export())
+		for _, st := range []*Store[[]float64]{s, imported} {
+			if e, b := recount(st); st.Entries() != e || st.HeapBytes() != b {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}

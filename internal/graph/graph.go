@@ -21,18 +21,20 @@
 //
 // Adjacency lists are kept sorted by (neighbor id, weight), which makes
 // deletion a merge, lookup a binary search, and triangle counting a
-// sorted-set intersection. The order is canonical: Build(n, g.Edges(nil))
-// reproduces g list for list, so a checkpoint round trip and the live
-// graph delete the same copy of a parallel edge.
+// sorted-set intersection. Build places them with counting sorts, with
+// no comparison sort of a list, and Apply's merges keep the order. The
+// order is canonical: Build(n, g.Edges(nil)) reproduces g list for list,
+// so a checkpoint round trip and the live graph delete the same copy of
+// a parallel edge.
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
-
-	"repro/internal/parallel"
 )
 
 // VertexID identifies a vertex. Dense ids in [0, NumVertices).
@@ -246,6 +248,16 @@ func (g *Graph) Edges(dst []Edge) []Edge {
 // vertices; every endpoint must be < n and every weight finite (NaN and
 // ±Inf are rejected, see ValidateEdge). Parallel edges and self loops
 // are preserved.
+//
+// Both directions are placed by counting sorts, in three passes over the
+// edges: a pass by target into the in arrays, used as scratch; a stable
+// pass from there by source into the out arrays, which leaves every
+// out-list in target order; and a pass over each out-list putting every
+// run of parallel edges in weight order. The in-lists are then filled by
+// walking the out-lists in source order, so each in-list is in (source,
+// weight) order and is the exact transpose of the out-lists, copy for
+// copy. Equal weights (+0 and -0) keep the order they had in edges, so
+// Build(n, g.Edges(nil)) reproduces g bit for bit.
 func Build(n int, edges []Edge) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative vertex count %d", n)
@@ -261,10 +273,58 @@ func Build(n int, edges []Edge) (*Graph, error) {
 	if int64(len(edges)) > math.MaxUint32 {
 		return nil, fmt.Errorf("graph: %d edges exceed a chunk's %d entries", len(edges), uint32(math.MaxUint32))
 	}
-	g := &Graph{n: n, m: int64(len(edges))}
-	g.out = buildAdjacency(n, edges, false)
-	g.in = buildAdjacency(n, edges, true)
-	return g, nil
+	m := len(edges)
+	outOff := make([]uint32, n+1)
+	inOff := make([]uint32, n+1)
+	for _, e := range edges {
+		outOff[int(e.From)+1]++
+		inOff[int(e.To)+1]++
+	}
+	for v := 0; v < n; v++ {
+		outOff[v+1] += outOff[v]
+		inOff[v+1] += inOff[v]
+	}
+	outTs, outWs := make([]VertexID, m), make([]float64, m)
+	inTs, inWs := make([]VertexID, m), make([]float64, m)
+	cursor := make([]uint32, n)
+
+	// By target: in-lists in edge order.
+	copy(cursor, inOff)
+	for _, e := range edges {
+		p := cursor[e.To]
+		cursor[e.To]++
+		inTs[p], inWs[p] = e.From, e.Weight
+	}
+	// Stably by source: out-lists in target order.
+	copy(cursor, outOff)
+	for t := 0; t < n; t++ {
+		for p := inOff[t]; p < inOff[t+1]; p++ {
+			u := inTs[p]
+			q := cursor[u]
+			cursor[u]++
+			outTs[q], outWs[q] = VertexID(t), inWs[p]
+		}
+	}
+	// Parallel edges in weight order.
+	for u := 0; u < n; u++ {
+		sortParallelRuns(outTs[outOff[u]:outOff[u+1]], outWs[outOff[u]:outOff[u+1]])
+	}
+	// The transpose: in-lists in (source, weight) order.
+	copy(cursor, inOff)
+	for u := 0; u < n; u++ {
+		for p := outOff[u]; p < outOff[u+1]; p++ {
+			t := outTs[p]
+			q := cursor[t]
+			cursor[t]++
+			inTs[q], inWs[q] = VertexID(u), outWs[p]
+		}
+	}
+	return &Graph{
+		n:   n,
+		m:   int64(m),
+		out: newAdjacency(n, outOff, outTs, outWs),
+		in:  newAdjacency(n, inOff, inTs, inWs),
+	}, nil
 }
 
 // MustBuild is Build that panics on error; for tests and generators whose
@@ -277,51 +337,40 @@ func MustBuild(n int, edges []Edge) *Graph {
 	return g
 }
 
-// buildAdjacency counting-sorts the edges into one targets and one
-// weights array per direction, chunk 0 of a fresh store, and points every
-// vertex's span into it. A chain built from this snapshot writes its
-// lists to later chunks; chunk 0's replaced ranges are dead space until
-// a compaction (or a rebuild, a checkpoint restore) drops them.
-func buildAdjacency(n int, edges []Edge, transpose bool) adjacency {
-	key := func(e Edge) (VertexID, VertexID) {
-		if transpose {
-			return e.To, e.From
+// sortParallelRuns puts each run of equal targets in the target-sorted
+// list ts in weight order. The order is stable, so +0 and -0 keep their
+// relative order; most runs are a single edge.
+func sortParallelRuns(ts []VertexID, ws []float64) {
+	for lo := 0; lo < len(ts); {
+		hi := lo + 1
+		for hi < len(ts) && ts[hi] == ts[lo] {
+			hi++
 		}
-		return e.From, e.To
+		if hi-lo > 1 {
+			slices.SortStableFunc(ws[lo:hi], cmp.Compare[float64])
+		}
+		lo = hi
 	}
-	offsets := make([]int64, n+1)
-	for _, e := range edges {
-		s, _ := key(e)
-		offsets[s+1]++
-	}
-	for i := 0; i < n; i++ {
-		offsets[i+1] += offsets[i]
-	}
-	targets := make([]VertexID, len(edges))
-	weights := make([]float64, len(edges))
-	cursor := make([]int64, n)
-	for _, e := range edges {
-		s, t := key(e)
-		p := offsets[s] + cursor[s]
-		cursor[s]++
-		targets[p] = t
-		weights[p] = e.Weight
-	}
-	parallel.For(n, func(v int) {
-		lo, hi := offsets[v], offsets[v+1]
-		sortNeighborRange(targets[lo:hi], weights[lo:hi])
-	})
+}
+
+// newAdjacency makes one direction over targets and weights, chunk 0 of
+// a fresh store, in which v's list is [offsets[v], offsets[v+1]). A chain
+// built from this snapshot writes its lists to later chunks; chunk 0's
+// replaced ranges are dead space until a compaction (or a rebuild, a
+// checkpoint restore) drops them.
+func newAdjacency(n int, offsets []uint32, targets []VertexID, weights []float64) adjacency {
 	var owners []VertexID
 	for v := 0; v < n; v++ {
 		if offsets[v] < offsets[v+1] {
 			owners = append(owners, VertexID(v))
 		}
 	}
+	m := uint32(len(targets))
 	a := adjacency{
 		pages:  make([]*page, numPages(n)),
-		chunks: []chunk{{targets, weights, owners, uint32(len(edges)), uint32(len(edges))}},
+		chunks: []chunk{{targets, weights, owners, m, m}},
 		st:     &store{next: 1},
-		stored: int64(len(edges)),
+		stored: int64(m),
 	}
 	// Pages are allocated in vertex order, one after the other, so a scan
 	// over all vertices walks memory forward.
@@ -336,35 +385,10 @@ func buildAdjacency(n int, edges []Edge, transpose bool) adjacency {
 		for v := first; v < last; v++ {
 			// An empty list stays the zero span.
 			if lo, hi := offsets[v], offsets[v+1]; lo < hi {
-				pg[v&pageMask] = span{0, uint32(lo), uint32(hi - lo)}
+				pg[v&pageMask] = span{0, lo, hi - lo}
 			}
 		}
 		a.pages[pi] = pg
 	}
 	return a
-}
-
-func sortNeighborRange(ts []VertexID, ws []float64) {
-	sort.Sort(&neighborSorter{ts, ws})
-}
-
-type neighborSorter struct {
-	ts []VertexID
-	ws []float64
-}
-
-func (s *neighborSorter) Len() int { return len(s.ts) }
-
-// Less orders by neighbor id with weight as tie-break so parallel edges
-// appear in a deterministic order in both directions; deletion then
-// removes the same instance from both.
-func (s *neighborSorter) Less(i, j int) bool {
-	if s.ts[i] != s.ts[j] {
-		return s.ts[i] < s.ts[j]
-	}
-	return s.ws[i] < s.ws[j]
-}
-func (s *neighborSorter) Swap(i, j int) {
-	s.ts[i], s.ts[j] = s.ts[j], s.ts[i]
-	s.ws[i], s.ws[j] = s.ws[j], s.ws[i]
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -24,12 +25,35 @@ func benchEdges(n, m int) []Edge {
 	return edges
 }
 
+// rmatEdges draws m edges over n vertices with rmatVertex's skew, so a
+// few hubs hold long lists, with benchEdges' weights.
+func rmatEdges(n, m int) []Edge {
+	rng := rand.New(rand.NewSource(1))
+	edges := make([]Edge, m)
+	for i := range edges {
+		edges[i] = Edge{rmatVertex(rng, n), rmatVertex(rng, n), float64(rng.Intn(100)) / 10}
+	}
+	return edges
+}
+
+// BenchmarkBuild places uniform edges, and RMAT-skewed ones at average
+// degree 16, where the hub lists are long and hold parallel edges.
 func BenchmarkBuild(b *testing.B) {
-	edges := benchEdges(10000, 100000)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		MustBuild(10000, edges)
+	for _, bc := range []struct {
+		name  string
+		n     int
+		edges []Edge
+	}{
+		{"uniform/E=100k", 10000, benchEdges(10000, 100000)},
+		{"rmat/E=100k", 1 << 13, rmatEdges(1<<13, 100_000)},
+		{"rmat/E=1000k", 1 << 16, rmatEdges(1<<16, 1_000_000)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				MustBuild(bc.n, bc.edges)
+			}
+		})
 	}
 }
 
