@@ -220,11 +220,12 @@ func (a *adjacency) holds(num uint32) bool {
 // instances to removed. It copies the list in runs between insertion and
 // deletion points found by galloping search. An addition goes after every
 // entry with an equal (target, weight), so the merged list keeps the
-// canonical order buildAdjacency establishes: a graph round-tripped
-// through Edges+Build (checkpointing) must match this one
-// instance-for-instance, or later deletions of parallel edges pick
-// different copies. A deletion consumes the first unconsumed instance of
-// its target; a request whose target is absent (or used up) is skipped.
+// canonical order Build establishes, equal entries in arrival order: a
+// graph round-tripped through Edges+Build (checkpointing) must match
+// this one instance-for-instance, or later deletions of parallel edges
+// pick different copies. A deletion consumes the first unconsumed
+// instance of its target; a request whose target is absent (or used up)
+// is skipped.
 func merge(dt []VertexID, dw []float64, ts []VertexID, ws []float64, va, vd []Edge, v VertexID, removed []Edge) []Edge {
 	i, j := 0, 0 // read cursor in ts, write cursor in dt
 	for {
